@@ -18,7 +18,6 @@ from .ensemble import (
     entropy_term,
     l2_term,
     load_checkpoint,
-    predictive_logprobs,
     regularizer,
     save_checkpoint,
 )
@@ -31,8 +30,8 @@ from .metrics import (
     predictive_entropy,
     region_accuracy,
 )
-from .numcore import NetShape, backward, forward_logprobs, param_count
-from .objective import LossBreakdown, batch_loss, expectation_weighting
+from .numcore import NetShape, param_count
+from .objective import LossBreakdown, batch_loss
 from .rebalance import ClassWeights, DiscrepancySpec, class_weights, f_value, growth_rate
 from .trainer import (
     EpochRecord,
@@ -71,7 +70,6 @@ __all__ = [
     "ValidationError",
     "anneal_weight",
     "auc_misclassification",
-    "backward",
     "batch_loss",
     "class_weights",
     "decide",
@@ -79,11 +77,9 @@ __all__ = [
     "diversity_diagnostics",
     "entropy_term",
     "evaluate",
-    "expectation_weighting",
     "expected_calibration_error",
     "f_value",
     "false_head_rate",
-    "forward_logprobs",
     "generate_synthetic",
     "growth_rate",
     "l2_term",
@@ -93,7 +89,6 @@ __all__ = [
     "one_hot",
     "param_count",
     "predictive_entropy",
-    "predictive_logprobs",
     "region_accuracy",
     "region_partition",
     "regularizer",

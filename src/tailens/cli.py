@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .dataset import TailSplit, generate_synthetic, load_csv, save_csv
-from .decision import decide_batch, write_predictions_csv
+from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
 from .errors import InputError, NumericError, ParseError, ValidationError
 from .metrics import report_to_json, write_summary_csv
@@ -338,7 +338,7 @@ def cmd_train(config: dict) -> int:
     save_checkpoint(ens, os.path.join(out, "ensemble.ckpt"))
     write_train_log(records, os.path.join(out, "trainlog.jsonl"))
     if test_data is not None:
-        report = evaluate(
+        report, _ = evaluate(
             ens, test_data, utility, _tail_ratios(config), config["ece_bins"]
         )
         with open(os.path.join(out, "metrics.json"), "w") as fh:
@@ -366,13 +366,12 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
     utility = _build_utility(config, ens.shape.num_classes)
     out = config["out"]
     os.makedirs(out, exist_ok=True)
-    report = evaluate(ens, test_data, utility, _tail_ratios(config), config["ece_bins"])
+    report, batch = evaluate(
+        ens, test_data, utility, _tail_ratios(config), config["ece_bins"]
+    )
     with open(os.path.join(out, "metrics.json"), "w") as fh:
         fh.write(report_to_json(report))
-    write_predictions_csv(
-        decide_batch(ens, utility, test_data.features),
-        os.path.join(out, "predictions.csv"),
-    )
+    write_predictions_csv(batch, os.path.join(out, "predictions.csv"))
     _echo_config(config, out)
     print(
         f"acc {report.acc_overall:.4f}  tail acc {report.acc_tail:.4f}"

@@ -185,7 +185,7 @@ def load_csv(path, split_tag: str = "data") -> LongTailDataset:
             raise ParseError("header must end with a 'label' column", line=1)
         dim = len(header) - 1
 
-        feats, labels = [], []
+        feats, labels, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -204,13 +204,19 @@ def load_csv(path, split_tag: str = "data") -> LongTailDataset:
             if label < 0:
                 raise ParseError(f"label {label} is negative", line=lineno)
             labels.append(label)
+            linenos.append(lineno)
 
     if not labels:
         raise ParseError("no data rows", line=2)
+    feats = np.asarray(feats, dtype=np.float64)
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ParseError(f"non-finite feature in {feats[bad].tolist()}", line=linenos[bad])
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels, minlength=int(labels.max()) + 1)
     return LongTailDataset(
-        features=np.asarray(feats, dtype=np.float64),
+        features=feats,
         labels=labels,
         class_counts=counts,
         split_tag=split_tag,

@@ -34,6 +34,7 @@ class BatchDecisions:
     argmax_preds: np.ndarray  # (N,)
     expected_gains: np.ndarray  # (N, K)
     mixture: np.ndarray  # (N, K)
+    particle_preds: np.ndarray  # (M, N) argmax class of each particle
 
     def __len__(self) -> int:
         return int(self.decisions.shape[0])
@@ -57,6 +58,7 @@ def decide_batch(
         argmax_preds=mixture.argmax(axis=1),
         expected_gains=gains,
         mixture=mixture,
+        particle_preds=per_particle.argmax(axis=2),
     )
 
 

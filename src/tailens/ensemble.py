@@ -58,13 +58,6 @@ def predictive_logprobs_batch(ens: ParticleEnsemble, x: np.ndarray):
     return per_particle, mixture
 
 
-def predictive_logprobs(ens: ParticleEnsemble, x: np.ndarray):
-    """Single input: per-particle log-probs (M, K) and the mixture (K,)."""
-    x = np.asarray(x, dtype=np.float64)
-    per_particle, mixture = predictive_logprobs_batch(ens, x[None, :])
-    return per_particle[:, 0, :], mixture[0]
-
-
 def l2_term(ens: ParticleEnsemble) -> float:
     """Mean squared parameter norm over particles."""
     return float(np.mean(np.sum(ens.particles**2, axis=1)))
@@ -101,7 +94,6 @@ def entropy_grad(ens: ParticleEnsemble, var_floor: float = 1e-8) -> np.ndarray:
 class RegularizerValue:
     l2_term: float
     entropy_term: float
-    combined: float  # weight_decay * l2 - anneal * entropy
 
 
 def regularizer(
@@ -109,11 +101,7 @@ def regularizer(
 ) -> RegularizerValue:
     if weight_decay < 0:
         raise InputError(f"weight decay must be >= 0, got {weight_decay}")
-    l2 = l2_term(ens)
-    ent = entropy_term(ens, var_floor)
-    return RegularizerValue(
-        l2_term=l2, entropy_term=ent, combined=weight_decay * l2 - anneal * ent
-    )
+    return RegularizerValue(l2_term=l2_term(ens), entropy_term=entropy_term(ens, var_floor))
 
 
 def regularizer_grad(
@@ -132,12 +120,13 @@ class DiversityDiagnostics:
     disagreement: float  # mean pairwise argmax disagreement rate on the inputs
 
 
-def diversity_diagnostics(ens: ParticleEnsemble, x: np.ndarray) -> DiversityDiagnostics:
+def diversity_diagnostics(ens: ParticleEnsemble, preds: np.ndarray) -> DiversityDiagnostics:
+    """Spread of the particles and of their argmax predictions preds (M, N)."""
     m = ens.n_particles
+    if preds.shape[0] != m:
+        raise InputError(f"expected predictions of {m} particles, got {preds.shape[0]}")
     if m == 1:
         return DiversityDiagnostics(0.0, 0.0)
-    per_particle, _ = predictive_logprobs_batch(ens, x)
-    preds = per_particle.argmax(axis=2)  # (M, N)
     dist_sum = 0.0
     disagree_sum = 0.0
     pairs = 0
@@ -166,6 +155,28 @@ def save_checkpoint(ens: ParticleEnsemble, path) -> None:
         fh.write(ens.particles.astype("<f8").tobytes())
 
 
+def _header_layout(header):
+    """(n_particles, param_count, shape) from a checkpoint header, each field checked."""
+    if not isinstance(header, dict):
+        raise ParseError("checkpoint header is not a JSON object", line=2)
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ParseError(f"unsupported checkpoint version {header.get('version')!r}", line=2)
+    hidden = header.get("hidden")
+    counts = ("input_dim", "num_classes", "n_particles", "param_count")
+    fields = {key: [header.get(key)] for key in counts}
+    fields["hidden"] = hidden if isinstance(hidden, list) else [None]
+    bad = [key for key, vals in fields.items() if any(type(v) is not int or v < 1 for v in vals)]
+    if bad:
+        raise ParseError(f"checkpoint header fields {bad} must be positive integers", line=2)
+    try:
+        shape = NetShape(header["input_dim"], tuple(hidden), header["num_classes"])
+    except InputError as err:
+        raise ParseError(f"checkpoint header: {err}", line=2) from None
+    if header["param_count"] != param_count(shape):
+        raise ParseError("checkpoint header param count disagrees with shape", line=2)
+    return header["n_particles"], header["param_count"], shape
+
+
 def load_checkpoint(path) -> ParticleEnsemble:
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
@@ -173,21 +184,9 @@ def load_checkpoint(path) -> ParticleEnsemble:
             raise ParseError(f"not an ensemble checkpoint (magic {magic!r})", line=1)
         try:
             header = json.loads(fh.readline())
-        except json.JSONDecodeError:
+        except ValueError:
             raise ParseError("corrupt checkpoint header", line=2) from None
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ParseError(
-                f"unsupported checkpoint version {header.get('version')}", line=2
-            )
-        shape = NetShape(
-            input_dim=header["input_dim"],
-            hidden=tuple(header["hidden"]),
-            num_classes=header["num_classes"],
-        )
-        m = header["n_particles"]
-        p = header["param_count"]
-        if p != param_count(shape):
-            raise ParseError("checkpoint header param count disagrees with shape", line=2)
+        m, p, shape = _header_layout(header)
         payload = fh.read()
     expected = 8 * (m + m * p)
     if len(payload) != expected:

@@ -71,16 +71,10 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray | float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean rank of their group."""
-    sorter = np.argsort(values, kind="mergesort")
+    sorter = np.argsort(values, kind="stable")
+    _, first, counts = np.unique(values[sorter], return_index=True, return_counts=True)
     ranks = np.empty(values.shape[0], dtype=np.float64)
-    sorted_vals = values[sorter]
-    i = 0
-    while i < sorted_vals.shape[0]:
-        j = i
-        while j + 1 < sorted_vals.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[sorter[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[sorter] = np.repeat(0.5 * (2 * first + counts - 1) + 1.0, counts)
     return ranks
 
 

@@ -95,18 +95,11 @@ def forward_logprobs_batch(shape: NetShape, params: np.ndarray, x: np.ndarray) -
     return _log_softmax(logits)
 
 
-def forward_logprobs(shape: NetShape, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Log P(class | x) for a single input; exp of the result sums to 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != shape.input_dim:
-        raise InputError(f"expected ({shape.input_dim},) input, got {x.shape}")
-    return forward_logprobs_batch(shape, params, x[None, :])[0]
-
-
 def backward_batch(
     shape: NetShape, params: np.ndarray, x: np.ndarray, cotangents: np.ndarray
-) -> np.ndarray:
-    """Gradient of sum_i cotangents[i] . logprobs(x[i]) w.r.t. the flat params."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-probs (N, num_classes) and the flat-param gradient of
+    sum_i cotangents[i] . logprobs(x[i]), both from one forward pass."""
     x = np.asarray(x, dtype=np.float64)
     cotangents = np.asarray(cotangents, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != shape.input_dim:
@@ -117,7 +110,8 @@ def backward_batch(
             f" got {cotangents.shape}"
         )
     layers, acts, logits = _forward_cached(shape, params, x)
-    probs = np.exp(_log_softmax(logits))
+    logprobs = _log_softmax(logits)
+    probs = np.exp(logprobs)
     # d(c . logprobs)/d logits = c - softmax * sum(c)
     dz = cotangents - probs * cotangents.sum(axis=1, keepdims=True)
 
@@ -130,19 +124,4 @@ def backward_batch(
         dz.sum(axis=0, out=gb)
         if i > 0:
             dz = (dz @ w) * (1.0 - acts[i] ** 2)
-    return grad
-
-
-def backward(
-    shape: NetShape, params: np.ndarray, x: np.ndarray, cotangent: np.ndarray
-) -> np.ndarray:
-    """Single-input version of backward_batch."""
-    x = np.asarray(x, dtype=np.float64)
-    cotangent = np.asarray(cotangent, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError(f"expected ({shape.input_dim},) input, got {x.shape}")
-    if cotangent.shape != (shape.num_classes,):
-        raise InputError(
-            f"expected cotangent of shape ({shape.num_classes},), got {cotangent.shape}"
-        )
-    return backward_batch(shape, params, x[None, :], cotangent[None, :])
+    return logprobs, grad

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (
-    ParticleEnsemble,
-    predictive_logprobs_batch,
-    regularizer,
-    regularizer_grad,
-)
+from .ensemble import ParticleEnsemble, regularizer, regularizer_grad
 from .errors import InputError, NumericError
 from .numcore import backward_batch
 from .rebalance import ClassWeights
@@ -30,13 +25,6 @@ class LossBreakdown:
     reg_l2: float
     reg_entropy: float
     total: float
-
-
-def expectation_weighting(weights: ClassWeights, label: int) -> float:
-    """Weight a sample contributes to the batch expectation."""
-    if not 0 <= label < weights.normalized.shape[0]:
-        raise InputError(f"label {label} outside [0, {weights.normalized.shape[0]})")
-    return float(weights.normalized[label])
 
 
 def batch_loss(
@@ -72,19 +60,25 @@ def batch_loss(
 
     batch = x.shape[0]
     m = ens.n_particles
-    per_particle, _ = predictive_logprobs_batch(ens, x)  # (M, B, K)
-    if not np.all(np.isfinite(per_particle)):
-        bad = int(np.argmax(~np.isfinite(per_particle).all(axis=(0, 2))))
-        raise NumericError(f"non-finite log-probabilities at sample index {bad}")
-
+    scale = 1.0 / (batch * m)
     w = weights.normalized[y]  # (B,)
     # row y_i of the utility matrix: utility of each candidate decision when
     # the truth is y_i; the model's predictive mass acts as the decision policy
     u_rows = utility.values[y]  # (B, K)
+    # d total / d logp_j(class k | x_i), identical for every particle
+    cotangent = np.eye(k)[y] + u_rows / utility_scale
+    cotangent *= -(w * scale)[:, None]
+
+    logprobs, grads = zip(
+        *(backward_batch(ens.shape, theta, x, cotangent) for theta in ens.particles)
+    )
+    per_particle = np.stack(logprobs)  # (M, B, K)
+    if not np.all(np.isfinite(per_particle)):
+        bad = int(np.argmax(~np.isfinite(per_particle).all(axis=(0, 2))))
+        raise NumericError(f"non-finite log-probabilities at sample index {bad}")
+
     logp_true = per_particle[:, np.arange(batch), y]  # (M, B)
     util_dot = np.einsum("mbk,bk->mb", per_particle, u_rows)  # (M, B)
-
-    scale = 1.0 / (batch * m)
     nll_term = -scale * float(np.sum(w * logp_true))
     utility_term = -(scale / utility_scale) * float(np.sum(w * util_dot))
 
@@ -93,17 +87,8 @@ def batch_loss(
     if not np.isfinite(total):
         raise NumericError("non-finite loss")
 
-    # d total / d logp_j(class k | x_i), identical for every particle
-    cotangent = np.eye(k)[y] + u_rows / utility_scale
-    cotangent *= -(w * scale)[:, None]
-    reg_grads = regularizer_grad(ens, weight_decay, anneal, var_floor)
-    grads = np.stack(
-        [
-            backward_batch(ens.shape, theta, x, cotangent)
-            for theta in ens.particles
-        ]
-    )
-    grads += reg_grads
+    grads = np.stack(grads)
+    grads += regularizer_grad(ens, weight_decay, anneal, var_floor)
 
     breakdown = LossBreakdown(
         nll_term=nll_term,

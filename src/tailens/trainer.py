@@ -11,10 +11,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import LongTailDataset, TailSplit, region_partition
-from .decision import decide_batch
+from .decision import BatchDecisions, decide_batch
 from .ensemble import (
     ParticleEnsemble,
     diversity_diagnostics,
+    predictive_logprobs_batch,
     save_checkpoint,
 )
 from .errors import InputError, NumericError
@@ -200,7 +201,8 @@ def train(
             n_batches += 1
 
         means = sums / n_batches
-        diag = diversity_diagnostics(ens, diag_x)
+        preds = predictive_logprobs_batch(ens, diag_x)[0].argmax(axis=2)  # (M, n_diag)
+        diag = diversity_diagnostics(ens, preds)
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -249,8 +251,8 @@ def evaluate(
     utility: UtilityMatrix,
     tail_ratios: tuple[float, ...] = DEFAULT_TAIL_RATIOS,
     ece_bins: int = 15,
-) -> MetricsReport:
-    """Decide the test set and compute the full metrics report."""
+) -> tuple[MetricsReport, BatchDecisions]:
+    """Decide the test set once; the metrics report and the decisions it read."""
     if not tail_ratios:
         raise InputError("need at least one tail ratio")
     k = test_data.num_classes
@@ -265,8 +267,8 @@ def evaluate(
     }
     entropy = predictive_entropy(batch.mixture)
     confidence = batch.mixture[np.arange(len(batch)), batch.decisions]
-    diag = diversity_diagnostics(ens, test_data.features)
-    return MetricsReport(
+    diag = diversity_diagnostics(ens, batch.particle_preds)
+    report = MetricsReport(
         acc_overall=acc.overall,
         acc_head=acc.head,
         acc_med=acc.med,
@@ -279,6 +281,7 @@ def evaluate(
         param_distance=diag.param_distance,
         disagreement=diag.disagreement,
     )
+    return report, batch
 
 
 @dataclass(frozen=True)
@@ -310,7 +313,7 @@ def repeat_runs(
         train_data, test_data = data_fn(seed)
         utility = utility_fn(train_data.num_classes)
         ens, _ = train(run_config, train_data, utility)
-        reports.append(evaluate(ens, test_data, utility, tail_ratios, ece_bins))
+        reports.append(evaluate(ens, test_data, utility, tail_ratios, ece_bins)[0])
 
     mean, std = {}, {}
     for name in MetricsReport.SCALAR_FIELDS:

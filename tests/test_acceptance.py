@@ -85,7 +85,7 @@ class _RunCache:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ens, recs = train(TrainConfig(**overrides), train_data, utility)
-            report = evaluate(ens, test_data, utility)
+            report, _ = evaluate(ens, test_data, utility)
         return report, recs
 
 
@@ -380,7 +380,7 @@ def test_criterion_09_byte_identical_reruns(capsys, tmp_path):
         out = tmp_path / tag
         out.mkdir()
         ens, _ = train(config, train_data, utility, out_dir=out)
-        report = evaluate(ens, test_data, utility)
+        report, _ = evaluate(ens, test_data, utility)
         (out / "metrics.json").write_text(report_to_json(report))
         blobs.append(
             {p.name: p.read_bytes() for p in sorted(out.iterdir())}

@@ -1,12 +1,19 @@
 """End-to-end command-line behavior: artifacts, config layering, exit codes."""
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tailens
 from tailens.cli import main
 from tailens.dataset import load_csv
+from tailens.ensemble import CHECKPOINT_MAGIC
 
 FAST = {
     "classes": "4",
@@ -264,3 +271,76 @@ class TestSweep:
     def test_bad_axis(self, tmp_path):
         args = ["sweep", "--axis", "bogus"] + self.sweep_flags(tmp_path)
         assert main(args) == 1
+
+
+GOOD_HEADER = (
+    b'{"hidden": [3], "input_dim": 2, "n_particles": 1,'
+    b' "num_classes": 2, "param_count": 17, "version": 1}'
+)
+
+# family -> (command, file name, file bytes, extra flags naming the file, stderr text)
+MALFORMED = {
+    "config-json": ("train", "cfg.json", b"{not json", ["--config"], "JSON"),
+    "config-key": ("train", "cfg.json", b'{"bogus": 1}', ["--config"], "bogus"),
+    "flag-value": ("train", None, None, ["--momentum", "1.5"], "momentum"),
+    "checkpoint-magic": (
+        "evaluate", "x.ckpt", b"NOT-A-CHECKPOINT\n{}\n", ["--checkpoint"], "line 1"
+    ),
+    "checkpoint-header": (
+        "evaluate",
+        "x.ckpt",
+        CHECKPOINT_MAGIC + b'\n{"version": 1, "n_particles": "x", "hidden": [3]}\n',
+        ["--checkpoint"],
+        "line 2",
+    ),
+    "checkpoint-payload": (
+        "evaluate", "x.ckpt", CHECKPOINT_MAGIC + b"\n" + GOOD_HEADER + b"\n\0\0\0",
+        ["--checkpoint"], "payload",
+    ),
+    "csv-non-numeric": (
+        "train", "data.csv", b"f0,label\n1.0,0\nabc,1\n", ["--train-csv"], "line 3"
+    ),
+    "csv-non-finite": (
+        "train", "data.csv", b"f0,f1,label\n1.0,2.0,0\nnan,1.0,1\n1e999,0.0,1\n",
+        ["--train-csv"], "line 3",
+    ),
+    "utility-csv": ("train", "u.csv", b"1,0,0,0\nx,1,0,0\n", ["--utility"], "line 2"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MALFORMED))
+def test_malformed_inputs_exit_1_without_traceback(tmp_path, family):
+    command, name, blob, extra, needle = MALFORMED[family]
+    if name is not None:
+        (tmp_path / name).write_bytes(blob)
+        extra = extra + [str(tmp_path / name)]
+    env = dict(os.environ, PYTHONPATH=str(Path(tailens.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "tailens.cli", command, *flags(tmp_path / "out"), *extra],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    assert needle in result.stderr
+
+
+# sha256 of the artifacts of `tailens train --epochs 30 --seed 0` and of
+# `tailens evaluate` on its checkpoint (numpy 2.4, x86-64 OpenBLAS). A change
+# that alters them changes the byte-identity contract and must say so.
+GOLDEN = {
+    "train/ensemble.ckpt": "f47762de522c6980c0e321538168e81de3d7fa68e98e7399e516f94a5cf8e999",
+    "train/trainlog.jsonl": "4855be30dc9b5b0bc9645c08fb31334d7929a9b03b2a66457ab9b2489c4cfb7c",
+    "train/metrics.json": "05edd6164bb73916240df6375b98da7e6dc7fec5e7debd0b5aea014ad0cd67fd",
+    "eval/predictions.csv": "f68341be1bb37d1bf58add763e753fb87347be7f433d9af293f3d89f38c3dd11",
+}
+
+
+def test_default_run_matches_golden_hashes(tmp_path):
+    train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
+    assert main(["train", "--epochs", "30", "--seed", "0", "--out", str(train_dir)]) == 0
+    checkpoint = str(train_dir / "ensemble.ckpt")
+    assert main(["evaluate", "--checkpoint", checkpoint, "--out", str(eval_dir)]) == 0
+    for name, digest in GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -28,6 +28,7 @@ class TestOneHot:
         per_particle, _ = predictive_logprobs_batch(ens, x)
         mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
         assert np.array_equal(batch.decisions, mean_logp.argmax(axis=1))
+        assert np.array_equal(batch.particle_preds, per_particle.argmax(axis=2))
 
     def test_uniform_tie_breaks_to_lowest_class(self):
         ens = probs_ensemble([[0.5, 0.5]])

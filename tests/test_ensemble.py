@@ -12,7 +12,6 @@ from tailens.ensemble import (
     entropy_term,
     l2_term,
     load_checkpoint,
-    predictive_logprobs,
     predictive_logprobs_batch,
     regularizer,
     regularizer_grad,
@@ -61,18 +60,18 @@ class TestEnsembleType:
 class TestMixture:
     def test_single_particle_is_exp_of_logprobs(self, rng):
         ens = random_ensemble(NetShape(3, (5,), 4), 1, seed=2)
-        x = rng.normal(size=3)
-        per_particle, mixture = predictive_logprobs(ens, x)
+        x = rng.normal(size=(1, 3))
+        per_particle, mixture = predictive_logprobs_batch(ens, x)
         assert np.array_equal(mixture, np.exp(per_particle[0]))
 
     def test_two_opposed_particles_average_to_half(self):
         ens = probs_ensemble([[1 - 1e-22, 1e-22], [1e-22, 1 - 1e-22]])
-        _, mixture = predictive_logprobs(ens, np.array([0.0]))
-        assert np.allclose(mixture, [0.5, 0.5], atol=1e-15)
+        _, mixture = predictive_logprobs_batch(ens, np.array([[0.0]]))
+        assert np.allclose(mixture[0], [0.5, 0.5], atol=1e-15)
 
     def test_matches_extended_precision_oracle(self):
-        _, mixture = predictive_logprobs(oracle_ensemble(), ORACLE_X)
-        assert np.allclose(mixture, ORACLE_MIXTURE, rtol=0, atol=1e-12)
+        _, mixture = predictive_logprobs_batch(oracle_ensemble(), ORACLE_X[None, :])
+        assert np.allclose(mixture[0], ORACLE_MIXTURE, rtol=0, atol=1e-12)
 
     def test_mixture_sums_to_one(self, rng):
         ens = random_ensemble(NetShape(4, (6,), 5), 3, seed=7)
@@ -175,7 +174,9 @@ class TestRegularizer:
     def test_zero_anneal_is_pure_weight_decay(self, rng):
         ens = random_ensemble(NetShape(2, (4,), 3), 3, seed=5)
         value = regularizer(ens, weight_decay=0.3, anneal=0.0)
-        assert value.combined == pytest.approx(0.3 * value.l2_term, rel=1e-12)
+        assert value.l2_term == pytest.approx(
+            np.mean(np.sum(ens.particles**2, axis=1)), rel=1e-12
+        )
         grad = regularizer_grad(ens, weight_decay=0.3, anneal=0.0)
         assert np.allclose(grad, (2 * 0.3 / 3) * ens.particles, rtol=1e-12)
 
@@ -196,6 +197,11 @@ class TestRegularizer:
         particles = rng.normal(size=(2, 4))
         lam, anneal = 0.2, 0.7
         grad = regularizer_grad(ParticleEnsemble(shape, particles.copy()), lam, anneal)
+
+        def combined(params):
+            value = regularizer(ParticleEnsemble(shape, params), lam, anneal)
+            return lam * value.l2_term - anneal * value.entropy_term
+
         step = 1e-5
         for j in range(2):
             for k in range(4):
@@ -203,10 +209,7 @@ class TestRegularizer:
                 up[j, k] += step
                 down = particles.copy()
                 down[j, k] -= step
-                fd = (
-                    regularizer(ParticleEnsemble(shape, up), lam, anneal).combined
-                    - regularizer(ParticleEnsemble(shape, down), lam, anneal).combined
-                ) / (2 * step)
+                fd = (combined(up) - combined(down)) / (2 * step)
                 assert grad[j, k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_negative_weight_decay_rejected(self):
@@ -215,24 +218,30 @@ class TestRegularizer:
             regularizer(ens, weight_decay=-0.1, anneal=0.0)
 
 
+def particle_preds(ens, x):
+    return predictive_logprobs_batch(ens, x)[0].argmax(axis=2)
+
+
 class TestDiversity:
     def test_single_particle_is_zero(self, rng):
         ens = random_ensemble(NetShape(3, (4,), 3), 1, seed=3)
-        diag = diversity_diagnostics(ens, rng.normal(size=(10, 3)))
+        diag = diversity_diagnostics(ens, particle_preds(ens, rng.normal(size=(10, 3))))
         assert diag.param_distance == 0.0 and diag.disagreement == 0.0
 
     def test_identical_particles_agree(self, rng):
         shape = NetShape(3, (4,), 3)
         base = random_ensemble(shape, 1, seed=4).particles[0]
         ens = ParticleEnsemble(shape, np.stack([base, base.copy()]))
-        diag = diversity_diagnostics(ens, rng.normal(size=(10, 3)))
+        diag = diversity_diagnostics(ens, particle_preds(ens, rng.normal(size=(10, 3))))
         assert diag.param_distance == 0.0 and diag.disagreement == 0.0
 
     def test_opposed_particles_fully_disagree(self):
         ens = probs_ensemble([[0.9, 0.1], [0.1, 0.9]])
-        diag = diversity_diagnostics(ens, np.zeros((5, 1)))
+        diag = diversity_diagnostics(ens, particle_preds(ens, np.zeros((5, 1))))
         assert diag.disagreement == 1.0
         assert diag.param_distance > 0.0
+        with pytest.raises(InputError):
+            diversity_diagnostics(ens, np.zeros((3, 5), dtype=np.int64))
 
 
 class TestCheckpoint:

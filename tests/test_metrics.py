@@ -10,6 +10,7 @@ from tailens.dataset import TailSplit, region_partition
 from tailens.errors import InputError
 from tailens.metrics import (
     MetricsReport,
+    _average_ranks,
     auc_misclassification,
     expected_calibration_error,
     false_head_rate,
@@ -149,6 +150,10 @@ class TestAuc:
             assert auc_misclassification(unc, correct) == pytest.approx(
                 expected, rel=1e-12
             )
+            # mean rank of a tie group: values below it, plus the group's middle
+            below = (unc[None, :] < unc[:, None]).sum(axis=1)
+            tied = (unc[None, :] == unc[:, None]).sum(axis=1)
+            assert np.array_equal(_average_ranks(unc), below + (tied + 1) / 2)
 
     def test_monotone_transform_invariance(self, rng):
         unc = rng.random(60)

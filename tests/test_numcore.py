@@ -6,9 +6,7 @@ import pytest
 from tailens.errors import InputError
 from tailens.numcore import (
     NetShape,
-    backward,
     backward_batch,
-    forward_logprobs,
     forward_logprobs_batch,
     init_params,
     param_count,
@@ -92,12 +90,14 @@ class TestInit:
 class TestForward:
     def test_zero_params_uniform(self):
         shape = NetShape(3, (4,), 5)
-        lp = forward_logprobs(shape, np.zeros(param_count(shape)), np.ones(3))
+        lp = forward_logprobs_batch(shape, np.zeros(param_count(shape)), np.ones((1, 3)))
         assert np.allclose(lp, np.log(1 / 5), atol=1e-15)
 
     def test_two_class_zero_logits(self):
         shape = NetShape(2, (), 2)
-        lp = forward_logprobs(shape, np.zeros(param_count(shape)), np.array([0.3, -0.7]))
+        lp = forward_logprobs_batch(
+            shape, np.zeros(param_count(shape)), np.array([[0.3, -0.7]])
+        )
         assert np.allclose(lp, np.log(0.5), atol=1e-15)
 
     def test_exp_sums_to_one(self, rng):
@@ -116,26 +116,29 @@ class TestForward:
         shape = NetShape(4, (6,), 3)
         params = rng.normal(size=param_count(shape))
         x = rng.normal(size=(8, 4))
-        assert np.array_equal(
-            forward_logprobs_batch(shape, params, x),
-            forward_logprobs_batch(shape, params, x),
-        )
+        lp = forward_logprobs_batch(shape, params, x)
+        assert np.array_equal(lp, forward_logprobs_batch(shape, params, x))
+        # the backward pass hands back the log-probs of its own forward
+        logprobs, _ = backward_batch(shape, params, x, rng.normal(size=(8, 3)))
+        assert np.array_equal(logprobs, lp)
 
     def test_matches_extended_precision_oracle(self):
-        lp = forward_logprobs(ORACLE_SHAPE, seed0_params(ORACLE_SHAPE), ORACLE_X)
-        assert np.allclose(lp, ORACLE_LOGPROBS, rtol=0, atol=1e-12)
+        lp = forward_logprobs_batch(
+            ORACLE_SHAPE, seed0_params(ORACLE_SHAPE), ORACLE_X[None, :]
+        )
+        assert np.allclose(lp[0], ORACLE_LOGPROBS, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         shape = NetShape(3, (4,), 2)
         params = np.zeros(param_count(shape))
         with pytest.raises(InputError):
-            forward_logprobs(shape, params, np.zeros(4))
+            forward_logprobs_batch(shape, params, np.zeros(3))
         with pytest.raises(InputError):
             forward_logprobs_batch(shape, params, np.zeros((2, 4)))
 
 
 def fd_gradient(shape, params, x, cotangent, step=1e-5):
-    """Central finite differences of cotangent . forward_logprobs."""
+    """Central finite differences of cotangent . forward_logprobs_batch."""
     grad = np.zeros_like(params)
     for i in range(params.shape[0]):
         up = params.copy()
@@ -152,16 +155,16 @@ class TestBackward:
     def test_zero_cotangent(self, rng):
         shape = NetShape(2, (8,), 3)
         params = rng.normal(size=param_count(shape))
-        grad = backward(shape, params, rng.normal(size=2), np.zeros(3))
+        _, grad = backward_batch(shape, params, rng.normal(size=(1, 2)), np.zeros((1, 3)))
         assert np.array_equal(grad, np.zeros_like(grad))
 
     def test_linearity_in_cotangent(self, rng):
         shape = NetShape(3, (5,), 4)
         params = rng.normal(size=param_count(shape))
-        x = rng.normal(size=3)
-        c = rng.normal(size=4)
-        g1 = backward(shape, params, x, c)
-        g3 = backward(shape, params, x, 3.0 * c)
+        x = rng.normal(size=(1, 3))
+        c = rng.normal(size=(1, 4))
+        _, g1 = backward_batch(shape, params, x, c)
+        _, g3 = backward_batch(shape, params, x, 3.0 * c)
         assert np.allclose(g3, 3.0 * g1, rtol=1e-13, atol=0)
 
     def test_matches_finite_differences(self, rng):
@@ -170,7 +173,7 @@ class TestBackward:
             params = rng.normal(size=param_count(shape))
             x = rng.normal(size=(3, 2))
             cot = rng.normal(size=(3, 3))
-            grad = backward_batch(shape, params, x, cot)
+            _, grad = backward_batch(shape, params, x, cot)
             fd = fd_gradient(shape, params, x, cot)
             denom = np.maximum(np.abs(fd), 1e-8)
             assert np.max(np.abs(grad - fd) / denom) < 1e-4
@@ -180,14 +183,19 @@ class TestBackward:
         params = rng.normal(size=param_count(shape))
         x = rng.normal(size=(4, 2))
         cot = rng.normal(size=(4, 3))
-        whole = backward_batch(shape, params, x, cot)
-        parts = sum(backward(shape, params, x[i], cot[i]) for i in range(4))
+        _, whole = backward_batch(shape, params, x, cot)
+        parts = sum(
+            backward_batch(shape, params, x[i : i + 1], cot[i : i + 1])[1] for i in range(4)
+        )
         assert np.allclose(whole, parts, rtol=1e-12, atol=1e-14)
 
     def test_shape_validation(self, rng):
         shape = NetShape(2, (4,), 3)
         params = np.zeros(param_count(shape))
         with pytest.raises(InputError):
-            backward(shape, params, np.zeros(2), np.zeros(4))
+            backward_batch(shape, params, np.zeros(2), np.zeros((1, 3)))
+        with pytest.raises(InputError):
+            backward_batch(shape, params, np.zeros((1, 2)), np.zeros((1, 4)))
         with pytest.raises(InputError):
             backward_batch(shape, params, np.zeros((2, 2)), np.zeros((3, 3)))
+

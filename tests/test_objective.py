@@ -8,7 +8,7 @@ from tailens.dataset import TailSplit
 from tailens.ensemble import ParticleEnsemble, predictive_logprobs_batch
 from tailens.errors import InputError, NumericError
 from tailens.numcore import NetShape, init_params, param_count
-from tailens.objective import batch_loss, expectation_weighting
+from tailens.objective import batch_loss
 from tailens.rebalance import DiscrepancySpec, class_weights
 from tailens.utility import UtilityMatrix, one_hot, tail_sensitive
 
@@ -204,30 +204,6 @@ class TestInvariances:
             whole_grads, np.mean([s[1] for s in singles], axis=0), rtol=1e-12,
             atol=1e-16,
         )
-
-
-class TestExpectationWeighting:
-    def test_balanced_counts_weight_one(self):
-        weights = class_weights(DiscrepancySpec(form="linear"), np.array([50, 50, 50]))
-        for label in range(3):
-            assert expectation_weighting(weights, label) == pytest.approx(1.0, rel=1e-12)
-
-    def test_tail_class_upweighted(self):
-        weights = class_weights(DiscrepancySpec(form="linear"), np.array([500, 6]))
-        assert expectation_weighting(weights, 0) == pytest.approx(253 / 500, rel=1e-12)
-        assert expectation_weighting(weights, 1) == pytest.approx(506 / 12, rel=1e-12)
-
-    def test_plain_form_is_unweighted(self):
-        weights = class_weights(DiscrepancySpec(form="plain"), np.array([500, 6]))
-        assert expectation_weighting(weights, 0) == 1.0
-        assert expectation_weighting(weights, 1) == 1.0
-
-    def test_label_bounds(self):
-        weights = class_weights(DiscrepancySpec(form="plain"), np.array([5, 5]))
-        with pytest.raises(InputError):
-            expectation_weighting(weights, 2)
-        with pytest.raises(InputError):
-            expectation_weighting(weights, -1)
 
 
 class TestValidation:

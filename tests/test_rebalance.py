@@ -76,6 +76,10 @@ class TestClassWeights:
         weights = class_weights(DiscrepancySpec("linear"), [500, 6])
         assert weights.raw[0] == 0.002
         assert weights.raw[1] == pytest.approx(1 / 6, rel=1e-15)
+        # the per-sample weights of the batch expectation
+        assert np.allclose(weights.normalized, [253 / 500, 506 / 12], rtol=1e-12)
+        plain = class_weights(DiscrepancySpec("plain"), [500, 6])
+        assert np.array_equal(plain.normalized, [1.0, 1.0])
 
     def test_sqrt_hand_case(self):
         weights = class_weights(DiscrepancySpec("sqrt"), [4, 1])

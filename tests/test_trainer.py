@@ -153,7 +153,7 @@ class TestReductionToCrossEntropySgd:
             for start in range(0, n, 32):
                 idx = perm[start : start + 32]
                 cotangent = -np.eye(3)[y[idx]] / len(idx)
-                grad = backward_batch(shape, theta, x[idx], cotangent)
+                _, grad = backward_batch(shape, theta, x[idx], cotangent)
                 velocity = 0.9 * velocity + grad
                 theta = theta - 0.05 * velocity
 
@@ -300,8 +300,9 @@ class TestEvaluate:
     def test_report_fields(self):
         train_data, test_data = small_task()
         ens, _ = train(quick_config(), train_data, one_hot(3))
-        report = evaluate(ens, test_data, one_hot(3), tail_ratios=(0.5,), ece_bins=10)
-        assert 0.0 <= report.acc_overall <= 1.0
+        report, batch = evaluate(ens, test_data, one_hot(3), tail_ratios=(0.5,), ece_bins=10)
+        assert len(batch) == len(test_data)
+        assert report.acc_overall == np.mean(batch.decisions == test_data.labels)
         assert set(report.fhr) == {0.5}
         assert report.fhr_avg == report.fhr[0.5]
         assert report.n_test == len(test_data)
