@@ -9,168 +9,57 @@ effective config is echoed to <out>/config.json. Exit codes: 0 success,
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .dataset import TailSplit, generate_synthetic, load_csv, save_csv
 from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
 from .errors import InputError, NumericError, ParseError, ValidationError
 from .metrics import report_to_json, write_summary_csv
-from .rebalance import FORMS, DiscrepancySpec, class_weights, growth_rate
+from .rebalance import DiscrepancySpec, class_weights, growth_rate
 from .trainer import TrainConfig, evaluate, repeat_runs, train, write_train_log
 from .utility import load_matrix, one_hot, tail_sensitive
 
 
-def _typed(kind, name, value):
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and isinstance(value, float) and float(value).is_integer():
-        value = int(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValidationError(f"{name}: expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def _int_min(lo):
-    def parse(name, value):
-        value = _typed(int, name, value)
-        if value < lo:
-            raise ValidationError(f"{name}: must be >= {lo}, got {value}")
-        return value
-
-    return parse
-
-
-def _float_min(lo, strict=False):
-    def parse(name, value):
-        value = _typed(float, name, value)
-        if value < lo or (strict and value == lo):
-            op = ">" if strict else ">="
-            raise ValidationError(f"{name}: must be {op} {lo}, got {value}")
-        return value
-
-    return parse
-
-
-def _float_open01(name, value):
-    value = _typed(float, name, value)
-    if not 0.0 < value < 1.0:
-        raise ValidationError(f"{name}: must be in (0, 1), got {value}")
-    return value
-
-
-def _momentum(name, value):
-    value = _typed(float, name, value)
-    if not 0.0 <= value < 1.0:
-        raise ValidationError(f"{name}: must be in [0, 1), got {value}")
-    return value
-
-
-def _choice(*options):
-    def parse(name, value):
-        value = _typed(str, name, value)
-        if value not in options:
-            raise ValidationError(f"{name}: must be one of {options}, got {value!r}")
-        return value
-
-    return parse
-
-
-def _string(name, value):
-    return _typed(str, name, value)
-
-
-def _opt_string(name, value):
-    return None if value is None else _typed(str, name, value)
-
-
-def _hidden_list(name, value):
-    value = _typed(str, name, value)
-    try:
-        dims = tuple(int(v) for v in value.split(","))
-    except ValueError:
-        raise ValidationError(f"{name}: expected comma-separated ints, got {value!r}") from None
-    if not dims or any(d < 1 for d in dims):
-        raise ValidationError(f"{name}: layer sizes must be positive, got {value!r}")
-    return value
-
-
-def _epoch_list(name, value):
-    value = _typed(str, name, value)
-    if not value:
-        return value
-    try:
-        epochs = tuple(int(v) for v in value.split(","))
-    except ValueError:
-        raise ValidationError(f"{name}: expected comma-separated ints, got {value!r}") from None
-    if any(e < 1 for e in epochs):
-        raise ValidationError(f"{name}: epochs must be >= 1, got {value!r}")
-    return value
-
-
-def _float_unit(name, value):
-    value = _typed(float, name, value)
-    if not 0.0 < value <= 1.0:
-        raise ValidationError(f"{name}: must be in (0, 1], got {value}")
-    return value
-
-
-def _ratio_list(name, value):
-    value = _typed(str, name, value)
-    try:
-        ratios = tuple(float(v) for v in value.split(","))
-    except ValueError:
-        raise ValidationError(f"{name}: expected comma-separated floats, got {value!r}") from None
-    if not ratios or any(not 0.0 < r < 1.0 for r in ratios):
-        raise ValidationError(f"{name}: ratios must lie in (0, 1), got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class _Key:
-    default: object
-    parse: object
-    help: str
-
-
+# key -> (default, help); a key takes the type of its default (str for None)
 SCHEMA = {
-    "classes": _Key(10, _int_min(2), "number of classes for synthetic data"),
-    "dim": _Key(16, _int_min(1), "synthetic feature dimension"),
-    "n_max": _Key(1000, _int_min(1), "largest synthetic class size"),
-    "imbalance": _Key(100.0, _float_min(1.0), "largest/smallest class size factor"),
-    "separation": _Key(2.4, _float_min(0.0), "norm of synthetic class means"),
-    "test_per_class": _Key(100, _int_min(1), "synthetic test samples per class"),
-    "train_csv": _Key(None, _opt_string, "training CSV (overrides synthetic data)"),
-    "test_csv": _Key(None, _opt_string, "test CSV (overrides synthetic data)"),
-    "hidden": _Key("32", _hidden_list, "comma-separated hidden layer sizes"),
-    "epochs": _Key(600, _int_min(1), "training epochs"),
-    "batch_size": _Key(128, _int_min(1), "minibatch size"),
-    "learning_rate": _Key(0.02, _float_min(0.0), "SGD step size"),
-    "momentum": _Key(0.9, _momentum, "SGD momentum"),
-    "weight_decay": _Key(1e-2, _float_min(0.0), "L2 regularizer coefficient"),
-    "lr_decay_epochs": _Key("", _epoch_list, "comma-separated epochs that step the learning rate down"),
-    "lr_decay_factor": _Key(0.1, _float_unit, "learning rate multiplier at each decay epoch"),
-    "anneal_stride": _Key(40.0, _float_min(0.0, strict=True), "epochs for the spread bonus to decay by 1/e"),
-    "utility_scale": _Key(1.0, _float_min(0.0, strict=True), "divisor of the utility term in the loss"),
-    "particles": _Key(3, _int_min(1), "ensemble size"),
-    "var_floor": _Key(1e-8, _float_min(0.0, strict=True), "variance floor in the spread bonus"),
-    "repulsion": _Key("on", _choice("on", "off"), "annealed spread bonus on/off"),
-    "ratio": _Key("linear", _choice(*FORMS), "class weighting form"),
-    "gamma": _Key(1.0, _float_min(0.0), "power form exponent"),
-    "beta": _Key(0.9999, _float_open01, "effective form decay"),
-    "utility": _Key("one-hot", _string, "one-hot, tail-sensitive, or a CSV path"),
-    "rho": _Key(1.0, _float_min(0.0), "tail-sensitive penalty"),
-    "utility_tail_ratio": _Key(0.5, _float_open01, "tail share for the tail-sensitive utility"),
-    "ece_bins": _Key(15, _int_min(1), "calibration bins"),
-    "tail_ratios": _Key("0.25,0.5,0.75", _ratio_list, "tail shares for the false head rate"),
-    "checkpoint_every": _Key(0, _int_min(0), "epochs between checkpoints (0: final only)"),
-    "runs": _Key(5, _int_min(1), "repeated runs per sweep cell"),
-    "seed": _Key(0, _int_min(0), "base random seed"),
-    "jobs": _Key(1, _int_min(1), "parallel sweep workers"),
-    "out": _Key("out", _string, "output directory"),
+    "classes": (10, "number of classes for synthetic data"),
+    "dim": (16, "synthetic feature dimension"),
+    "n_max": (1000, "largest synthetic class size"),
+    "imbalance": (100.0, "largest/smallest class size factor"),
+    "separation": (2.4, "norm of synthetic class means"),
+    "test_per_class": (100, "synthetic test samples per class"),
+    "train_csv": (None, "training CSV (overrides synthetic data)"),
+    "test_csv": (None, "test CSV (overrides synthetic data)"),
+    "hidden": ("32", "comma-separated hidden layer sizes"),
+    "epochs": (600, "training epochs"),
+    "batch_size": (128, "minibatch size"),
+    "learning_rate": (0.02, "SGD step size"),
+    "momentum": (0.9, "SGD momentum"),
+    "weight_decay": (1e-2, "L2 regularizer coefficient"),
+    "lr_decay_epochs": ("", "comma-separated epochs that step the learning rate down"),
+    "lr_decay_factor": (0.1, "learning rate multiplier at each decay epoch"),
+    "anneal_stride": (40.0, "epochs for the spread bonus to decay by 1/e"),
+    "utility_scale": (1.0, "divisor of the utility term in the loss"),
+    "particles": (3, "ensemble size"),
+    "var_floor": (1e-8, "variance floor in the spread bonus"),
+    "repulsion": ("on", "annealed spread bonus on/off"),
+    "ratio": ("linear", "class weighting form"),
+    "gamma": (1.0, "power form exponent"),
+    "beta": (0.9999, "effective form decay"),
+    "utility": ("one-hot", "one-hot, tail-sensitive, or a CSV path"),
+    "rho": (1.0, "tail-sensitive penalty"),
+    "utility_tail_ratio": (0.5, "tail share for the tail-sensitive utility"),
+    "ece_bins": (15, "calibration bins"),
+    "tail_ratios": ("0.25,0.5,0.75", "tail shares for the false head rate"),
+    "checkpoint_every": (0, "epochs between checkpoints (0: final only)"),
+    "runs": (5, "repeated runs per sweep cell"),
+    "seed": (0, "base random seed"),
+    "jobs": (1, "parallel sweep workers"),
+    "out": ("out", "output directory"),
 }
 
 SWEEP_GRIDS = {
@@ -192,9 +81,8 @@ def _build_parser():
     for command in ("generate-data", "train", "evaluate", "sweep"):
         p = sub.add_parser(command, description=f"tailens {command}")
         p.add_argument("--config", help="JSON config file")
-        for key, spec in SCHEMA.items():
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, default=None, help=spec.help)
+        for key, (_, text) in SCHEMA.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=text)
         if command == "evaluate":
             p.add_argument("--checkpoint", required=True, help="ensemble checkpoint to load")
         if command == "sweep":
@@ -205,37 +93,82 @@ def _build_parser():
     return parser
 
 
+def _coerce(key: str, value):
+    """A flag string or JSON value as the type of the key's default, finite."""
+    default = SCHEMA[key][0]
+    if value is None and default is None:
+        return None
+    kind = str if default is None else type(default)
+    try:
+        if isinstance(value, str) and kind is not str:
+            value = kind(value)
+        elif kind is float and type(value) is int:
+            value = float(value)
+        elif kind is int and type(value) is float and value.is_integer():
+            value = int(value)
+    except (ValueError, OverflowError):
+        pass  # the value keeps its wrong type and is rejected below
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        finite = "a finite " if kind is float else ""
+        raise ValidationError(f"{key}: expected {finite}{kind.__name__}, got {value!r}")
+    return value
+
+
+def _numbers(config: dict, key: str, kind=int) -> tuple:
+    """The values of a comma-separated list key; the empty string has none."""
+    text = config[key]
+    try:
+        return tuple(kind(v) for v in text.split(",")) if text else ()
+    except ValueError:
+        raise ValidationError(
+            f"{key}: expected comma-separated {kind.__name__}s, got {text!r}"
+        ) from None
+
+
+def _check(config: dict) -> None:
+    """Reject out-of-range values; the dataclasses own the training keys."""
+    _train_config(config)
+    ratios = _tail_ratios(config)
+    rules = {
+        "classes": (config["classes"] >= 2, ">= 2"),
+        "dim": (config["dim"] >= 1, ">= 1"),
+        "n_max": (config["n_max"] >= 1, ">= 1"),
+        "imbalance": (config["imbalance"] >= 1.0, ">= 1.0"),
+        "separation": (config["separation"] >= 0.0, ">= 0.0"),
+        "test_per_class": (config["test_per_class"] >= 1, ">= 1"),
+        "rho": (config["rho"] >= 0.0, ">= 0.0"),
+        "utility_tail_ratio": (0.0 < config["utility_tail_ratio"] < 1.0, "in (0, 1)"),
+        "tail_ratios": (bool(ratios) and all(0.0 < r < 1.0 for r in ratios), "in (0, 1)"),
+        "ece_bins": (config["ece_bins"] >= 1, ">= 1"),
+        "runs": (config["runs"] >= 1, ">= 1"),
+        "jobs": (config["jobs"] >= 1, ">= 1"),
+        "repulsion": (config["repulsion"] in ("on", "off"), "'on' or 'off'"),
+    }
+    for key, (ok, rule) in rules.items():
+        if not ok:
+            raise ValidationError(f"{key}: must be {rule}, got {config[key]!r}")
+
+
 def _effective_config(args) -> dict:
-    config = {key: spec.default for key, spec in SCHEMA.items()}
+    config = {key: default for key, (default, _) in SCHEMA.items()}
     if args.config is not None:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
         except json.JSONDecodeError as err:
-            raise ValidationError(f"config file is not valid JSON: {err}") from None
+            raise ValidationError(f"{args.config}: not valid JSON: {err}") from None
         if not isinstance(loaded, dict):
-            raise ValidationError("config file must hold a JSON object")
+            raise ValidationError(f"{args.config}: config file must hold a JSON object")
         for key, value in loaded.items():
             if key not in SCHEMA:
-                raise ValidationError(f"unknown config key {key!r}")
+                raise ValidationError(f"{args.config}: unknown config key {key!r}")
             config[key] = value
     for key in SCHEMA:
         raw = getattr(args, key, None)
         if raw is not None:
             config[key] = raw
-    for key, spec in SCHEMA.items():
-        value = config[key]
-        if value is None and spec.default is None:
-            continue
-        if isinstance(value, str) and spec.default is not None and not isinstance(spec.default, str):
-            # flags arrive as strings; coerce numerics before validation
-            try:
-                value = type(spec.default)(value)
-            except ValueError:
-                raise ValidationError(
-                    f"{key}: expected {type(spec.default).__name__}, got {value!r}"
-                ) from None
-        config[key] = spec.parse(key, value)
+    config = {key: _coerce(key, value) for key, value in config.items()}
+    _check(config)
     return config
 
 
@@ -261,11 +194,9 @@ def _train_config(config: dict, seed=None) -> TrainConfig:
             form=config["ratio"], gamma=config["gamma"], beta=config["beta"]
         ),
         repulsion=config["repulsion"] == "on",
-        hidden_dims=tuple(int(v) for v in config["hidden"].split(",")),
+        hidden_dims=_numbers(config, "hidden"),
         checkpoint_every=config["checkpoint_every"],
-        lr_decay_epochs=tuple(
-            int(v) for v in config["lr_decay_epochs"].split(",") if v
-        ),
+        lr_decay_epochs=_numbers(config, "lr_decay_epochs"),
         lr_decay_factor=config["lr_decay_factor"],
     )
 
@@ -292,11 +223,9 @@ def _load_data(config: dict, seed: int):
     """(train, test) from CSVs when configured, else synthetic at this seed."""
     if config["train_csv"] is not None:
         train_data = load_csv(config["train_csv"], split_tag="train")
-        test_data = (
-            load_csv(config["test_csv"], split_tag="test")
-            if config["test_csv"] is not None
-            else None
-        )
+        test_data = None
+        if config["test_csv"] is not None:
+            test_data = load_csv(config["test_csv"], "test", train_data.num_classes)
         return train_data, test_data
     return generate_synthetic(
         num_classes=config["classes"],
@@ -309,8 +238,8 @@ def _load_data(config: dict, seed: int):
     )
 
 
-def _tail_ratios(config: dict):
-    return tuple(float(v) for v in config["tail_ratios"].split(","))
+def _tail_ratios(config: dict) -> tuple:
+    return _numbers(config, "tail_ratios", float)
 
 
 def cmd_generate_data(config: dict) -> int:
@@ -354,16 +283,16 @@ def cmd_train(config: dict) -> int:
 
 def cmd_evaluate(config: dict, checkpoint: str) -> int:
     ens = load_checkpoint(checkpoint)
+    k = ens.shape.num_classes
     if config["test_csv"] is not None:
-        test_data = load_csv(config["test_csv"], split_tag="test")
+        test_data = load_csv(config["test_csv"], split_tag="test", num_classes=k)
+    elif config["train_csv"] is not None:
+        raise ValidationError("evaluate reads --test-csv, not --train-csv")
     else:
         test_data = _load_data(config, config["seed"])[1]
-    if test_data.num_classes != ens.shape.num_classes:
-        raise InputError(
-            f"test data has {test_data.num_classes} classes,"
-            f" checkpoint {ens.shape.num_classes}"
-        )
-    utility = _build_utility(config, ens.shape.num_classes)
+    if test_data.num_classes != k:
+        raise InputError(f"test data has {test_data.num_classes} classes, checkpoint {k}")
+    utility = _build_utility(config, k)
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     report, batch = evaluate(
@@ -380,19 +309,8 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
     return 0
 
 
-def _cell_config(config: dict, axis: str, value: str) -> dict:
-    cell = dict(config)
-    if axis == "particles":
-        cell["particles"] = int(value)
-    else:
-        cell[axis] = value
-    return cell
-
-
 def _run_cell(payload):
-    config, axis, value = payload
-    cell = _cell_config(config, axis, value)
-    utility_kind = cell["utility"]
+    cell, axis, value = payload
 
     def data_fn(seed):
         return _load_data(cell, seed)
@@ -418,7 +336,7 @@ def _run_cell(payload):
         row["weight_last"] = round(float(weights.raw[-1]), 6)
         row["growth_pct"] = round(growth_rate(weights), 2)
     if axis == "utility":
-        row["utility_kind"] = utility_kind
+        row["utility_kind"] = cell["utility"]
     mean, std = summary.mean, summary.std
     for ratio in sorted(summary.reports[0].fhr):
         row[f"fhr@{ratio}_mean"] = round(mean[f"fhr@{ratio}"], 6)
@@ -441,18 +359,19 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
         values = [v.strip() for v in grid.split(",") if v.strip()]
     if not values:
         raise ValidationError(f"sweep axis {axis!r} has an empty grid")
+    payloads = []
     for value in values:
-        if axis == "particles":
-            if not value.isdigit() or int(value) < 1:
-                raise ValidationError(f"particles grid needs positive ints, got {value!r}")
-        elif value not in SWEEP_GRIDS[axis]:
+        # particles takes any count the config accepts, other axes their listed values
+        if axis != "particles" and value not in SWEEP_GRIDS[axis]:
             raise ValidationError(
                 f"{axis} grid accepts {SWEEP_GRIDS[axis]}, got {value!r}"
             )
+        cell = {**config, axis: _coerce(axis, value)}
+        _check(cell)
+        payloads.append((cell, axis, value))
     out = config["out"]
     os.makedirs(out, exist_ok=True)
 
-    payloads = [(config, axis, value) for value in values]
     if config["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
             rows = list(pool.map(_run_cell, payloads))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, names_file
 
 
 @dataclass
@@ -173,8 +173,9 @@ def save_csv(data: LongTailDataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def load_csv(path, split_tag: str = "data") -> LongTailDataset:
-    """Parse a feature CSV; K is max label + 1. Errors carry 1-based line numbers."""
+@names_file
+def load_csv(path, split_tag: str = "data", num_classes=None) -> LongTailDataset:
+    """Parse a feature CSV; K is num_classes, else max label + 1. Errors name file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -203,6 +204,8 @@ def load_csv(path, split_tag: str = "data") -> LongTailDataset:
                 raise ParseError(f"label {row[-1]!r} is not an integer", line=lineno) from None
             if label < 0:
                 raise ParseError(f"label {label} is negative", line=lineno)
+            if num_classes is not None and label >= num_classes:
+                raise ParseError(f"label {label} is not below K={num_classes}", line=lineno)
             labels.append(label)
             linenos.append(lineno)
 
@@ -214,7 +217,8 @@ def load_csv(path, split_tag: str = "data") -> LongTailDataset:
         bad = int(np.argmin(finite))
         raise ParseError(f"non-finite feature in {feats[bad].tolist()}", line=linenos[bad])
     labels = np.asarray(labels, dtype=np.int64)
-    counts = np.bincount(labels, minlength=int(labels.max()) + 1)
+    k = int(labels.max()) + 1 if num_classes is None else num_classes
+    counts = np.bincount(labels, minlength=k)
     return LongTailDataset(
         features=feats,
         labels=labels,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, names_file
 from .numcore import NetShape, forward_logprobs_batch, param_count
 
 CHECKPOINT_MAGIC = b"TAILENS-ENSEMBLE"
@@ -36,13 +36,16 @@ class ParticleEnsemble:
             raise InputError(
                 f"particles have {p} params, shape wants {param_count(self.shape)}"
             )
+        if not np.all(np.isfinite(self.particles)):
+            raise InputError("particles must be finite")
         if self.mixture_weights is None:
             self.mixture_weights = np.full(m, 1.0 / m)
-        self.mixture_weights = np.asarray(self.mixture_weights, dtype=np.float64)
-        if self.mixture_weights.shape != (m,):
+        w = self.mixture_weights = np.asarray(self.mixture_weights, dtype=np.float64)
+        if w.shape != (m,):
             raise InputError("mixture weights must align with particles")
-        if np.any(self.mixture_weights < 0) or abs(self.mixture_weights.sum() - 1.0) > 1e-9:
-            raise InputError("mixture weights must be nonnegative and sum to 1")
+        # stated as what must hold, so NaN and inf weights fail it
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
+            raise InputError("mixture weights must be finite, nonnegative and sum to 1")
 
     @property
     def n_particles(self) -> int:
@@ -96,11 +99,8 @@ class RegularizerValue:
     entropy_term: float
 
 
-def regularizer(
-    ens: ParticleEnsemble, weight_decay: float, anneal: float, var_floor: float = 1e-8
-) -> RegularizerValue:
-    if weight_decay < 0:
-        raise InputError(f"weight decay must be >= 0, got {weight_decay}")
+def regularizer(ens: ParticleEnsemble, var_floor: float = 1e-8) -> RegularizerValue:
+    """The L2 and spread terms; batch_loss weighs them by weight decay and anneal."""
     return RegularizerValue(l2_term=l2_term(ens), entropy_term=entropy_term(ens, var_floor))
 
 
@@ -177,6 +177,7 @@ def _header_layout(header):
     return header["n_particles"], header["param_count"], shape
 
 
+@names_file
 def load_checkpoint(path) -> ParticleEnsemble:
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
@@ -197,4 +198,7 @@ def load_checkpoint(path) -> ParticleEnsemble:
     particles = (
         np.frombuffer(payload[8 * m :], dtype="<f8").astype(np.float64).reshape(m, p)
     )
-    return ParticleEnsemble(shape=shape, particles=particles, mixture_weights=weights)
+    try:
+        return ParticleEnsemble(shape=shape, particles=particles, mixture_weights=weights)
+    except InputError as err:
+        raise ParseError(f"checkpoint payload: {err}") from None

@@ -4,6 +4,8 @@ Four kinds of failure, so callers (and the CLI exit-code mapping) can tell
 bad arguments apart from bad files apart from numerical blowups.
 """
 
+import functools
+
 
 class InputError(ValueError):
     """An argument violates a precondition (bad shape, range, or combination)."""
@@ -17,6 +19,20 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def names_file(load):
+    """Decorate a file loader so its ParseErrors begin with the path it read."""
+
+    @functools.wraps(load)
+    def wrapped(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except ParseError as err:
+            err.args = (f"{path}: {err}",)
+            raise
+
+    return wrapped
 
 
 class ValidationError(ValueError):

@@ -57,6 +57,8 @@ def batch_loss(
         raise InputError("class weights must cover every class")
     if utility_scale <= 0:
         raise InputError(f"utility scale must be > 0, got {utility_scale}")
+    if weight_decay < 0:
+        raise InputError(f"weight decay must be >= 0, got {weight_decay}")
 
     batch = x.shape[0]
     m = ens.n_particles
@@ -82,7 +84,7 @@ def batch_loss(
     nll_term = -scale * float(np.sum(w * logp_true))
     utility_term = -(scale / utility_scale) * float(np.sum(w * util_dot))
 
-    reg = regularizer(ens, weight_decay, anneal, var_floor)
+    reg = regularizer(ens, var_floor)
     total = nll_term + utility_term + weight_decay * reg.l2_term - anneal * reg.entropy_term
     if not np.isfinite(total):
         raise NumericError("non-finite loss")

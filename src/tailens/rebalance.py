@@ -22,11 +22,11 @@ class DiscrepancySpec:
 
     def __post_init__(self):
         if self.form not in FORMS:
-            raise InputError(f"unknown weighting form {self.form!r}, pick one of {FORMS}")
-        if self.form == "power" and self.gamma < 0:
-            raise InputError(f"power exponent must be >= 0, got {self.gamma}")
-        if self.form == "effective" and not 0.0 < self.beta < 1.0:
-            raise InputError(f"effective decay must be in (0, 1), got {self.beta}")
+            raise InputError(f"unknown ratio form {self.form!r}, pick one of {FORMS}")
+        if not self.gamma >= 0:
+            raise InputError(f"gamma (power exponent) must be >= 0, got {self.gamma}")
+        if not 0.0 < self.beta < 1.0:
+            raise InputError(f"beta (effective decay) must be in (0, 1), got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -61,38 +61,29 @@ class TrainConfig:
     lr_decay_factor: float = 0.1
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InputError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise InputError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InputError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise InputError(f"weight decay must be >= 0, got {self.weight_decay}")
-        if self.anneal_stride <= 0:
-            raise InputError(f"anneal stride must be > 0, got {self.anneal_stride}")
-        if self.utility_scale <= 0:
-            raise InputError(f"utility scale must be > 0, got {self.utility_scale}")
-        if self.n_particles < 1:
-            raise InputError(f"need at least one particle, got {self.n_particles}")
-        if self.var_floor <= 0:
-            raise InputError(f"variance floor must be > 0, got {self.var_floor}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        rules = {
+            "epochs": (self.epochs >= 1, ">= 1"),
+            "batch_size": (self.batch_size >= 1, ">= 1"),
+            "learning_rate": (self.learning_rate >= 0, ">= 0"),
+            "momentum": (0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            "weight_decay": (self.weight_decay >= 0, ">= 0"),
+            "anneal_stride": (self.anneal_stride > 0, "> 0"),
+            "utility_scale": (self.utility_scale > 0, "> 0"),
+            "n_particles": (self.n_particles >= 1, ">= 1"),
+            "var_floor": (self.var_floor > 0, "> 0"),
+            "seed": (self.seed >= 0, ">= 0"),
+            "hidden_dims": (bool(self.hidden_dims) and min(self.hidden_dims) >= 1, "sizes >= 1"),
+            "checkpoint_every": (self.checkpoint_every >= 0, ">= 0"),
+            "lr_decay_epochs": (all(e >= 1 for e in self.lr_decay_epochs), "all >= 1"),
+            "lr_decay_factor": (0.0 < self.lr_decay_factor <= 1.0, "in (0, 1]"),
+        }
+        for name, (ok, rule) in rules.items():
+            if not ok:
+                raise InputError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
         if self.particle_seeds is not None and len(self.particle_seeds) != self.n_particles:
             raise InputError(
                 f"got {len(self.particle_seeds)} particle seeds for"
                 f" {self.n_particles} particles"
-            )
-        if self.checkpoint_every < 0:
-            raise InputError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if any(e < 1 for e in self.lr_decay_epochs):
-            raise InputError("lr decay epochs must all be >= 1")
-        if not 0.0 < self.lr_decay_factor <= 1.0:
-            raise InputError(
-                f"lr decay factor must be in (0, 1], got {self.lr_decay_factor}"
             )
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TailSplit
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, names_file
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ def tail_sensitive(num_classes: int, tail: TailSplit, penalty: float = 1.0) -> U
     return UtilityMatrix(num_classes, values)
 
 
+@names_file
 def load_matrix(path) -> UtilityMatrix:
     """Read a headerless K x K CSV of utilities; errors name the offending row."""
     rows = []

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tailens
-from tailens.cli import main
+from tailens.cli import SCHEMA, main
 from tailens.dataset import load_csv
 from tailens.ensemble import CHECKPOINT_MAGIC
 
@@ -153,6 +154,29 @@ class TestEvaluate:
     def test_checkpoint_flag_required(self):
         assert main(["evaluate"]) == 1
 
+    @pytest.mark.filterwarnings("ignore:no tail-labeled samples")
+    def test_k_comes_from_the_checkpoint(self, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["generate-data"] + flags(data)) == 0
+        assert main(["train"] + flags(run)) == 0
+        lines = (data / "test.csv").read_text().splitlines()
+        short = tmp_path / "no_top_class.csv"
+        short.write_text("\n".join(line for line in lines if not line.endswith(",3")) + "\n")
+        checkpoint = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
+        assert main(checkpoint + flags(tmp_path / "eval", test_csv=str(short))) == 0
+
+    def test_train_csv_alone_is_rejected(self, tmp_path, capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["generate-data"] + flags(data)) == 0
+        assert main(["train"] + flags(run)) == 0
+        code = main(
+            ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
+            + flags(tmp_path / "eval", train_csv=str(data / "train.csv"))
+        )
+        assert code == 1
+        assert "--test-csv" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     def test_missing_checkpoint_file(self, tmp_path, capsys):
         code = main(
             ["evaluate", "--checkpoint", str(tmp_path / "nope.ckpt")]
@@ -268,6 +292,13 @@ class TestSweep:
         )
         assert main(args) == 1
 
+    @pytest.mark.parametrize("grid", ["0", "x", "1.5", "2,-1"])
+    def test_bad_particles_grid(self, tmp_path, grid, capsys):
+        args = ["sweep", "--axis", "particles", "--grid", grid] + self.sweep_flags(tmp_path / "o")
+        assert main(args) == 1
+        assert "particles" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_axis(self, tmp_path):
         args = ["sweep", "--axis", "bogus"] + self.sweep_flags(tmp_path)
         assert main(args) == 1
@@ -297,6 +328,14 @@ MALFORMED = {
         "evaluate", "x.ckpt", CHECKPOINT_MAGIC + b"\n" + GOOD_HEADER + b"\n\0\0\0",
         ["--checkpoint"], "payload",
     ),
+    "checkpoint-non-finite": (
+        "evaluate",
+        "x.ckpt",
+        CHECKPOINT_MAGIC + b"\n" + GOOD_HEADER + b"\n"
+        + np.array([np.nan] + [0.0] * 17, dtype="<f8").tobytes(),
+        ["--checkpoint"],
+        "finite",
+    ),
     "csv-non-numeric": (
         "train", "data.csv", b"f0,label\n1.0,0\nabc,1\n", ["--train-csv"], "line 3"
     ),
@@ -324,6 +363,8 @@ def test_malformed_inputs_exit_1_without_traceback(tmp_path, family):
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr
     assert needle in result.stderr
+    if name is not None:
+        assert name in result.stderr
 
 
 # sha256 of the artifacts of `tailens train --epochs 30 --seed 0` and of
@@ -334,13 +375,116 @@ GOLDEN = {
     "train/trainlog.jsonl": "4855be30dc9b5b0bc9645c08fb31334d7929a9b03b2a66457ab9b2489c4cfb7c",
     "train/metrics.json": "05edd6164bb73916240df6375b98da7e6dc7fec5e7debd0b5aea014ad0cd67fd",
     "eval/predictions.csv": "f68341be1bb37d1bf58add763e753fb87347be7f433d9af293f3d89f38c3dd11",
+    "train/config.json": "457dd65a458cea04437b9ec5d7937c46089248b978f24a516f727f2d918a1875",
+    "eval/config.json": "85fbc78fd243eac7d54c3d8adf4248810227724fdc3a3be8f96b5f3984268390",
 }
 
 
-def test_default_run_matches_golden_hashes(tmp_path):
-    train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
-    assert main(["train", "--epochs", "30", "--seed", "0", "--out", str(train_dir)]) == 0
-    checkpoint = str(train_dir / "ensemble.ckpt")
-    assert main(["evaluate", "--checkpoint", checkpoint, "--out", str(eval_dir)]) == 0
+def test_default_run_matches_golden_hashes(tmp_path, monkeypatch):
+    # relative --out, so the echoed config.json holds no machine path
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--epochs", "30", "--seed", "0", "--out", "train"]) == 0
+    checkpoint = "train/ensemble.ckpt"
+    assert main(["evaluate", "--checkpoint", checkpoint, "--out", "eval"]) == 0
     for name, digest in GOLDEN.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# (key, accepted, rejected): a boundary value and the first value past it.
+# A str is typed as a flag; any other value goes in a --config file as JSON.
+BOUNDARIES = [
+    ("classes", "2", "1"),
+    ("dim", "1", "0"),
+    ("n_max", "4", "3"),  # synthetic data needs n_max >= classes (4 in FAST)
+    ("imbalance", "1.0", "0.9999999999999999"),
+    ("separation", "0.0", "-5e-324"),
+    ("test_per_class", "1", "0"),
+    ("train_csv", None, 5),
+    ("test_csv", "t.csv", 5),
+    ("hidden", "1,1", "1,0"),
+    ("epochs", "1", "0"),
+    ("batch_size", "1", "0"),
+    ("learning_rate", "0.0", "-5e-324"),
+    ("momentum", "0.0", "-5e-324"),
+    ("momentum", "0.9999999999999999", "1.0"),
+    ("weight_decay", "0.0", "-5e-324"),
+    ("lr_decay_epochs", "1", "0"),
+    ("lr_decay_factor", "1.0", "1.0000000000000002"),
+    ("lr_decay_factor", "5e-324", "0.0"),
+    ("anneal_stride", "5e-324", "0.0"),
+    ("utility_scale", "5e-324", "0.0"),
+    ("particles", "1", "0"),
+    ("var_floor", "5e-324", "0.0"),
+    ("repulsion", "off", "of"),
+    ("ratio", "plain", "plan"),
+    ("gamma", "0.0", "-5e-324"),
+    ("beta", "5e-324", "0.0"),
+    ("beta", "0.9999999999999999", "1.0"),
+    ("utility", "u.csv", 1),
+    ("rho", "0.0", "-5e-324"),
+    ("utility_tail_ratio", "5e-324", "0.0"),
+    ("utility_tail_ratio", "0.9999999999999999", "1.0"),
+    ("ece_bins", "1", "0"),
+    ("tail_ratios", "5e-324,0.9999999999999999", "0.5,1.0"),
+    ("checkpoint_every", "0", "-1"),
+    ("runs", "1", "0"),
+    ("seed", "0", "-1"),
+    ("jobs", "1", "0"),
+    ("out", "out", 1),
+]
+
+FLOAT_KEYS = (
+    "imbalance", "separation", "learning_rate", "momentum", "weight_decay",
+    "lr_decay_factor", "anneal_stride", "utility_scale", "var_floor", "gamma",
+    "beta", "rho", "utility_tail_ratio",
+)
+
+NON_FINITE = [(key, v) for key in FLOAT_KEYS for v in ("nan", "inf", "-inf", float("nan"))]
+NON_FINITE.append(("tail_ratios", "0.5,nan"))
+
+
+def generate_with(key, value):
+    """generate-data into ./out (the default) with one key set, as a flag or in ./cfg.json."""
+    flag = key.replace("_", "-")
+    # without a FAST flag for the key, since flags beat the config file
+    args = ["generate-data"] + [f"--{k}={v}" for k, v in FAST.items() if k != flag]
+    if isinstance(value, str):
+        args.append(f"--{flag}={value}")
+    else:
+        Path("cfg.json").write_text(json.dumps({key: value}))
+        args += ["--config", "cfg.json"]
+    return main(args)
+
+
+def test_every_key_has_a_boundary_row():
+    assert {row[0] for row in BOUNDARIES} == set(SCHEMA)
+    assert set(FLOAT_KEYS) == {k for k, (default, _) in SCHEMA.items() if type(default) is float}
+
+
+@pytest.fixture(scope="module")
+def default_echo(tmp_path_factory):
+    out = tmp_path_factory.mktemp("defaults")
+    assert main(["generate-data"] + flags(out)) == 0
+    return json.loads((out / "config.json").read_text())
+
+
+@pytest.mark.parametrize("key,accepted,rejected", BOUNDARIES)
+def test_key_boundary(tmp_path, monkeypatch, capsys, default_echo, key, accepted, rejected):
+    monkeypatch.chdir(tmp_path)
+    assert generate_with(key, rejected) == 1
+    assert key in capsys.readouterr().err
+    assert not Path("out").exists()
+
+    assert generate_with(key, accepted) == 0
+    default = default_echo[key]
+    expected = accepted if default is None or isinstance(default, str) else type(default)(accepted)
+    echoed = json.loads(Path("out/config.json").read_text())[key]
+    assert echoed == expected and type(echoed) is type(expected)
+
+
+@pytest.mark.parametrize("key,value", NON_FINITE)
+def test_non_finite_values_rejected(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.chdir(tmp_path)
+    assert generate_with(key, value) == 1
+    assert key in capsys.readouterr().err
+    assert not Path("out").exists()

@@ -167,10 +167,17 @@ class TestCsv:
         assert np.array_equal(back.labels, train.labels)
         assert np.array_equal(back.class_counts, train.class_counts)
 
+    def test_num_classes_from_caller(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("f0,label\n0.5,0\n0.1,1\n")
+        assert np.array_equal(load_csv(path, num_classes=4).class_counts, [1, 1, 0, 0])
+        with pytest.raises(ParseError, match="toy.csv: line 3: label 1 is not below K=1"):
+            load_csv(path, num_classes=1)
+
     def test_negative_label_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n1.0,0\n2.0,-1\n")
-        with pytest.raises(ParseError, match="line 3"):
+        with pytest.raises(ParseError, match="bad.csv: line 3"):
             load_csv(path)
 
     def test_non_numeric_feature(self, tmp_path):

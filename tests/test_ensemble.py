@@ -19,6 +19,9 @@ from tailens.ensemble import (
 )
 from tailens.errors import InputError, ParseError
 from tailens.numcore import NetShape, param_count
+from tailens.objective import batch_loss
+from tailens.rebalance import DiscrepancySpec, class_weights
+from tailens.utility import one_hot
 
 # Frozen oracle: mixture of the 3-particle seed-(0,1,2) ensemble below on a
 # fixed input, re-evaluated with 60-digit arithmetic (mpmath).
@@ -55,6 +58,16 @@ class TestEnsembleType:
     def test_param_length_checked(self):
         with pytest.raises(InputError):
             ParticleEnsemble(NetShape(2, (3,), 2), np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        shape = NetShape(2, (3,), 2)
+        particles = np.zeros((2, param_count(shape)))
+        with pytest.raises(InputError, match="finite"):
+            ParticleEnsemble(shape, particles, np.array([bad, 0.5]))
+        particles[1, 4] = bad
+        with pytest.raises(InputError, match="finite"):
+            ParticleEnsemble(shape, particles)
 
 
 class TestMixture:
@@ -173,7 +186,7 @@ class TestEntropy:
 class TestRegularizer:
     def test_zero_anneal_is_pure_weight_decay(self, rng):
         ens = random_ensemble(NetShape(2, (4,), 3), 3, seed=5)
-        value = regularizer(ens, weight_decay=0.3, anneal=0.0)
+        value = regularizer(ens)
         assert value.l2_term == pytest.approx(
             np.mean(np.sum(ens.particles**2, axis=1)), rel=1e-12
         )
@@ -199,7 +212,7 @@ class TestRegularizer:
         grad = regularizer_grad(ParticleEnsemble(shape, particles.copy()), lam, anneal)
 
         def combined(params):
-            value = regularizer(ParticleEnsemble(shape, params), lam, anneal)
+            value = regularizer(ParticleEnsemble(shape, params))
             return lam * value.l2_term - anneal * value.entropy_term
 
         step = 1e-5
@@ -213,9 +226,14 @@ class TestRegularizer:
                 assert grad[j, k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_negative_weight_decay_rejected(self):
+        # the loss weighs the regularizer terms, so it owns the range check
         ens = random_ensemble(NetShape(1, (), 2), 2, seed=1)
-        with pytest.raises(InputError):
-            regularizer(ens, weight_decay=-0.1, anneal=0.0)
+        with pytest.raises(InputError, match="weight decay"):
+            batch_loss(
+                ens, np.zeros((1, 1)), np.array([0]),
+                class_weights(DiscrepancySpec("plain"), [1, 1]), one_hot(2),
+                utility_scale=1.0, weight_decay=-0.1, anneal=0.0,
+            )
 
 
 def particle_preds(ens, x):
@@ -284,4 +302,14 @@ class TestCheckpoint:
         )
         path.write_bytes(CHECKPOINT_MAGIC + b"\n" + header + b"\n" + b"\x00" * 8 * 18)
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_non_finite_payload_names_the_file(self, tmp_path):
+        ens = random_ensemble(NetShape(2, (3,), 2), 1, seed=12)
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(ens, path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="nan.ckpt: checkpoint payload: particles must be finite"):
             load_checkpoint(path)

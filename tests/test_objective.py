@@ -254,9 +254,8 @@ class TestValidation:
 
     def test_non_finite_parameters_raise(self, rng):
         shape = NetShape(2, (3,), 2)
-        particles = rng.normal(size=(1, param_count(shape)))
-        particles[0, 0] = np.nan
-        ens = ParticleEnsemble(shape, particles)
+        ens = ParticleEnsemble(shape, rng.normal(size=(1, param_count(shape))))
+        ens.particles[0, 0] = np.nan  # as a diverging step would leave it
         with pytest.raises(NumericError):
             batch_loss(
                 ens, rng.normal(size=(2, 2)), np.array([0, 1]),

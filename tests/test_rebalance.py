@@ -65,6 +65,12 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             DiscrepancySpec("power", gamma=-1.0)
 
+    @pytest.mark.parametrize("form", ["linear", "sqrt", "plain"])
+    def test_ranges_hold_for_every_form(self, form):
+        for bad in ({"gamma": -1.0}, {"gamma": float("nan")}, {"beta": 1.0}, {"beta": 0.0}):
+            with pytest.raises(InputError):
+                DiscrepancySpec(form, **bad)
+
 
 class TestClassWeights:
     def test_balanced_counts_normalize_to_one(self):

@@ -80,6 +80,10 @@ class TestConfigValidation:
             {"lr_decay_epochs": (0,)},
             {"lr_decay_factor": 0.0},
             {"lr_decay_factor": 1.5},
+            {"hidden_dims": (8, 0)},
+            {"hidden_dims": ()},
+            {"learning_rate": float("nan")},
+            {"var_floor": float("nan")},
         ],
     )
     def test_rejects_bad_fields(self, overrides):
