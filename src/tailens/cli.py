@@ -226,6 +226,11 @@ def _load_data(config: dict, seed: int):
         test_data = None
         if config["test_csv"] is not None:
             test_data = load_csv(config["test_csv"], "test", train_data.num_classes)
+            if test_data.dim != train_data.dim:
+                raise InputError(
+                    f"{config['test_csv']} has {test_data.dim} features,"
+                    f" {config['train_csv']} has {train_data.dim}"
+                )
         return train_data, test_data
     return generate_synthetic(
         num_classes=config["classes"],
@@ -292,6 +297,11 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
         test_data = _load_data(config, config["seed"])[1]
     if test_data.num_classes != k:
         raise InputError(f"test data has {test_data.num_classes} classes, checkpoint {k}")
+    if test_data.dim != ens.shape.input_dim:
+        raise InputError(
+            f"{config['test_csv'] or 'synthetic test data'} has {test_data.dim} features,"
+            f" {checkpoint} has {ens.shape.input_dim}"
+        )
     utility = _build_utility(config, k)
     out = config["out"]
     os.makedirs(out, exist_ok=True)

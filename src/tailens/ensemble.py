@@ -54,9 +54,7 @@ class ParticleEnsemble:
 
 def predictive_logprobs_batch(ens: ParticleEnsemble, x: np.ndarray):
     """Per-particle log-probs (M, N, K) and the mixture distribution (N, K)."""
-    per_particle = np.stack(
-        [forward_logprobs_batch(ens.shape, theta, x) for theta in ens.particles]
-    )
+    per_particle = forward_logprobs_batch(ens.shape, ens.particles, x)
     mixture = np.einsum("m,mnk->nk", ens.mixture_weights, np.exp(per_particle))
     return per_particle, mixture
 

@@ -8,7 +8,12 @@ import functools
 
 
 class InputError(ValueError):
-    """An argument violates a precondition (bad shape, range, or combination)."""
+    """An argument violates a precondition (bad shape, range, or combination).
+    Carries the 0-based index of the offending row when there is one."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message if row is None else f"row {row}: {message}")
+        self.reason, self.row = message, row
 
 
 class ParseError(ValueError):
@@ -40,4 +45,9 @@ class ValidationError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computation produced a non-finite value. Carries context when known."""
+    """A computation produced a non-finite value. Carries the offending
+    sample's position in its batch when known."""
+
+    def __init__(self, message, sample=None):
+        super().__init__(message if sample is None else f"{message} at sample index {sample}")
+        self.reason, self.sample = message, sample

@@ -1,9 +1,10 @@
-"""Small dense networks on flat float64 parameter vectors.
+"""Small dense networks, run for a whole (M, P) particle matrix at once.
 
 A network is tanh hidden layers plus a linear output read out as log-softmax.
-Parameters live in one flat vector so ensembles can treat a member as a point
-in R^P: layer by layer, weight matrix first (row-major, shape fan_out x fan_in),
-then bias. Everything here is float64 and deterministic.
+Each row of the matrix holds one member's parameters, layer by layer, weight
+matrix first (row-major, shape fan_out x fan_in), then bias. The kernels run
+all M networks in stacked (M, N, width) matmuls, and each particle's result is
+bitwise the one it gets alone. Everything here is float64 and deterministic.
 """
 
 from dataclasses import dataclass
@@ -11,6 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+
+# Inference rows per stacked forward; the last block takes the remainder. BLAS
+# picks a kernel by product size (OpenBLAS 0.3.31 rounds products of <= ~1,200
+# output entries differently), so blocks of >= 1,024 rows keep each layer of 2+
+# outputs on the kernel one product over all rows uses: blocking changes no bit.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -36,21 +43,19 @@ def param_count(shape: NetShape) -> int:
     return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
 
 
-def unpack(shape: NetShape, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views (no copies) of the per-layer (W, b) pairs inside a flat vector."""
-    params = np.asarray(params)
-    if params.ndim != 1 or params.shape[0] != param_count(shape):
-        raise InputError(
-            f"expected flat vector of {param_count(shape)} params, got shape {params.shape}"
-        )
+def unpack(shape: NetShape, particles: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views (no copies) of each layer's (M, out, in) weights and (M, out) biases."""
+    particles, p = np.asarray(particles), param_count(shape)
+    if particles.ndim != 2 or particles.shape[1] != p:
+        raise InputError(f"expected an (M, {p}) particle matrix, got shape {particles.shape}")
     dims = shape.dims
     layers = []
     off = 0
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
-        w = params[off : off + fan_out * fan_in].reshape(fan_out, fan_in)
+        w = particles[:, off : off + fan_out * fan_in].reshape(len(particles), fan_out, fan_in)
         off += fan_out * fan_in
-        b = params[off : off + fan_out]
+        b = particles[:, off : off + fan_out]
         off += fan_out
         layers.append((w, b))
     return layers
@@ -68,17 +73,21 @@ def init_params(shape: NetShape, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _forward_cached(shape, params, x):
-    """Activations for every layer; x is (N, input_dim)."""
-    layers = unpack(shape, params)
+def _inputs(shape, x):
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != shape.input_dim:
+        raise InputError(f"expected (N, {shape.input_dim}) inputs, got {x.shape}")
+    return x
+
+
+def _forward(layers, x):
+    """Layer inputs (x, then the (M, N, width) activations) and (M, N, K) logits."""
     acts = [x]
-    h = x
-    for w, b in layers[:-1]:
-        h = np.tanh(h @ w.T + b)
-        acts.append(h)
-    w, b = layers[-1]
-    logits = h @ w.T + b
-    return layers, acts, logits
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w.transpose(0, 2, 1)
+        z += b[:, None, :]  # in place, as is tanh: one (M, N, width) array per layer
+        acts.append(np.tanh(z, out=z) if i < len(layers) - 1 else z)
+    return acts[:-1], acts[-1]
 
 
 def _log_softmax(logits):
@@ -86,42 +95,39 @@ def _log_softmax(logits):
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def forward_logprobs_batch(shape: NetShape, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(N, input_dim) -> (N, num_classes) log-probabilities."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != shape.input_dim:
-        raise InputError(f"expected (N, {shape.input_dim}) inputs, got {x.shape}")
-    _, _, logits = _forward_cached(shape, params, x)
-    return _log_softmax(logits)
+def forward_logprobs_batch(shape: NetShape, particles: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(M, N, num_classes) log-probs, computed BLOCK_ROWS rows at a time."""
+    x = _inputs(shape, x)
+    layers = unpack(shape, particles)
+    n = x.shape[0]
+    out = np.empty((len(particles), n, shape.num_classes))
+    stops = [*range(BLOCK_ROWS, n - BLOCK_ROWS + 1, BLOCK_ROWS), n]
+    for start, stop in zip([0, *stops], stops):
+        out[:, start:stop] = _log_softmax(_forward(layers, x[start:stop])[1])
+    return out
 
 
 def backward_batch(
-    shape: NetShape, params: np.ndarray, x: np.ndarray, cotangents: np.ndarray
+    shape: NetShape, particles: np.ndarray, x: np.ndarray, cotangents: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log-probs (N, num_classes) and the flat-param gradient of
-    sum_i cotangents[i] . logprobs(x[i]), both from one forward pass."""
-    x = np.asarray(x, dtype=np.float64)
+    """Log-probs (M, N, num_classes) and the (M, P) gradients of
+    sum_i cotangents[i] . logprobs_m(x[i]) for every particle m, from one
+    forward pass over the whole particle matrix."""
+    x = _inputs(shape, x)
     cotangents = np.asarray(cotangents, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != shape.input_dim:
-        raise InputError(f"expected (N, {shape.input_dim}) inputs, got {x.shape}")
-    if cotangents.shape != (x.shape[0], shape.num_classes):
-        raise InputError(
-            f"expected cotangents of shape {(x.shape[0], shape.num_classes)},"
-            f" got {cotangents.shape}"
-        )
-    layers, acts, logits = _forward_cached(shape, params, x)
+    want = (x.shape[0], shape.num_classes)
+    if cotangents.shape != want:
+        raise InputError(f"expected cotangents of shape {want}, got {cotangents.shape}")
+    layers = unpack(shape, particles)
+    acts, logits = _forward(layers, x)
     logprobs = _log_softmax(logits)
-    probs = np.exp(logprobs)
     # d(c . logprobs)/d logits = c - softmax * sum(c)
-    dz = cotangents - probs * cotangents.sum(axis=1, keepdims=True)
+    dz = cotangents - np.exp(logprobs) * cotangents.sum(axis=1, keepdims=True)
 
-    grad = np.empty_like(np.asarray(params, dtype=np.float64))
-    gview = unpack(shape, grad)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw, gb = gview[i]
-        np.matmul(dz.T, acts[i], out=gw)
-        dz.sum(axis=0, out=gb)
+    grad = np.empty_like(particles, dtype=np.float64)
+    for i, (gw, gb) in reversed(list(enumerate(unpack(shape, grad)))):
+        np.matmul(dz.transpose(0, 2, 1), acts[i], out=gw)
+        dz.sum(axis=1, out=gb)
         if i > 0:
-            dz = (dz @ w) * (1.0 - acts[i] ** 2)
+            dz = (dz @ layers[i][0]) * (1.0 - acts[i] ** 2)
     return logprobs, grad

@@ -71,13 +71,10 @@ def batch_loss(
     cotangent = np.eye(k)[y] + u_rows / utility_scale
     cotangent *= -(w * scale)[:, None]
 
-    logprobs, grads = zip(
-        *(backward_batch(ens.shape, theta, x, cotangent) for theta in ens.particles)
-    )
-    per_particle = np.stack(logprobs)  # (M, B, K)
+    per_particle, grads = backward_batch(ens.shape, ens.particles, x, cotangent)  # (M, B, K)
     if not np.all(np.isfinite(per_particle)):
         bad = int(np.argmax(~np.isfinite(per_particle).all(axis=(0, 2))))
-        raise NumericError(f"non-finite log-probabilities at sample index {bad}")
+        raise NumericError("non-finite log-probabilities", sample=bad)
 
     logp_true = per_particle[:, np.arange(batch), y]  # (M, B)
     util_dot = np.einsum("mbk,bk->mb", per_particle, u_rows)  # (M, B)
@@ -89,7 +86,6 @@ def batch_loss(
     if not np.isfinite(total):
         raise NumericError("non-finite loss")
 
-    grads = np.stack(grads)
     grads += regularizer_grad(ens, weight_decay, anneal, var_floor)
 
     breakdown = LossBreakdown(

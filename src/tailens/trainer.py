@@ -175,7 +175,10 @@ def train(
                     var_floor=config.var_floor,
                 )
             except NumericError as err:
-                raise NumericError(f"epoch {epoch}, batch {n_batches}: {err}") from err
+                what = str(err)
+                if err.sample is not None:  # the dataset row, not the batch position
+                    what = f"{err.reason} at dataset row {idx[err.sample]}"
+                raise NumericError(f"epoch {epoch}, batch {n_batches}: {what}") from err
             velocity *= config.momentum
             # batch_loss averages over particles; stepping on M*grad gives each
             # particle the full-strength gradient of its own loss, so particles

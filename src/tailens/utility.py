@@ -24,14 +24,12 @@ class UtilityMatrix:
         k = self.num_classes
         if values.shape != (k, k):
             raise InputError(f"expected a ({k}, {k}) matrix, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise InputError("utility values must be finite")
-        diag = np.diag(values)
-        if np.any(values > diag[:, None]):
-            bad = int(np.argmax(np.any(values > diag[:, None], axis=1)))
-            raise InputError(
-                f"row {bad}: diagonal must be the row maximum"
-            )
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise InputError("utility values must be finite", row=int(np.argmin(finite)))
+        dominated = np.any(values > np.diag(values)[:, None], axis=1)
+        if dominated.any():
+            raise InputError("diagonal must be the row maximum", row=int(np.argmax(dominated)))
 
 
 def one_hot(num_classes: int) -> UtilityMatrix:
@@ -57,8 +55,8 @@ def tail_sensitive(num_classes: int, tail: TailSplit, penalty: float = 1.0) -> U
 
 @names_file
 def load_matrix(path) -> UtilityMatrix:
-    """Read a headerless K x K CSV of utilities; errors name the offending row."""
-    rows = []
+    """Read a headerless K x K CSV of utilities; errors name the offending line."""
+    rows, linenos = [], []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -67,12 +65,16 @@ def load_matrix(path) -> UtilityMatrix:
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise ParseError(f"non-numeric utility in {row}", line=lineno) from None
+            linenos.append(lineno)
     if not rows:
         raise ParseError("empty utility file", line=1)
     k = len(rows)
-    for i, row in enumerate(rows):
+    for row, lineno in zip(rows, linenos):
         if len(row) != k:
             raise ParseError(
-                f"expected {k} columns for a square matrix, got {len(row)}", line=i + 1
+                f"expected {k} columns for a square matrix, got {len(row)}", line=lineno
             )
-    return UtilityMatrix(k, np.asarray(rows, dtype=np.float64))
+    try:
+        return UtilityMatrix(k, np.asarray(rows, dtype=np.float64))
+    except InputError as err:
+        raise ParseError(err.reason, line=linenos[err.row]) from None

@@ -309,6 +309,8 @@ GOOD_HEADER = (
     b' "num_classes": 2, "param_count": 17, "version": 1}'
 )
 
+FIVE_FEATURES = b"f0,f1,f2,f3,f4,label\n1,2,3,4,5,0\n5,4,3,2,1,1\n"
+
 # family -> (command, file name, file bytes, extra flags naming the file, stderr text)
 MALFORMED = {
     "config-json": ("train", "cfg.json", b"{not json", ["--config"], "JSON"),
@@ -344,12 +346,33 @@ MALFORMED = {
         ["--train-csv"], "line 3",
     ),
     "utility-csv": ("train", "u.csv", b"1,0,0,0\nx,1,0,0\n", ["--utility"], "line 2"),
+    "utility-diagonal": (
+        "train", "u.csv", b"1,0,0,0\n0,1,0,0\n0,0,1,0\n0,2,0,1\n", ["--utility"], "line 4"
+    ),
+    "csv-feature-count-train": (
+        "train", "b.csv", FIVE_FEATURES, ["--train-csv", "a.csv", "--test-csv"],
+        "has 5 features, a.csv has 3",
+    ),
+    "csv-feature-count-evaluate": (
+        "evaluate", "b.csv", FIVE_FEATURES, ["--checkpoint", "model.ckpt", "--test-csv"],
+        "has 5 features, model.ckpt has 2",
+    ),
+}
+
+# good inputs beside every family's file, for the families that need two files:
+# a 4-class training CSV with 3 features and a checkpoint of a 2-input network
+HELPERS = {
+    "a.csv": b"f0,f1,f2,label\n" + b"".join(b"%d.0,0.5,-1.0,%d\n" % (i, i % 4) for i in range(8)),
+    "model.ckpt": CHECKPOINT_MAGIC + b"\n" + GOOD_HEADER + b"\n"
+    + np.array([1.0] + [0.0] * 17, dtype="<f8").tobytes(),
 }
 
 
 @pytest.mark.parametrize("family", sorted(MALFORMED))
 def test_malformed_inputs_exit_1_without_traceback(tmp_path, family):
     command, name, blob, extra, needle = MALFORMED[family]
+    for helper, content in HELPERS.items():
+        (tmp_path / helper).write_bytes(content)
     if name is not None:
         (tmp_path / name).write_bytes(blob)
         extra = extra + [str(tmp_path / name)]
@@ -359,12 +382,15 @@ def test_malformed_inputs_exit_1_without_traceback(tmp_path, family):
         capture_output=True,
         text=True,
         env=env,
+        cwd=tmp_path,
     )
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr
     assert needle in result.stderr
     if name is not None:
         assert name in result.stderr
+    # rejected before any work: nothing trained, no output directory
+    assert not (tmp_path / "out").exists()
 
 
 # sha256 of the artifacts of `tailens train --epochs 30 --seed 0` and of
@@ -388,6 +414,20 @@ def test_default_run_matches_golden_hashes(tmp_path, monkeypatch):
     assert main(["evaluate", "--checkpoint", checkpoint, "--out", "eval"]) == 0
     for name, digest in GOLDEN.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of sweep_particles.csv from `tailens sweep --axis particles --grid 1,8
+# --epochs 5 --runs 1 --jobs 1`: both ends of the particle stack, M=1 and M=8.
+SWEEP_GOLDEN = "4a176523cfcb0da08d44f8d7994c877f4f8646405398313b345cdd1ffc6959b4"
+
+
+@pytest.mark.filterwarnings("ignore:spread term")
+def test_particle_sweep_matches_golden_hash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["sweep", "--axis", "particles", "--grid", "1,8", "--epochs", "5"]
+    assert main(args + ["--runs", "1", "--jobs", "1", "--out", "sweep"]) == 0
+    digest = hashlib.sha256(Path("sweep/sweep_particles.csv").read_bytes()).hexdigest()
+    assert digest == SWEEP_GOLDEN
 
 
 # (key, accepted, rejected): a boundary value and the first value past it.

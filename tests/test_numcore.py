@@ -1,8 +1,11 @@
-"""Forward, backward, and layout checks for the flat-vector networks."""
+"""Forward, backward, and layout checks for the stacked-particle networks."""
 
 import numpy as np
 import pytest
 
+from conftest import random_ensemble
+from tailens import numcore
+from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import InputError
 from tailens.numcore import (
     NetShape,
@@ -53,30 +56,46 @@ class TestShape:
 class TestUnpack:
     def test_layout_weights_then_biases_row_major(self):
         shape = NetShape(2, (3,), 2)
-        flat = np.arange(param_count(shape), dtype=np.float64)
+        p = param_count(shape)
+        flat = np.arange(2 * p, dtype=np.float64).reshape(2, p)
         (w1, b1), (w2, b2) = unpack(shape, flat)
-        assert w1.shape == (3, 2) and np.array_equal(w1.ravel(), flat[:6])
-        assert np.array_equal(b1, flat[6:9])
-        assert w2.shape == (2, 3) and np.array_equal(w2.ravel(), flat[9:15])
-        assert np.array_equal(b2, flat[15:17])
+        assert w1.shape == (2, 3, 2) and b1.shape == (2, 3)
+        assert w2.shape == (2, 2, 3) and b2.shape == (2, 2)
+        for m in range(2):
+            assert np.array_equal(w1[m].ravel(), flat[m, :6])
+            assert np.array_equal(b1[m], flat[m, 6:9])
+            assert np.array_equal(w2[m].ravel(), flat[m, 9:15])
+            assert np.array_equal(b2[m], flat[m, 15:17])
 
     def test_views_alias_the_flat_vector(self):
         shape = NetShape(2, (3,), 2)
-        flat = np.zeros(param_count(shape))
-        (w1, _), _ = unpack(shape, flat)
-        w1[0, 0] = 7.0
-        assert flat[0] == 7.0
+        flat = np.zeros((2, param_count(shape)))
+        (w1, _), (_, b2) = unpack(shape, flat)
+        w1[1, 0, 0] = 7.0
+        b2[0, 1] = 5.0
+        assert flat[1, 0] == 7.0 and flat[0, 16] == 5.0
+        assert np.count_nonzero(flat) == 2
 
     def test_wrong_length_rejected(self):
         with pytest.raises(InputError):
-            unpack(NetShape(2, (3,), 2), np.zeros(5))
+            unpack(NetShape(2, (3,), 2), np.zeros((1, 5)))
+
+    def test_flat_vector_rejected(self):
+        shape = NetShape(2, (3,), 2)
+        params = np.zeros(param_count(shape))
+        with pytest.raises(InputError, match="particle matrix"):
+            unpack(shape, params)
+        with pytest.raises(InputError):
+            forward_logprobs_batch(shape, params, np.zeros((1, 2)))
+        with pytest.raises(InputError):
+            backward_batch(shape, params, np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 class TestInit:
     def test_within_fan_in_bounds(self):
         shape = NetShape(9, (4,), 3)
         params = seed0_params(shape)
-        (w1, b1), (w2, b2) = unpack(shape, params)
+        (w1, b1), (w2, b2) = unpack(shape, params[None, :])
         assert np.abs(w1).max() <= 1 / 3 and np.abs(b1).max() <= 1 / 3
         assert np.abs(w2).max() <= 1 / 2 and np.abs(b2).max() <= 1 / 2
 
@@ -90,13 +109,14 @@ class TestInit:
 class TestForward:
     def test_zero_params_uniform(self):
         shape = NetShape(3, (4,), 5)
-        lp = forward_logprobs_batch(shape, np.zeros(param_count(shape)), np.ones((1, 3)))
+        lp = forward_logprobs_batch(shape, np.zeros((2, param_count(shape))), np.ones((1, 3)))
+        assert lp.shape == (2, 1, 5)
         assert np.allclose(lp, np.log(1 / 5), atol=1e-15)
 
     def test_two_class_zero_logits(self):
         shape = NetShape(2, (), 2)
         lp = forward_logprobs_batch(
-            shape, np.zeros(param_count(shape)), np.array([[0.3, -0.7]])
+            shape, np.zeros((1, param_count(shape))), np.array([[0.3, -0.7]])
         )
         assert np.allclose(lp, np.log(0.5), atol=1e-15)
 
@@ -107,95 +127,161 @@ class TestForward:
                 tuple(int(d) for d in rng.integers(1, 7, size=rng.integers(0, 3))),
                 int(rng.integers(2, 6)),
             )
-            params = rng.normal(scale=3.0, size=param_count(shape))
+            particles = rng.normal(scale=3.0, size=(int(rng.integers(1, 4)), param_count(shape)))
             x = rng.normal(size=(4, shape.input_dim))
-            lp = forward_logprobs_batch(shape, params, x)
-            assert np.all(np.abs(np.exp(lp).sum(axis=1) - 1.0) < 1e-12)
+            lp = forward_logprobs_batch(shape, particles, x)
+            assert lp.shape == (particles.shape[0], 4, shape.num_classes)
+            assert np.all(np.abs(np.exp(lp).sum(axis=2) - 1.0) < 1e-12)
 
     def test_deterministic_bitwise(self, rng):
         shape = NetShape(4, (6,), 3)
-        params = rng.normal(size=param_count(shape))
+        particles = rng.normal(size=(3, param_count(shape)))
         x = rng.normal(size=(8, 4))
-        lp = forward_logprobs_batch(shape, params, x)
-        assert np.array_equal(lp, forward_logprobs_batch(shape, params, x))
+        lp = forward_logprobs_batch(shape, particles, x)
+        assert np.array_equal(lp, forward_logprobs_batch(shape, particles, x))
         # the backward pass hands back the log-probs of its own forward
-        logprobs, _ = backward_batch(shape, params, x, rng.normal(size=(8, 3)))
+        logprobs, _ = backward_batch(shape, particles, x, rng.normal(size=(8, 3)))
         assert np.array_equal(logprobs, lp)
 
     def test_matches_extended_precision_oracle(self):
         lp = forward_logprobs_batch(
-            ORACLE_SHAPE, seed0_params(ORACLE_SHAPE), ORACLE_X[None, :]
+            ORACLE_SHAPE, seed0_params(ORACLE_SHAPE)[None, :], ORACLE_X[None, :]
         )
-        assert np.allclose(lp[0], ORACLE_LOGPROBS, rtol=0, atol=1e-12)
+        assert np.allclose(lp[0, 0], ORACLE_LOGPROBS, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         shape = NetShape(3, (4,), 2)
-        params = np.zeros(param_count(shape))
+        particles = np.zeros((1, param_count(shape)))
         with pytest.raises(InputError):
-            forward_logprobs_batch(shape, params, np.zeros(3))
+            forward_logprobs_batch(shape, particles, np.zeros(3))
         with pytest.raises(InputError):
-            forward_logprobs_batch(shape, params, np.zeros((2, 4)))
+            forward_logprobs_batch(shape, particles, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("n", [2100, 3100])
+    @pytest.mark.parametrize("k", [10, 2])
+    def test_row_blocks_match_one_unblocked_forward(self, rng, monkeypatch, n, k):
+        # several blocks, the remainder short of a full block
+        assert n > 2 * numcore.BLOCK_ROWS and n % numcore.BLOCK_ROWS < 100
+        ens = random_ensemble(NetShape(16, (32,), k), 3, seed=4)
+        x = rng.normal(size=(n, 16))
+        blocked, mixture = predictive_logprobs_batch(ens, x)
+        monkeypatch.setattr(numcore, "BLOCK_ROWS", n)
+        whole = forward_logprobs_batch(ens.shape, ens.particles, x)
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(mixture, predictive_logprobs_batch(ens, x)[1])
+        # the backward pass never blocks: its forward is unblocked too
+        logprobs, _ = backward_batch(ens.shape, ens.particles, x, np.zeros((n, k)))
+        assert np.array_equal(blocked, logprobs)
 
 
-def fd_gradient(shape, params, x, cotangent, step=1e-5):
-    """Central finite differences of cotangent . forward_logprobs_batch."""
-    grad = np.zeros_like(params)
-    for i in range(params.shape[0]):
-        up = params.copy()
-        up[i] += step
-        down = params.copy()
-        down[i] -= step
+def fd_gradient(shape, particles, x, cotangent, step=1e-5):
+    """Central finite differences of sum_m cotangent . forward_logprobs_batch[m];
+    particle m's parameters reach only its own log-probs."""
+    grad = np.zeros_like(particles)
+    for idx in np.ndindex(particles.shape):
+        up = particles.copy()
+        up[idx] += step
+        down = particles.copy()
+        down[idx] -= step
         f_up = float(np.sum(cotangent * forward_logprobs_batch(shape, up, x)))
         f_dn = float(np.sum(cotangent * forward_logprobs_batch(shape, down, x)))
-        grad[i] = (f_up - f_dn) / (2 * step)
+        grad[idx] = (f_up - f_dn) / (2 * step)
     return grad
 
 
 class TestBackward:
     def test_zero_cotangent(self, rng):
         shape = NetShape(2, (8,), 3)
-        params = rng.normal(size=param_count(shape))
-        _, grad = backward_batch(shape, params, rng.normal(size=(1, 2)), np.zeros((1, 3)))
+        particles = rng.normal(size=(2, param_count(shape)))
+        _, grad = backward_batch(shape, particles, rng.normal(size=(1, 2)), np.zeros((1, 3)))
+        assert grad.shape == particles.shape
         assert np.array_equal(grad, np.zeros_like(grad))
 
     def test_linearity_in_cotangent(self, rng):
         shape = NetShape(3, (5,), 4)
-        params = rng.normal(size=param_count(shape))
+        particles = rng.normal(size=(2, param_count(shape)))
         x = rng.normal(size=(1, 3))
         c = rng.normal(size=(1, 4))
-        _, g1 = backward_batch(shape, params, x, c)
-        _, g3 = backward_batch(shape, params, x, 3.0 * c)
+        _, g1 = backward_batch(shape, particles, x, c)
+        _, g3 = backward_batch(shape, particles, x, 3.0 * c)
         assert np.allclose(g3, 3.0 * g1, rtol=1e-13, atol=0)
 
     def test_matches_finite_differences(self, rng):
         shape = NetShape(2, (8,), 3)
         for _ in range(5):
-            params = rng.normal(size=param_count(shape))
+            particles = rng.normal(size=(2, param_count(shape)))
             x = rng.normal(size=(3, 2))
             cot = rng.normal(size=(3, 3))
-            _, grad = backward_batch(shape, params, x, cot)
-            fd = fd_gradient(shape, params, x, cot)
+            _, grad = backward_batch(shape, particles, x, cot)
+            fd = fd_gradient(shape, particles, x, cot)
             denom = np.maximum(np.abs(fd), 1e-8)
             assert np.max(np.abs(grad - fd) / denom) < 1e-4
 
     def test_batch_is_sum_of_singles(self, rng):
         shape = NetShape(2, (4,), 3)
-        params = rng.normal(size=param_count(shape))
+        particles = rng.normal(size=(3, param_count(shape)))
         x = rng.normal(size=(4, 2))
         cot = rng.normal(size=(4, 3))
-        _, whole = backward_batch(shape, params, x, cot)
+        _, whole = backward_batch(shape, particles, x, cot)
         parts = sum(
-            backward_batch(shape, params, x[i : i + 1], cot[i : i + 1])[1] for i in range(4)
+            backward_batch(shape, particles, x[i : i + 1], cot[i : i + 1])[1] for i in range(4)
         )
         assert np.allclose(whole, parts, rtol=1e-12, atol=1e-14)
 
     def test_shape_validation(self, rng):
         shape = NetShape(2, (4,), 3)
-        params = np.zeros(param_count(shape))
+        particles = np.zeros((1, param_count(shape)))
         with pytest.raises(InputError):
-            backward_batch(shape, params, np.zeros(2), np.zeros((1, 3)))
+            backward_batch(shape, particles, np.zeros(2), np.zeros((1, 3)))
         with pytest.raises(InputError):
-            backward_batch(shape, params, np.zeros((1, 2)), np.zeros((1, 4)))
+            backward_batch(shape, particles, np.zeros((1, 2)), np.zeros((1, 4)))
         with pytest.raises(InputError):
-            backward_batch(shape, params, np.zeros((2, 2)), np.zeros((3, 3)))
+            backward_batch(shape, particles, np.zeros((2, 2)), np.zeros((3, 3)))
 
+
+def reference_logprobs(shape, theta, x):
+    """One particle's forward in plain 2-D matmuls: the per-particle loop body
+    that the stacked kernel replaced."""
+    layers = unpack(shape, theta[None, :])
+    h = x
+    for w, b in layers[:-1]:
+        h = np.tanh(h @ w[0].T + b[0])
+    w, b = layers[-1]
+    z = h @ w[0].T + b[0]
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+class TestStackedParticles:
+    """Each slice of a stacked call is bitwise the call on that particle alone."""
+
+    SHAPE = NetShape(5, (7, 6), 4)
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_forward_matches_the_per_particle_reference(self, rng, m):
+        particles = rng.normal(size=(m, param_count(self.SHAPE)))
+        x = rng.normal(size=(33, 5))
+        stacked = forward_logprobs_batch(self.SHAPE, particles, x)
+        for j in range(m):
+            assert np.array_equal(stacked[j], reference_logprobs(self.SHAPE, particles[j], x))
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_forward_slices_match_single_particle_calls(self, rng, m):
+        particles = rng.normal(size=(m, param_count(self.SHAPE)))
+        x = rng.normal(size=(33, 5))
+        stacked = forward_logprobs_batch(self.SHAPE, particles, x)
+        for j in range(m):
+            alone = forward_logprobs_batch(self.SHAPE, particles[j : j + 1], x)
+            assert np.array_equal(stacked[j : j + 1], alone)
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_backward_slices_match_single_particle_calls(self, rng, m):
+        particles = rng.normal(size=(m, param_count(self.SHAPE)))
+        x = rng.normal(size=(33, 5))
+        cot = rng.normal(size=(33, 4))
+        logprobs, grad = backward_batch(self.SHAPE, particles, x, cot)
+        assert logprobs.shape == (m, 33, 4) and grad.shape == particles.shape
+        for j in range(m):
+            lp_alone, grad_alone = backward_batch(self.SHAPE, particles[j : j + 1], x, cot)
+            assert np.array_equal(logprobs[j : j + 1], lp_alone)
+            assert np.array_equal(grad[j : j + 1], grad_alone)

@@ -252,6 +252,18 @@ class TestValidation:
                 utility_scale=0.0, weight_decay=0.0, anneal=0.0,
             )
 
+    def test_non_finite_log_probs_name_the_batch_position(self, rng):
+        ens = random_ensemble(NetShape(2, (3,), 2), 2, seed=9)
+        x = rng.normal(size=(3, 2))
+        x[1, 0] = np.nan
+        with pytest.raises(NumericError, match="at sample index 1$") as info:
+            batch_loss(
+                ens, x, np.array([0, 1, 0]),
+                plain_weights(2), one_hot(2),
+                utility_scale=1.0, weight_decay=0.0, anneal=0.0,
+            )
+        assert info.value.sample == 1
+
     def test_non_finite_parameters_raise(self, rng):
         shape = NetShape(2, (3,), 2)
         ens = ParticleEnsemble(shape, rng.normal(size=(1, param_count(shape))))

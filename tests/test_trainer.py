@@ -7,7 +7,7 @@ import pytest
 
 from tailens.dataset import LongTailDataset, generate_synthetic
 from tailens.ensemble import ParticleEnsemble, load_checkpoint
-from tailens.errors import InputError
+from tailens.errors import InputError, NumericError
 from tailens.numcore import NetShape, backward_batch, init_params
 from tailens.rebalance import DiscrepancySpec
 from tailens.trainer import (
@@ -146,7 +146,7 @@ class TestReductionToCrossEntropySgd:
         shape = NetShape(4, (8,), 3)
         theta = init_params(
             shape, np.random.default_rng(np.random.SeedSequence((4242, 11)))
-        )
+        )[None, :]  # the (1, P) particle matrix
         velocity = np.zeros_like(theta)
         x, y = train_data.features, train_data.labels
         n = len(train_data)
@@ -161,7 +161,7 @@ class TestReductionToCrossEntropySgd:
                 velocity = 0.9 * velocity + grad
                 theta = theta - 0.05 * velocity
 
-        assert np.array_equal(ens.particles[0], theta)
+        assert np.array_equal(ens.particles, theta)
 
 
 @pytest.mark.filterwarnings("ignore:spread term")
@@ -298,6 +298,18 @@ class TestTrainValidation:
         data = LongTailDataset(features, labels, np.array([2, 1, 0]))
         with pytest.raises(InputError):
             train(quick_config(), data, one_hot(3))
+
+    def test_numeric_error_names_the_dataset_row(self):
+        train_data, _ = small_task()
+        features = train_data.features.copy()
+        features[5] = np.nan
+        data = LongTailDataset(features, train_data.labels, train_data.class_counts)
+        with pytest.raises(NumericError) as info:
+            train(quick_config(batch_size=16), data, one_hot(3))
+        # the shuffled batch holds row 5 at another position
+        assert info.value.__cause__.sample != 5
+        assert str(info.value).endswith("non-finite log-probabilities at dataset row 5")
+        assert str(info.value).startswith("epoch 0, batch ")
 
 
 class TestEvaluate:

@@ -112,7 +112,14 @@ class TestLoadMatrix:
             load_matrix(path)
 
     def test_dominated_diagonal_names_row(self, tmp_path):
+        # the matrix's InputError on row 0 becomes a ParseError on its line
         path = tmp_path / "util.csv"
         path.write_text("1.0,2.0\n0.0,1.0\n")
-        with pytest.raises(InputError, match="row 0"):
+        with pytest.raises(ParseError, match="util.csv: line 1: diagonal"):
+            load_matrix(path)
+        path.write_text("1.0,0.0\n\n2.0,1.0\n")  # blank lines are skipped, not counted
+        with pytest.raises(ParseError, match="util.csv: line 3: diagonal"):
+            load_matrix(path)
+        path.write_text("1.0,0.0\n0.0,nan\n")
+        with pytest.raises(ParseError, match="util.csv: line 2: utility values must be finite"):
             load_matrix(path)
