@@ -14,10 +14,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from .dataset import TailSplit, generate_synthetic, load_csv, save_csv
 from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
-from .errors import InputError, NumericError, ParseError, ValidationError
+from .errors import InputError, NumericError, ParseError
 from .metrics import report_to_json, write_summary_csv
 from .rebalance import DiscrepancySpec, class_weights, growth_rate
 from .trainer import TrainConfig, evaluate, repeat_runs, train, write_train_log
@@ -72,7 +74,7 @@ SWEEP_GRIDS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ValidationError(message)
+        raise InputError(message)
 
 
 def _build_parser():
@@ -110,7 +112,7 @@ def _coerce(key: str, value):
         pass  # the value keeps its wrong type and is rejected below
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
         finite = "a finite " if kind is float else ""
-        raise ValidationError(f"{key}: expected {finite}{kind.__name__}, got {value!r}")
+        raise InputError(f"{key}: expected {finite}{kind.__name__}, got {value!r}")
     return value
 
 
@@ -120,7 +122,7 @@ def _numbers(config: dict, key: str, kind=int) -> tuple:
     try:
         return tuple(kind(v) for v in text.split(",")) if text else ()
     except ValueError:
-        raise ValidationError(
+        raise InputError(
             f"{key}: expected comma-separated {kind.__name__}s, got {text!r}"
         ) from None
 
@@ -128,7 +130,7 @@ def _numbers(config: dict, key: str, kind=int) -> tuple:
 def _check(config: dict) -> None:
     """Reject out-of-range values; the dataclasses own the training keys."""
     _train_config(config)
-    ratios = _tail_ratios(config)
+    ratios = _numbers(config, "tail_ratios", float)
     rules = {
         "classes": (config["classes"] >= 2, ">= 2"),
         "dim": (config["dim"] >= 1, ">= 1"),
@@ -146,7 +148,7 @@ def _check(config: dict) -> None:
     }
     for key, (ok, rule) in rules.items():
         if not ok:
-            raise ValidationError(f"{key}: must be {rule}, got {config[key]!r}")
+            raise InputError(f"{key}: must be {rule}, got {config[key]!r}")
 
 
 def _effective_config(args) -> dict:
@@ -156,12 +158,12 @@ def _effective_config(args) -> dict:
             with open(args.config) as fh:
                 loaded = json.load(fh)
         except json.JSONDecodeError as err:
-            raise ValidationError(f"{args.config}: not valid JSON: {err}") from None
+            raise InputError(f"{args.config}: not valid JSON: {err}") from None
         if not isinstance(loaded, dict):
-            raise ValidationError(f"{args.config}: config file must hold a JSON object")
+            raise InputError(f"{args.config}: config file must hold a JSON object")
         for key, value in loaded.items():
             if key not in SCHEMA:
-                raise ValidationError(f"{args.config}: unknown config key {key!r}")
+                raise InputError(f"{args.config}: unknown config key {key!r}")
             config[key] = value
     for key in SCHEMA:
         raw = getattr(args, key, None)
@@ -178,7 +180,7 @@ def _echo_config(config: dict, out_dir: str) -> None:
         fh.write("\n")
 
 
-def _train_config(config: dict, seed=None) -> TrainConfig:
+def _train_config(config: dict) -> TrainConfig:
     return TrainConfig(
         epochs=config["epochs"],
         batch_size=config["batch_size"],
@@ -189,7 +191,7 @@ def _train_config(config: dict, seed=None) -> TrainConfig:
         utility_scale=config["utility_scale"],
         n_particles=config["particles"],
         var_floor=config["var_floor"],
-        seed=config["seed"] if seed is None else seed,
+        seed=config["seed"],
         ratio=DiscrepancySpec(
             form=config["ratio"], gamma=config["gamma"], beta=config["beta"]
         ),
@@ -243,14 +245,10 @@ def _load_data(config: dict, seed: int):
     )
 
 
-def _tail_ratios(config: dict) -> tuple:
-    return _numbers(config, "tail_ratios", float)
-
-
 def cmd_generate_data(config: dict) -> int:
     train_data, test_data = _load_data(config, config["seed"])
     if test_data is None:
-        raise ValidationError("generate-data needs synthetic settings, not CSVs")
+        raise InputError("generate-data needs synthetic settings, not CSVs")
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     save_csv(train_data, os.path.join(out, "train.csv"))
@@ -262,25 +260,38 @@ def cmd_generate_data(config: dict) -> int:
     return 0
 
 
+def _check_regions(num_classes: int, source: str) -> None:
+    """Evaluation splits the classes into head, medium and tail thirds."""
+    if num_classes < 3:
+        raise InputError(f"{source}: evaluation needs K >= 3 classes, got {num_classes}")
+
+
+def _write_metrics(ens, test_data, utility, config: dict):
+    """Evaluate into <out>/metrics.json and print its summary line; the decisions."""
+    ratios = _numbers(config, "tail_ratios", float)
+    report, batch = evaluate(ens, test_data, utility, ratios, config["ece_bins"])
+    with open(os.path.join(config["out"], "metrics.json"), "w") as fh:
+        fh.write(report_to_json(report))
+    tail = "n/a" if report.acc_tail is None else f"{report.acc_tail:.4f}"
+    print(
+        f"acc {report.acc_overall:.4f}  tail acc {tail}"
+        f"  fhr_avg {report.fhr_avg:.4f}  ece {report.ece:.4f}"
+    )
+    return batch
+
+
 def cmd_train(config: dict) -> int:
     train_data, test_data = _load_data(config, config["seed"])
+    if test_data is not None:
+        _check_regions(train_data.num_classes, config["train_csv"] or "classes")
     utility = _build_utility(config, train_data.num_classes)
-    train_config = _train_config(config)
     out = config["out"]
     os.makedirs(out, exist_ok=True)
-    ens, records = train(train_config, train_data, utility, out_dir=out)
+    ens, records = train(_train_config(config), train_data, utility, out_dir=out)
     save_checkpoint(ens, os.path.join(out, "ensemble.ckpt"))
     write_train_log(records, os.path.join(out, "trainlog.jsonl"))
     if test_data is not None:
-        report, _ = evaluate(
-            ens, test_data, utility, _tail_ratios(config), config["ece_bins"]
-        )
-        with open(os.path.join(out, "metrics.json"), "w") as fh:
-            fh.write(report_to_json(report))
-        print(
-            f"acc {report.acc_overall:.4f}  tail acc {report.acc_tail:.4f}"
-            f"  fhr_avg {report.fhr_avg:.4f}  ece {report.ece:.4f}"
-        )
+        _write_metrics(ens, test_data, utility, config)
     _echo_config(config, out)
     print(f"final loss {records[-1].loss.total:.6f}; artifacts in {out}")
     return 0
@@ -289,10 +300,11 @@ def cmd_train(config: dict) -> int:
 def cmd_evaluate(config: dict, checkpoint: str) -> int:
     ens = load_checkpoint(checkpoint)
     k = ens.shape.num_classes
+    _check_regions(k, checkpoint)
     if config["test_csv"] is not None:
         test_data = load_csv(config["test_csv"], split_tag="test", num_classes=k)
     elif config["train_csv"] is not None:
-        raise ValidationError("evaluate reads --test-csv, not --train-csv")
+        raise InputError("evaluate reads --test-csv, not --train-csv")
     else:
         test_data = _load_data(config, config["seed"])[1]
     if test_data.num_classes != k:
@@ -305,40 +317,24 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
     utility = _build_utility(config, k)
     out = config["out"]
     os.makedirs(out, exist_ok=True)
-    report, batch = evaluate(
-        ens, test_data, utility, _tail_ratios(config), config["ece_bins"]
-    )
-    with open(os.path.join(out, "metrics.json"), "w") as fh:
-        fh.write(report_to_json(report))
+    batch = _write_metrics(ens, test_data, utility, config)
     write_predictions_csv(batch, os.path.join(out, "predictions.csv"))
     _echo_config(config, out)
-    print(
-        f"acc {report.acc_overall:.4f}  tail acc {report.acc_tail:.4f}"
-        f"  fhr_avg {report.fhr_avg:.4f}  ece {report.ece:.4f}"
-    )
     return 0
 
 
 def _run_cell(payload):
-    cell, axis, value = payload
-
-    def data_fn(seed):
-        return _load_data(cell, seed)
-
-    def utility_fn(num_classes):
-        return _build_utility(cell, num_classes)
-
-    summary = repeat_runs(
+    cell, axis, value, counts = payload
+    reports = repeat_runs(
         _train_config(cell),
         cell["runs"],
-        data_fn,
-        utility_fn,
-        _tail_ratios(cell),
+        lambda seed: _load_data(cell, seed),
+        lambda num_classes: _build_utility(cell, num_classes),
+        _numbers(cell, "tail_ratios", float),
         cell["ece_bins"],
     )
     row = {axis: value}
     if axis == "ratio":
-        counts = data_fn(cell["seed"])[0].class_counts
         weights = class_weights(
             DiscrepancySpec(form=value, gamma=cell["gamma"], beta=cell["beta"]), counts
         )
@@ -347,18 +343,23 @@ def _run_cell(payload):
         row["growth_pct"] = round(growth_rate(weights), 2)
     if axis == "utility":
         row["utility_kind"] = cell["utility"]
-    mean, std = summary.mean, summary.std
-    for ratio in sorted(summary.reports[0].fhr):
-        row[f"fhr@{ratio}_mean"] = round(mean[f"fhr@{ratio}"], 6)
-    row["fhr_avg_mean"] = round(mean["fhr_avg"], 6)
-    row["acc_mean"] = round(mean["acc_overall"], 6)
-    row["acc_std"] = round(std["acc_overall"], 6)
-    row["acc_tail_mean"] = round(mean["acc_tail"], 6)
-    row["acc_tail_std"] = round(std["acc_tail"], 6)
-    row["auc_mean"] = round(mean["auc"], 6) if "auc" in mean else None
-    row["ece_mean"] = round(mean["ece"], 6)
-    row["ece_std"] = round(std["ece"], 6)
-    row["disagreement_mean"] = round(mean["disagreement"], 6)
+
+    def stat(name, reduce=np.mean):
+        """Mean (or std) of a report field over the runs that have it, to 6 places."""
+        values = [getattr(rep, name) for rep in reports if getattr(rep, name) is not None]
+        return round(float(reduce(values)), 6) if values else None
+
+    for ratio in sorted(reports[0].fhr):
+        row[f"fhr@{ratio}_mean"] = round(float(np.mean([rep.fhr[ratio] for rep in reports])), 6)
+    row["fhr_avg_mean"] = stat("fhr_avg")
+    row["acc_mean"] = stat("acc_overall")
+    row["acc_std"] = stat("acc_overall", np.std)
+    row["acc_tail_mean"] = stat("acc_tail")
+    row["acc_tail_std"] = stat("acc_tail", np.std)
+    row["auc_mean"] = stat("auc")
+    row["ece_mean"] = stat("ece")
+    row["ece_std"] = stat("ece", np.std)
+    row["disagreement_mean"] = stat("disagreement")
     return row
 
 
@@ -368,17 +369,24 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
     else:
         values = [v.strip() for v in grid.split(",") if v.strip()]
     if not values:
-        raise ValidationError(f"sweep axis {axis!r} has an empty grid")
+        raise InputError(f"sweep axis {axis!r} has an empty grid")
+    # every cell evaluates on this data: check it once, before any cell trains
+    train_data, test_data = _load_data(config, config["seed"])
+    if test_data is None:
+        raise InputError("sweep evaluates every run: --train-csv needs --test-csv")
+    _check_regions(train_data.num_classes, config["train_csv"] or "classes")
+    counts = train_data.class_counts
+    del train_data, test_data  # the cells load their own; hold none while they run
     payloads = []
     for value in values:
         # particles takes any count the config accepts, other axes their listed values
         if axis != "particles" and value not in SWEEP_GRIDS[axis]:
-            raise ValidationError(
+            raise InputError(
                 f"{axis} grid accepts {SWEEP_GRIDS[axis]}, got {value!r}"
             )
         cell = {**config, axis: _coerce(axis, value)}
         _check(cell)
-        payloads.append((cell, axis, value))
+        payloads.append((cell, axis, value, counts))
     out = config["out"]
     os.makedirs(out, exist_ok=True)
 
@@ -408,7 +416,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(config, args.checkpoint)
         return cmd_sweep(config, args.axis, args.grid)
-    except (ValidationError, InputError, ParseError) as err:
+    except (InputError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except NumericError as err:

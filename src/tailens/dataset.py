@@ -99,7 +99,7 @@ def region_partition(num_classes: int) -> RegionPartition:
 
 
 def train_class_counts(num_classes: int, n_max: int, imbalance: float) -> np.ndarray:
-    """count_k = round(n_max * imbalance^(-k/(K-1))), non-increasing in k."""
+    """count_k = round(n_max * imbalance^(-k/(K-1))), non-increasing in k and >= 1."""
     if num_classes < 2:
         raise InputError("need at least 2 classes")
     if n_max < num_classes:
@@ -107,8 +107,13 @@ def train_class_counts(num_classes: int, n_max: int, imbalance: float) -> np.nda
     if imbalance < 1.0:
         raise InputError(f"imbalance factor must be >= 1, got {imbalance}")
     ks = np.arange(num_classes)
-    counts = np.round(n_max * imbalance ** (-ks / (num_classes - 1)))
-    return counts.astype(np.int64)
+    counts = np.round(n_max * imbalance ** (-ks / (num_classes - 1))).astype(np.int64)
+    if counts[-1] < 1:
+        empty = np.flatnonzero(counts < 1).tolist()
+        raise InputError(
+            f"n_max={n_max} and imbalance={imbalance} leave classes {empty} without samples"
+        )
+    return counts
 
 
 def _class_means(num_classes, dim, separation, rng):

@@ -21,14 +21,6 @@ from .utility import UtilityMatrix
 
 
 @dataclass(frozen=True)
-class DecisionOutput:
-    decision: int
-    argmax_pred: int
-    expected_gains: np.ndarray  # (K,)
-    mixture: np.ndarray  # (K,)
-
-
-@dataclass(frozen=True)
 class BatchDecisions:
     decisions: np.ndarray  # (N,)
     argmax_preds: np.ndarray  # (N,)
@@ -62,19 +54,6 @@ def decide_batch(
     )
 
 
-def decide(ens: ParticleEnsemble, utility: UtilityMatrix, x: np.ndarray) -> DecisionOutput:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError(f"expected a single input vector, got shape {x.shape}")
-    batch = decide_batch(ens, utility, x[None, :])
-    return DecisionOutput(
-        decision=int(batch.decisions[0]),
-        argmax_pred=int(batch.argmax_preds[0]),
-        expected_gains=batch.expected_gains[0],
-        mixture=batch.mixture[0],
-    )
-
-
 def write_predictions_csv(batch: BatchDecisions, path) -> None:
     """Per-sample decisions: index,decision,argmax_pred,entropy,maxprob."""
     entropy = predictive_entropy(batch.mixture)
@@ -82,13 +61,12 @@ def write_predictions_csv(batch: BatchDecisions, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "decision", "argmax_pred", "entropy", "maxprob"])
-        for i in range(len(batch)):
-            writer.writerow(
-                [
-                    i,
-                    int(batch.decisions[i]),
-                    int(batch.argmax_preds[i]),
-                    repr(float(entropy[i])),
-                    repr(float(maxprob[i])),
-                ]
+        writer.writerows(
+            zip(
+                range(len(batch)),
+                batch.decisions.tolist(),
+                batch.argmax_preds.tolist(),
+                map(repr, entropy.tolist()),
+                map(repr, maxprob.tolist()),
             )
+        )

@@ -1,6 +1,6 @@
 """Error taxonomy shared across the package.
 
-Four kinds of failure, so callers (and the CLI exit-code mapping) can tell
+Three kinds of failure, so callers (and the CLI exit-code mapping) can tell
 bad arguments apart from bad files apart from numerical blowups.
 """
 
@@ -20,9 +20,7 @@ class ParseError(ValueError):
     """A file could not be parsed. Carries a 1-based line number when known."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -38,10 +36,6 @@ def names_file(load):
             raise
 
     return wrapped
-
-
-class ValidationError(ValueError):
-    """Configuration rejected before any work started (unknown key, bad value)."""
 
 
 class NumericError(ArithmeticError):

@@ -8,7 +8,7 @@ against misclassification, and binned expected calibration error.
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -135,54 +135,14 @@ class MetricsReport:
     param_distance: float | None = None
     disagreement: float | None = None
 
-    SCALAR_FIELDS = (
-        "acc_overall",
-        "acc_head",
-        "acc_med",
-        "acc_tail",
-        "fhr_avg",
-        "auc",
-        "ece",
-        "param_distance",
-        "disagreement",
-    )
-
 
 def report_to_dict(report: MetricsReport) -> dict:
-    return {
-        "acc_overall": report.acc_overall,
-        "acc_head": report.acc_head,
-        "acc_med": report.acc_med,
-        "acc_tail": report.acc_tail,
-        "fhr": {str(r): v for r, v in sorted(report.fhr.items())},
-        "fhr_avg": report.fhr_avg,
-        "auc": report.auc,
-        "ece": report.ece,
-        "n_test": report.n_test,
-        "param_distance": report.param_distance,
-        "disagreement": report.disagreement,
-    }
+    """The report's fields, with the tail ratios of `fhr` as string keys."""
+    return {**asdict(report), "fhr": {str(r): v for r, v in report.fhr.items()}}
 
 
 def report_to_json(report: MetricsReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> MetricsReport:
-    raw = json.loads(text)
-    return MetricsReport(
-        acc_overall=raw["acc_overall"],
-        acc_head=raw["acc_head"],
-        acc_med=raw["acc_med"],
-        acc_tail=raw["acc_tail"],
-        fhr={float(r): v for r, v in raw["fhr"].items()},
-        fhr_avg=raw["fhr_avg"],
-        auc=raw["auc"],
-        ece=raw["ece"],
-        n_test=raw["n_test"],
-        param_distance=raw.get("param_distance"),
-        disagreement=raw.get("disagreement"),
-    )
 
 
 def write_summary_csv(rows: list[dict], path) -> None:

@@ -278,13 +278,6 @@ def evaluate(
     return report, batch
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    reports: list[MetricsReport]
-    mean: dict[str, float]
-    std: dict[str, float]
-
-
 def repeat_runs(
     config: TrainConfig,
     n_runs: int,
@@ -292,8 +285,8 @@ def repeat_runs(
     utility_fn,
     tail_ratios: tuple[float, ...] = DEFAULT_TAIL_RATIOS,
     ece_bins: int = 15,
-) -> RunSummary:
-    """Train and evaluate with seeds seed..seed+n_runs-1; aggregate mean and std.
+) -> list[MetricsReport]:
+    """Train and evaluate with seeds seed..seed+n_runs-1; one report per run.
 
     data_fn(seed) supplies the (train, test) pair for a run; utility_fn(K)
     builds the utility matrix once the class count is known.
@@ -301,23 +294,10 @@ def repeat_runs(
     if n_runs < 1:
         raise InputError(f"need at least one run, got {n_runs}")
     reports = []
-    for r in range(n_runs):
-        seed = config.seed + r
+    for seed in range(config.seed, config.seed + n_runs):
         run_config = replace(config, seed=seed, particle_seeds=None)
         train_data, test_data = data_fn(seed)
         utility = utility_fn(train_data.num_classes)
         ens, _ = train(run_config, train_data, utility)
         reports.append(evaluate(ens, test_data, utility, tail_ratios, ece_bins)[0])
-
-    mean, std = {}, {}
-    for name in MetricsReport.SCALAR_FIELDS:
-        values = [getattr(rep, name) for rep in reports]
-        values = [v for v in values if v is not None]
-        if values:
-            mean[name] = float(np.mean(values))
-            std[name] = float(np.std(values))
-    for ratio in sorted(reports[0].fhr):
-        values = [rep.fhr[ratio] for rep in reports]
-        mean[f"fhr@{ratio}"] = float(np.mean(values))
-        std[f"fhr@{ratio}"] = float(np.std(values))
-    return RunSummary(reports=reports, mean=mean, std=std)
+    return reports

@@ -165,6 +165,20 @@ class TestEvaluate:
         checkpoint = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
         assert main(checkpoint + flags(tmp_path / "eval", test_csv=str(short))) == 0
 
+    @pytest.mark.filterwarnings("ignore:no tail-labeled samples")
+    def test_no_tail_labels_print_no_tail_accuracy(self, tmp_path, capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["generate-data"] + flags(data)) == 0
+        assert main(["train"] + flags(run)) == 0
+        lines = (data / "test.csv").read_text().splitlines()
+        head = tmp_path / "head_only.csv"
+        head.write_text("\n".join(line for line in lines if line[-2:] not in (",2", ",3")) + "\n")
+        capsys.readouterr()
+        checkpoint = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
+        assert main(checkpoint + flags(tmp_path / "eval", test_csv=str(head))) == 0
+        assert "tail acc n/a" in capsys.readouterr().out
+        assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["acc_tail"] is None
+
     def test_train_csv_alone_is_rejected(self, tmp_path, capsys):
         data, run = tmp_path / "data", tmp_path / "run"
         assert main(["generate-data"] + flags(data)) == 0
@@ -271,6 +285,21 @@ class TestSweep:
         growth = float(rows[1][header.index("growth_pct")])
         assert growth > 0.0  # linear form grows toward the tail
 
+    @pytest.mark.filterwarnings("ignore:no tail-labeled samples")
+    def test_no_tail_labels_leave_tail_columns_empty(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["generate-data"] + flags(data)) == 0
+        lines = (data / "test.csv").read_text().splitlines()
+        head = tmp_path / "head_only.csv"
+        head.write_text("\n".join(line for line in lines if line[-2:] not in (",2", ",3")) + "\n")
+        csvs = {"train_csv": str(data / "train.csv"), "test_csv": str(head)}
+        args = ["sweep", "--axis", "ratio", "--grid", "plain"]
+        assert main(args + flags(tmp_path / "s", epochs="1", runs="2", **csvs)) == 0
+        with open(tmp_path / "s" / "sweep_ratio.csv", newline="") as fh:
+            row = list(csv.DictReader(fh))[0]
+        assert row["acc_tail_mean"] == row["acc_tail_std"] == ""
+        assert float(row["acc_mean"]) >= 0.0
+
     def test_parallel_matches_serial(self, tmp_path):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         base = ["sweep", "--axis", "particles", "--grid", "1,2"]
@@ -309,7 +338,14 @@ GOOD_HEADER = (
     b' "num_classes": 2, "param_count": 17, "version": 1}'
 )
 
+THREE_CLASS_HEADER = (
+    b'{"hidden": [3], "input_dim": 2, "n_particles": 1,'
+    b' "num_classes": 3, "param_count": 21, "version": 1}'
+)
+
 FIVE_FEATURES = b"f0,f1,f2,f3,f4,label\n1,2,3,4,5,0\n5,4,3,2,1,1\n"
+
+TWO_CLASSES = b"f0,f1,f2,label\n" + b"".join(b"%d.0,0.5,-1.0,%d\n" % (i, i % 2) for i in range(8))
 
 # family -> (command, file name, file bytes, extra flags naming the file, stderr text)
 MALFORMED = {
@@ -357,14 +393,37 @@ MALFORMED = {
         "evaluate", "b.csv", FIVE_FEATURES, ["--checkpoint", "model.ckpt", "--test-csv"],
         "has 5 features, model.ckpt has 2",
     ),
+    # head/medium/tail regions need K >= 3; generate-data alone takes 2 classes
+    "two-classes-train": (
+        "train", "two.csv", TWO_CLASSES, ["--test-csv", "two.csv", "--train-csv"],
+        "evaluation needs K >= 3 classes, got 2",
+    ),
+    "two-classes-synthetic": (
+        "train", None, None, ["--classes", "2"], "classes: evaluation needs K >= 3"
+    ),
+    "two-classes-evaluate": (
+        "evaluate", "two.ckpt", CHECKPOINT_MAGIC + b"\n" + GOOD_HEADER + b"\n"
+        + np.array([1.0] + [0.0] * 17, dtype="<f8").tobytes(),
+        ["--checkpoint"], "evaluation needs K >= 3 classes, got 2",
+    ),
+    "two-classes-sweep": (
+        "sweep", None, None, ["--classes", "2", "--axis", "ratio"], "K >= 3"
+    ),
+    "sweep-without-test-csv": (
+        "sweep", None, None, ["--train-csv", "a.csv", "--axis", "ratio"], "--test-csv"
+    ),
+    "synthetic-empty-class": (
+        "generate-data", None, None, ["--n-max", "100", "--imbalance", "300"],
+        "n_max=100 and imbalance=300.0 leave classes [3] without samples",
+    ),
 }
 
 # good inputs beside every family's file, for the families that need two files:
-# a 4-class training CSV with 3 features and a checkpoint of a 2-input network
+# a 4-class training CSV with 3 features and a 3-class checkpoint of a 2-input network
 HELPERS = {
     "a.csv": b"f0,f1,f2,label\n" + b"".join(b"%d.0,0.5,-1.0,%d\n" % (i, i % 4) for i in range(8)),
-    "model.ckpt": CHECKPOINT_MAGIC + b"\n" + GOOD_HEADER + b"\n"
-    + np.array([1.0] + [0.0] * 17, dtype="<f8").tobytes(),
+    "model.ckpt": CHECKPOINT_MAGIC + b"\n" + THREE_CLASS_HEADER + b"\n"
+    + np.array([1.0] + [0.0] * 21, dtype="<f8").tobytes(),
 }
 
 
@@ -428,6 +487,20 @@ def test_particle_sweep_matches_golden_hash(tmp_path, monkeypatch):
     assert main(args + ["--runs", "1", "--jobs", "1", "--out", "sweep"]) == 0
     digest = hashlib.sha256(Path("sweep/sweep_particles.csv").read_bytes()).hexdigest()
     assert digest == SWEEP_GOLDEN
+
+
+# sha256 of sweep_ratio.csv from `tailens sweep --axis ratio --grid linear,plain
+# --epochs 5 --runs 2 --jobs 1`: two runs per cell, so the means and standard
+# deviations aggregate more than one value.
+SWEEP_RUNS_GOLDEN = "9f9becef30c5603e572293bbb9c83bf7c2ef16f1ac1ca20e00124237e946c3d6"
+
+
+def test_multi_run_sweep_matches_golden_hash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["sweep", "--axis", "ratio", "--grid", "linear,plain", "--epochs", "5"]
+    assert main(args + ["--runs", "2", "--jobs", "1", "--out", "sweep"]) == 0
+    digest = hashlib.sha256(Path("sweep/sweep_ratio.csv").read_bytes()).hexdigest()
+    assert digest == SWEEP_RUNS_GOLDEN
 
 
 # (key, accepted, rejected): a boundary value and the first value past it.

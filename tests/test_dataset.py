@@ -41,6 +41,17 @@ class TestCounts:
         with pytest.raises(InputError):
             train_class_counts(1, 10, 2.0)
 
+    def test_rejects_an_empty_class(self):
+        # round(100 / 300) = 0: the last class would have no samples
+        with pytest.raises(InputError, match=r"n_max=100 and imbalance=300.0 leave classes \[9\]"):
+            train_class_counts(10, 100, 300.0)
+        with pytest.raises(InputError, match="imbalance"):
+            generate_synthetic(10, 4, 100, 300.0, 2.0, seed=0)
+        # 100 / 200 = 0.5 rounds to even (0); 100 / 199 rounds up to 1
+        with pytest.raises(InputError):
+            train_class_counts(10, 100, 200.0)
+        assert train_class_counts(10, 100, 199.0)[-1] == 1
+
 
 class TestGenerate:
     def test_same_seed_bit_identical(self):

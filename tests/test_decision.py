@@ -7,9 +7,10 @@ import pytest
 
 from conftest import probs_ensemble, random_ensemble
 from tailens.dataset import TailSplit
-from tailens.decision import decide, decide_batch, write_predictions_csv
+from tailens.decision import decide_batch, write_predictions_csv
 from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import InputError
+from tailens.metrics import predictive_entropy
 from tailens.numcore import NetShape
 from tailens.utility import UtilityMatrix, one_hot, tail_sensitive
 
@@ -17,9 +18,9 @@ from tailens.utility import UtilityMatrix, one_hot, tail_sensitive
 class TestOneHot:
     def test_highest_probability_wins(self):
         ens = probs_ensemble([[0.7, 0.2, 0.1]])
-        out = decide(ens, one_hot(3), np.array([0.0]))
-        assert out.decision == 0
-        assert out.argmax_pred == 0
+        out = decide_batch(ens, one_hot(3), np.zeros((1, 1)))
+        assert out.decisions[0] == 0
+        assert out.argmax_preds[0] == 0
 
     def test_matches_mean_logprob_argmax(self, rng):
         ens = random_ensemble(NetShape(4, (6,), 5), 3, seed=12)
@@ -32,9 +33,9 @@ class TestOneHot:
 
     def test_uniform_tie_breaks_to_lowest_class(self):
         ens = probs_ensemble([[0.5, 0.5]])
-        out = decide(ens, one_hot(2), np.array([0.0]))
-        assert out.decision == 0
-        assert out.argmax_pred == 0
+        out = decide_batch(ens, one_hot(2), np.zeros((1, 1)))
+        assert out.decisions[0] == 0
+        assert out.argmax_preds[0] == 0
 
 
 class TestTailSensitive:
@@ -52,10 +53,10 @@ class TestTailSensitive:
         # makes the tail class the better bet
         ens = probs_ensemble([[0.55, 0.45]])
         utility = tail_sensitive(2, TailSplit(2, 0.5), penalty=1.0)
-        out = decide(ens, utility, np.array([0.0]))
-        assert out.expected_gains == pytest.approx([0.10, 0.45], rel=1e-10)
-        assert out.decision == 1
-        assert out.argmax_pred == 0
+        out = decide_batch(ens, utility, np.zeros((1, 1)))
+        assert out.expected_gains[0] == pytest.approx([0.10, 0.45], rel=1e-10)
+        assert out.decisions[0] == 1
+        assert out.argmax_preds[0] == 0
 
     @pytest.mark.parametrize(
         "penalty,expected",
@@ -65,7 +66,7 @@ class TestTailSensitive:
         # decision flips once penalty exceeds p0/p1 - 1 = 2/9
         ens = probs_ensemble([[0.55, 0.45]])
         utility = tail_sensitive(2, TailSplit(2, 0.5), penalty=penalty)
-        assert decide(ens, utility, np.array([0.0])).decision == expected
+        assert decide_batch(ens, utility, np.zeros((1, 1))).decisions[0] == expected
 
 
 class TestGainStructure:
@@ -93,16 +94,18 @@ class TestInterface:
         ens = random_ensemble(NetShape(3, (4,), 4), 2, seed=15)
         x = rng.normal(size=(6, 3))
         batch = decide_batch(ens, one_hot(4), x)
-        out = decide(ens, one_hot(4), x[2])
-        assert out.decision == batch.decisions[2]
-        assert out.argmax_pred == batch.argmax_preds[2]
-        assert np.array_equal(out.expected_gains, batch.expected_gains[2])
-        assert np.array_equal(out.mixture, batch.mixture[2])
+        out = decide_batch(ens, one_hot(4), x[2][None])
+        assert out.decisions[0] == batch.decisions[2]
+        assert out.argmax_preds[0] == batch.argmax_preds[2]
+        assert np.array_equal(out.expected_gains[0], batch.expected_gains[2])
+        assert np.array_equal(out.mixture[0], batch.mixture[2])
+        assert np.array_equal(out.particle_preds[:, 0], batch.particle_preds[:, 2])
 
-    def test_single_requires_vector(self, rng):
+    def test_single_sample_needs_a_row(self, rng):
+        # one sample is a batch of one: (1, D), not a bare (D,) vector
         ens = random_ensemble(NetShape(3, (4,), 4), 2, seed=15)
         with pytest.raises(InputError):
-            decide(ens, one_hot(4), rng.normal(size=(2, 3)))
+            decide_batch(ens, one_hot(4), rng.normal(size=3))
 
     def test_class_count_mismatch(self, rng):
         ens = random_ensemble(NetShape(3, (4,), 4), 2, seed=15)
@@ -129,4 +132,5 @@ class TestPredictionsCsv:
             assert int(row[0]) == i
             assert int(row[1]) == batch.decisions[i]
             assert int(row[2]) == batch.argmax_preds[i]
+            assert float(row[3]) == predictive_entropy(batch.mixture[i])
             assert float(row[4]) == batch.mixture[i].max()

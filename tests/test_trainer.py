@@ -1,6 +1,7 @@
 """Training loop: determinism, reductions, particle independence, schedules."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -335,17 +336,19 @@ class TestEvaluate:
 class TestRepeatRuns:
     def test_aggregates_over_seeds(self):
         config = quick_config(epochs=2)
-        summary = repeat_runs(
+        reports = repeat_runs(
             config,
             n_runs=2,
             data_fn=lambda seed: small_task(seed),
             utility_fn=one_hot,
         )
-        assert len(summary.reports) == 2
-        assert summary.reports[0] != summary.reports[1]
-        assert "acc_overall" in summary.mean
-        assert "fhr@0.5" in summary.mean
-        assert summary.std["acc_overall"] >= 0.0
+        assert len(reports) == 2
+        assert reports[0] != reports[1]
+        # run r is a plain train + evaluate at seed config.seed + r
+        for seed, report in enumerate(reports):
+            train_data, test_data = small_task(seed)
+            ens, _ = train(replace(config, seed=seed), train_data, one_hot(3))
+            assert report == evaluate(ens, test_data, one_hot(3))[0]
 
     def test_requires_a_run(self):
         with pytest.raises(InputError):
