@@ -246,9 +246,9 @@ def _load_data(config: dict, seed: int):
 
 
 def cmd_generate_data(config: dict) -> int:
-    train_data, test_data = _load_data(config, config["seed"])
-    if test_data is None:
+    if config["train_csv"] is not None:  # a lone --test-csv is echoed, never read
         raise InputError("generate-data needs synthetic settings, not CSVs")
+    train_data, test_data = _load_data(config, config["seed"])
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     save_csv(train_data, os.path.join(out, "train.csv"))
@@ -325,10 +325,12 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
 
 def _run_cell(payload):
     cell, axis, value, counts = payload
+    # CSV data ignores the seed: parse it once per cell, not once per run
+    csv_data = _load_data(cell, cell["seed"]) if cell["train_csv"] is not None else None
     reports = repeat_runs(
         _train_config(cell),
         cell["runs"],
-        lambda seed: _load_data(cell, seed),
+        lambda seed: csv_data or _load_data(cell, seed),
         lambda num_classes: _build_utility(cell, num_classes),
         _numbers(cell, "tail_ratios", float),
         cell["ece_bins"],

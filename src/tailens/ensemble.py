@@ -59,57 +59,77 @@ def predictive_logprobs_batch(ens: ParticleEnsemble, x: np.ndarray):
     return per_particle, mixture
 
 
-def l2_term(ens: ParticleEnsemble) -> float:
-    """Mean squared parameter norm over particles."""
-    return float(np.mean(np.sum(ens.particles**2, axis=1)))
-
-
-def _coordinate_variance(particles):
-    # population variance: mean of squares minus square of mean
-    return np.mean(particles**2, axis=0) - np.mean(particles, axis=0) ** 2
-
-
-def entropy_term(ens: ParticleEnsemble, var_floor: float = 1e-8) -> float:
-    """Half the summed log of per-coordinate particle variance (floored)."""
-    if var_floor <= 0:
-        raise InputError(f"variance floor must be > 0, got {var_floor}")
-    if ens.n_particles == 1:
-        warnings.warn("spread term is 0 for a single particle", stacklevel=2)
-        return 0.0
-    var = _coordinate_variance(ens.particles)
-    return float(0.5 * np.sum(np.log(var + var_floor)))
-
-
-def entropy_grad(ens: ParticleEnsemble, var_floor: float = 1e-8) -> np.ndarray:
-    """d(entropy_term)/d(particles): (theta - mean) / (M * (var + floor))."""
-    if var_floor <= 0:
-        raise InputError(f"variance floor must be > 0, got {var_floor}")
-    if ens.n_particles == 1:
-        return np.zeros_like(ens.particles)
-    centered = ens.particles - ens.particles.mean(axis=0)
-    var = _coordinate_variance(ens.particles)
-    return centered / (ens.n_particles * (var + var_floor))
+SINGLE_PARTICLE = "spread term is 0 for a single particle"
 
 
 @dataclass(frozen=True)
 class RegularizerValue:
     l2_term: float
     entropy_term: float
+    grad: np.ndarray  # (M, P) gradient of weight_decay * l2_term - anneal * entropy_term
 
 
-def regularizer(ens: ParticleEnsemble, var_floor: float = 1e-8) -> RegularizerValue:
-    """The L2 and spread terms; batch_loss weighs them by weight decay and anneal."""
-    return RegularizerValue(l2_term=l2_term(ens), entropy_term=entropy_term(ens, var_floor))
+def _spread(particles, var_floor):
+    """The L2 term, the spread term and its (M, P) gradient, or None for one particle.
+
+    One pass: the squares, the mean and the floored per-coordinate variance are
+    each formed once. The variance is the mean of squares minus the square of
+    the mean; the spread gradient is (theta - mean) / (M * (var + floor)).
+    """
+    if var_floor <= 0:
+        raise InputError(f"variance floor must be > 0, got {var_floor}")
+    # each mean is np.mean's sum then divide by M, without its per-call overhead
+    m = len(particles)
+    squares = particles**2
+    l2 = float(squares.sum(axis=1).sum() / m)
+    if m == 1:
+        return l2, 0.0, None
+    mean = particles.sum(axis=0) / m
+    spread_grad = particles - mean
+    floored = squares.sum(axis=0) / m - mean**2
+    floored += var_floor
+    entropy = float(0.5 * np.log(floored).sum())
+    spread_grad /= m * floored
+    return l2, entropy, spread_grad
+
+
+def regularizer(
+    ens: ParticleEnsemble, var_floor: float = 1e-8, *, weight_decay: float = 0.0,
+    anneal: float = 0.0,
+) -> RegularizerValue:
+    """The L2 and spread terms and the gradient of weight_decay * L2 - anneal * spread."""
+    l2, entropy, spread_grad = _spread(ens.particles, var_floor)
+    grad = (2.0 * weight_decay / ens.n_particles) * ens.particles
+    if anneal != 0.0 and spread_grad is not None:
+        spread_grad *= anneal
+        grad -= spread_grad
+    return RegularizerValue(l2_term=l2, entropy_term=entropy, grad=grad)
+
+
+def l2_term(ens: ParticleEnsemble) -> float:
+    """Mean squared parameter norm over particles."""
+    return regularizer(ens).l2_term
+
+
+def entropy_term(ens: ParticleEnsemble, var_floor: float = 1e-8) -> float:
+    """Half the summed log of per-coordinate particle variance (floored)."""
+    value = regularizer(ens, var_floor)
+    if ens.n_particles == 1:
+        warnings.warn(SINGLE_PARTICLE, stacklevel=2)
+    return value.entropy_term
+
+
+def entropy_grad(ens: ParticleEnsemble, var_floor: float = 1e-8) -> np.ndarray:
+    """d(entropy_term)/d(particles): (theta - mean) / (M * (var + floor))."""
+    spread_grad = _spread(ens.particles, var_floor)[2]
+    return np.zeros_like(ens.particles) if spread_grad is None else spread_grad
 
 
 def regularizer_grad(
     ens: ParticleEnsemble, weight_decay: float, anneal: float, var_floor: float = 1e-8
 ) -> np.ndarray:
     """(M, P) gradient of the combined regularizer w.r.t. each particle."""
-    pull = (2.0 * weight_decay / ens.n_particles) * ens.particles
-    if anneal == 0.0:
-        return pull
-    return pull - anneal * entropy_grad(ens, var_floor)
+    return regularizer(ens, var_floor, weight_decay=weight_decay, anneal=anneal).grad
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ bitwise the one it gets alone. Everything here is float64 and deterministic.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +38,28 @@ class NetShape:
     def dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.num_classes)
 
+    @cached_property
+    def layout(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per layer (weights start, bias start, bias stop, fan_out, fan_in) in a row."""
+        dims, layers, off = self.dims, [], 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            bias = off + fan_out * fan_in
+            layers.append((off, bias, bias + fan_out, fan_out, fan_in))
+            off = bias + fan_out
+        return tuple(layers)
+
 
 def param_count(shape: NetShape) -> int:
-    dims = shape.dims
-    return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
+    return shape.layout[-1][2]
+
+
+def _views(shape, rows):
+    """unpack without the shape check, for a matrix made to the shape's layout."""
+    m = len(rows)
+    return [
+        (rows[:, start:bias].reshape(m, fan_out, fan_in), rows[:, bias:stop])
+        for start, bias, stop, fan_out, fan_in in shape.layout
+    ]
 
 
 def unpack(shape: NetShape, particles: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -48,17 +67,7 @@ def unpack(shape: NetShape, particles: np.ndarray) -> list[tuple[np.ndarray, np.
     particles, p = np.asarray(particles), param_count(shape)
     if particles.ndim != 2 or particles.shape[1] != p:
         raise InputError(f"expected an (M, {p}) particle matrix, got shape {particles.shape}")
-    dims = shape.dims
-    layers = []
-    off = 0
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        w = particles[:, off : off + fan_out * fan_in].reshape(len(particles), fan_out, fan_in)
-        off += fan_out * fan_in
-        b = particles[:, off : off + fan_out]
-        off += fan_out
-        layers.append((w, b))
-    return layers
+    return _views(shape, particles)
 
 
 def init_params(shape: NetShape, rng: np.random.Generator) -> np.ndarray:
@@ -91,8 +100,11 @@ def _forward(layers, x):
 
 
 def _log_softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis, computed in place: logits is overwritten."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    norm = np.exp(logits).sum(axis=-1, keepdims=True)
+    logits -= np.log(norm, out=norm)
+    return logits
 
 
 def forward_logprobs_batch(shape: NetShape, particles: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -122,12 +134,18 @@ def backward_batch(
     acts, logits = _forward(layers, x)
     logprobs = _log_softmax(logits)
     # d(c . logprobs)/d logits = c - softmax * sum(c)
-    dz = cotangents - np.exp(logprobs) * cotangents.sum(axis=1, keepdims=True)
+    dz = np.exp(logprobs)
+    dz *= cotangents.sum(axis=1, keepdims=True)
+    np.subtract(cotangents, dz, out=dz)
 
     grad = np.empty_like(particles, dtype=np.float64)
-    for i, (gw, gb) in reversed(list(enumerate(unpack(shape, grad)))):
+    for i, (gw, gb) in reversed(list(enumerate(_views(shape, grad)))):
         np.matmul(dz.transpose(0, 2, 1), acts[i], out=gw)
         dz.sum(axis=1, out=gb)
         if i > 0:
-            dz = (dz @ layers[i][0]) * (1.0 - acts[i] ** 2)
+            # tanh' = 1 - a**2, written over the activation, which is not read again
+            slope = np.square(acts[i], out=acts[i])
+            np.subtract(1.0, slope, out=slope)
+            dz = dz @ layers[i][0]
+            dz *= slope
     return logprobs, grad

@@ -7,13 +7,14 @@ utility row of the label weighting every class log-likelihood), class-weighted
 and averaged; plus weight decay minus the annealed spread bonus.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import ParticleEnsemble, regularizer, regularizer_grad
+from . import ensemble, numcore
+from .ensemble import ParticleEnsemble
 from .errors import InputError, NumericError
-from .numcore import backward_batch
 from .rebalance import ClassWeights
 from .utility import UtilityMatrix
 
@@ -25,6 +26,79 @@ class LossBreakdown:
     reg_l2: float
     reg_entropy: float
     total: float
+
+
+class TrainingStep:
+    """One batch's loss breakdown and (M, P) gradients, with the per-run work done once.
+
+    Construction checks the loss settings against the ensemble and warns once
+    for a single particle, whose spread term is 0. A call only computes: its
+    labels must lie in [0, K). The particles may change in place between calls,
+    their shape may not. Every call returns a new gradient array.
+    """
+
+    def __init__(
+        self, ens: ParticleEnsemble, weights: ClassWeights, utility: UtilityMatrix, *,
+        utility_scale: float, weight_decay: float, var_floor: float = 1e-8,
+    ):
+        k = ens.shape.num_classes
+        if utility.num_classes != k:
+            raise InputError(
+                f"utility matrix is over {utility.num_classes} classes, model has {k}"
+            )
+        if weights.normalized.shape[0] != k:
+            raise InputError("class weights must cover every class")
+        if utility_scale <= 0:
+            raise InputError(f"utility scale must be > 0, got {utility_scale}")
+        if weight_decay < 0:
+            raise InputError(f"weight decay must be >= 0, got {weight_decay}")
+        if var_floor <= 0:
+            raise InputError(f"variance floor must be > 0, got {var_floor}")
+        if ens.n_particles == 1:
+            warnings.warn(ensemble.SINGLE_PARTICLE, stacklevel=2)
+        self.ens, self.weights, self.utility = ens, weights.normalized, utility.values
+        self.utility_scale, self.weight_decay = utility_scale, weight_decay
+        self.var_floor = var_floor
+        # d total / d logp_j(class k | x_i) is row y_i of I + U / s times
+        # -w[y_i] / (B * M): the utility row of the truth weighs every class,
+        # the model's predictive mass acting as the decision policy
+        self._unscaled = np.eye(k) + utility.values / utility_scale
+        self._tables = {}  # batch size B -> (1 / (B * M), cotangent of each label, arange(B))
+
+    def _table(self, batch: int):
+        if batch not in self._tables:
+            scale = 1.0 / (batch * self.ens.n_particles)
+            cotangents = self._unscaled * -(self.weights * scale)[:, None]
+            self._tables[batch] = scale, cotangents, np.arange(batch)
+        return self._tables[batch]
+
+    def __call__(self, x: np.ndarray, y: np.ndarray, anneal: float):
+        """(LossBreakdown, (M, P) gradients) of one batch at this spread weight."""
+        ens = self.ens
+        scale, cotangents, rows = self._table(len(y))
+        per_particle, grads = numcore.backward_batch(
+            ens.shape, ens.particles, x, cotangents[y]
+        )  # (M, B, K)
+        if not np.isfinite(per_particle).all():
+            bad = int(np.argmax(~np.isfinite(per_particle).all(axis=(0, 2))))
+            raise NumericError("non-finite log-probabilities", sample=bad)
+
+        w = self.weights[y]  # (B,)
+        logp_true = per_particle[:, rows, y]  # (M, B)
+        util_dot = np.einsum("mbk,bk->mb", per_particle, self.utility[y])  # (M, B)
+        nll_term = -scale * float((w * logp_true).sum())
+        utility_term = -(scale / self.utility_scale) * float((w * util_dot).sum())
+
+        reg = ensemble.regularizer(
+            ens, self.var_floor, weight_decay=self.weight_decay, anneal=anneal
+        )
+        total = (
+            nll_term + utility_term + self.weight_decay * reg.l2_term - anneal * reg.entropy_term
+        )
+        if not np.isfinite(total):
+            raise NumericError("non-finite loss")
+        grads += reg.grad
+        return LossBreakdown(nll_term, utility_term, reg.l2_term, reg.entropy_term, total), grads
 
 
 def batch_loss(
@@ -39,7 +113,7 @@ def batch_loss(
     anneal: float,
     var_floor: float = 1e-8,
 ) -> tuple[LossBreakdown, np.ndarray]:
-    """Loss breakdown and per-particle gradients (M, P) for one batch."""
+    """Loss breakdown and per-particle gradients (M, P) for one checked batch."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     k = ens.shape.num_classes
@@ -49,50 +123,8 @@ def batch_loss(
         raise InputError("batch must be non-empty")
     if y.min() < 0 or y.max() >= k:
         raise InputError(f"labels must lie in [0, {k})")
-    if utility.num_classes != k:
-        raise InputError(
-            f"utility matrix is over {utility.num_classes} classes, model has {k}"
-        )
-    if weights.normalized.shape[0] != k:
-        raise InputError("class weights must cover every class")
-    if utility_scale <= 0:
-        raise InputError(f"utility scale must be > 0, got {utility_scale}")
-    if weight_decay < 0:
-        raise InputError(f"weight decay must be >= 0, got {weight_decay}")
-
-    batch = x.shape[0]
-    m = ens.n_particles
-    scale = 1.0 / (batch * m)
-    w = weights.normalized[y]  # (B,)
-    # row y_i of the utility matrix: utility of each candidate decision when
-    # the truth is y_i; the model's predictive mass acts as the decision policy
-    u_rows = utility.values[y]  # (B, K)
-    # d total / d logp_j(class k | x_i), identical for every particle
-    cotangent = np.eye(k)[y] + u_rows / utility_scale
-    cotangent *= -(w * scale)[:, None]
-
-    per_particle, grads = backward_batch(ens.shape, ens.particles, x, cotangent)  # (M, B, K)
-    if not np.all(np.isfinite(per_particle)):
-        bad = int(np.argmax(~np.isfinite(per_particle).all(axis=(0, 2))))
-        raise NumericError("non-finite log-probabilities", sample=bad)
-
-    logp_true = per_particle[:, np.arange(batch), y]  # (M, B)
-    util_dot = np.einsum("mbk,bk->mb", per_particle, u_rows)  # (M, B)
-    nll_term = -scale * float(np.sum(w * logp_true))
-    utility_term = -(scale / utility_scale) * float(np.sum(w * util_dot))
-
-    reg = regularizer(ens, var_floor)
-    total = nll_term + utility_term + weight_decay * reg.l2_term - anneal * reg.entropy_term
-    if not np.isfinite(total):
-        raise NumericError("non-finite loss")
-
-    grads += regularizer_grad(ens, weight_decay, anneal, var_floor)
-
-    breakdown = LossBreakdown(
-        nll_term=nll_term,
-        utility_term=utility_term,
-        reg_l2=reg.l2_term,
-        reg_entropy=reg.entropy_term,
-        total=total,
+    step = TrainingStep(
+        ens, weights, utility,
+        utility_scale=utility_scale, weight_decay=weight_decay, var_floor=var_floor,
     )
-    return breakdown, grads
+    return step(x, y, anneal)

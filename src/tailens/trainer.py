@@ -28,7 +28,7 @@ from .metrics import (
     region_accuracy,
 )
 from .numcore import NetShape, init_params
-from .objective import LossBreakdown, batch_loss
+from .objective import LossBreakdown, TrainingStep
 from .rebalance import DiscrepancySpec, class_weights
 from .utility import UtilityMatrix
 
@@ -141,6 +141,10 @@ def train(
     shape = NetShape(train_data.dim, config.hidden_dims, k)
     ens = ParticleEnsemble(shape=shape, particles=_init_particles(config, shape))
     velocity = np.zeros_like(ens.particles)
+    step = TrainingStep(
+        ens, weights, utility, utility_scale=config.utility_scale,
+        weight_decay=config.weight_decay, var_floor=config.var_floor,
+    )
 
     features = train_data.features
     labels = train_data.labels
@@ -163,27 +167,18 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             try:
-                breakdown, grads = batch_loss(
-                    ens,
-                    features[idx],
-                    labels[idx],
-                    weights,
-                    utility,
-                    utility_scale=config.utility_scale,
-                    weight_decay=config.weight_decay,
-                    anneal=anneal,
-                    var_floor=config.var_floor,
-                )
+                breakdown, grads = step(features[idx], labels[idx], anneal)
             except NumericError as err:
                 what = str(err)
                 if err.sample is not None:  # the dataset row, not the batch position
                     what = f"{err.reason} at dataset row {idx[err.sample]}"
                 raise NumericError(f"epoch {epoch}, batch {n_batches}: {what}") from err
             velocity *= config.momentum
-            # batch_loss averages over particles; stepping on M*grad gives each
+            # the loss averages over particles; stepping on M*grad gives each
             # particle the full-strength gradient of its own loss, so particles
             # never interact unless the spread bonus couples them
-            velocity += ens.n_particles * grads
+            grads *= ens.n_particles
+            velocity += grads
             ens.particles -= lr * velocity
             sums += (
                 breakdown.nll_term,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tailens
+from tailens import cli
 from tailens.cli import SCHEMA, main
 from tailens.dataset import load_csv
 from tailens.ensemble import CHECKPOINT_MAGIC
@@ -332,6 +333,23 @@ class TestSweep:
         args = ["sweep", "--axis", "bogus"] + self.sweep_flags(tmp_path)
         assert main(args) == 1
 
+    def test_csv_data_is_parsed_once_per_cell(self, tmp_path, monkeypatch):
+        # CSV data ignores the seed, so the runs of a cell share one parse:
+        # 2 files checked up front plus 2 per cell, not 2 per run
+        assert main(["generate-data"] + flags(tmp_path / "data")) == 0
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", counted)
+        csvs = ["--train-csv", str(tmp_path / "data" / "train.csv"),
+                "--test-csv", str(tmp_path / "data" / "test.csv")]
+        args = ["sweep", "--axis", "ratio", "--grid", "linear,plain", "--runs", "3"]
+        assert main(args + flags(tmp_path / "s") + csvs) == 0
+        assert len(calls) <= 6
+
 
 GOOD_HEADER = (
     b'{"hidden": [3], "input_dim": 2, "n_particles": 1,'
@@ -411,6 +429,10 @@ MALFORMED = {
     ),
     "sweep-without-test-csv": (
         "sweep", None, None, ["--train-csv", "a.csv", "--axis", "ratio"], "--test-csv"
+    ),
+    "generate-data-both-csvs": (
+        "generate-data", None, None, ["--train-csv", "a.csv", "--test-csv", "a.csv"],
+        "generate-data needs synthetic settings, not CSVs",
     ),
     "synthetic-empty-class": (
         "generate-data", None, None, ["--n-max", "100", "--imbalance", "300"],

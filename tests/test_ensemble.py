@@ -236,6 +236,58 @@ class TestRegularizer:
             )
 
 
+def _separate_passes(particles, weight_decay, anneal, var_floor):
+    """The L2 term, spread term, spread gradient and combined gradient, each
+    from its own pass as they were before the one spread pass; frozen as the
+    oracle. The spread gradient is None for one particle."""
+    m = len(particles)
+    l2 = float(np.mean(np.sum(particles**2, axis=1)))
+    pull = (2.0 * weight_decay / m) * particles
+    if m == 1:
+        return l2, 0.0, None, pull
+    variance = np.mean(particles**2, axis=0) - np.mean(particles, axis=0) ** 2
+    entropy = float(0.5 * np.sum(np.log(variance + var_floor)))
+    centered = particles - particles.mean(axis=0)
+    variance = np.mean(particles**2, axis=0) - np.mean(particles, axis=0) ** 2
+    spread_grad = centered / (m * (variance + var_floor))
+    combined = pull if anneal == 0.0 else pull - anneal * spread_grad
+    return l2, entropy, spread_grad, combined
+
+
+class TestOneSpreadPass:
+    """Every regularizer entry point is bitwise the separate passes it replaced."""
+
+    @pytest.mark.filterwarnings("ignore:spread term")
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "weight_decay, anneal, var_floor", [(0.0, 0.0, 1e-8), (1e-2, 1.0, 1e-8), (0.3, 0.25, 1e-3)]
+    )
+    def test_matches_the_separate_passes(self, rng, m, weight_decay, anneal, var_floor):
+        shape = NetShape(16, (32,), 10)
+        particles = rng.normal(scale=0.3, size=(m, param_count(shape)))
+        particles[:, :5] = particles[0, :5]  # coordinates at the variance floor
+        ens = ParticleEnsemble(shape, particles)
+        l2, entropy, spread_grad, combined = _separate_passes(
+            particles, weight_decay, anneal, var_floor
+        )
+        value = regularizer(ens, var_floor, weight_decay=weight_decay, anneal=anneal)
+        assert (value.l2_term, value.entropy_term) == (l2, entropy)
+        assert np.array_equal(value.grad, combined)
+        assert l2_term(ens) == l2
+        assert entropy_term(ens, var_floor) == entropy
+        if spread_grad is None:
+            spread_grad = np.zeros_like(particles)
+        assert np.array_equal(entropy_grad(ens, var_floor), spread_grad)
+        assert np.array_equal(regularizer_grad(ens, weight_decay, anneal, var_floor), combined)
+        assert np.array_equal(ens.particles, particles)  # read, never written
+
+    def test_results_do_not_alias_the_particles(self, rng):
+        ens = random_ensemble(NetShape(2, (3,), 2), 3, seed=2)
+        value = regularizer(ens, weight_decay=0.1, anneal=0.5)
+        for out in (value.grad, entropy_grad(ens), regularizer_grad(ens, 0.0, 0.0)):
+            assert not np.shares_memory(out, ens.particles)
+
+
 def particle_preds(ens, x):
     return predictive_logprobs_batch(ens, x)[0].argmax(axis=2)
 

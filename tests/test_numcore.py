@@ -285,3 +285,56 @@ class TestStackedParticles:
             lp_alone, grad_alone = backward_batch(self.SHAPE, particles[j : j + 1], x, cot)
             assert np.array_equal(logprobs[j : j + 1], lp_alone)
             assert np.array_equal(grad[j : j + 1], grad_alone)
+
+
+def out_of_place_backward(shape, particles, x, cotangents):
+    """The stacked backward with every intermediate in a new array, frozen as the
+    oracle for the kernel that runs log-softmax, dz and tanh' in place."""
+    layers = unpack(shape, particles)
+    acts = [x]
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w.transpose(0, 2, 1) + b[:, None, :]
+        acts.append(np.tanh(z) if i < len(layers) - 1 else z)
+    logits = acts.pop()
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logprobs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    dz = cotangents - np.exp(logprobs) * cotangents.sum(axis=1, keepdims=True)
+    grad = np.empty_like(particles)
+    for i, (gw, gb) in reversed(list(enumerate(unpack(shape, grad)))):
+        np.matmul(dz.transpose(0, 2, 1), acts[i], out=gw)
+        dz.sum(axis=1, out=gb)
+        if i > 0:
+            dz = (dz @ layers[i][0]) * (1.0 - acts[i] ** 2)
+    return logprobs, grad
+
+
+class TestInPlaceKernel:
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("shape", [NetShape(16, (32,), 10), NetShape(5, (7, 6), 4)])
+    def test_backward_matches_the_out_of_place_oracle(self, rng, m, shape):
+        particles = rng.normal(scale=0.5, size=(m, param_count(shape)))
+        for n in (128, 48, 1):
+            x = rng.normal(size=(n, shape.input_dim))
+            cot = rng.normal(size=(n, shape.num_classes))
+            logprobs, grad = backward_batch(shape, particles, x, cot)
+            want_logprobs, want_grad = out_of_place_backward(shape, particles, x, cot)
+            assert np.array_equal(logprobs, want_logprobs)
+            assert np.array_equal(grad, want_grad)
+
+    def test_inputs_are_left_alone(self, rng):
+        shape = NetShape(5, (7, 6), 4)
+        particles = rng.normal(size=(3, param_count(shape)))
+        x, cot = rng.normal(size=(9, 5)), rng.normal(size=(9, 4))
+        kept = particles.copy(), x.copy(), cot.copy()
+        logprobs, grad = backward_batch(shape, particles, x, cot)
+        forward = forward_logprobs_batch(shape, particles, x)
+        for before, after in zip(kept, (particles, x, cot)):
+            assert np.array_equal(before, after)
+        for out in (logprobs, grad, forward):
+            assert not any(np.shares_memory(out, a) for a in (particles, x, cot))
+
+    def test_layout_is_computed_once_per_shape(self):
+        shape = NetShape(2, (3,), 2)
+        assert shape.layout is shape.layout
+        assert shape.layout == ((0, 6, 9, 3, 2), (9, 15, 17, 2, 3))
+        assert shape == NetShape(2, (3,), 2) and hash(shape) == hash(NetShape(2, (3,), 2))

@@ -1,5 +1,7 @@
 """Batch loss breakdown: reductions, a frozen oracle, and gradient checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from conftest import random_ensemble, random_utility
 from tailens.dataset import TailSplit
 from tailens.ensemble import ParticleEnsemble, predictive_logprobs_batch
 from tailens.errors import InputError, NumericError
-from tailens.numcore import NetShape, init_params, param_count
-from tailens.objective import batch_loss
+from tailens.numcore import NetShape, backward_batch, init_params, param_count
+from tailens.objective import LossBreakdown, TrainingStep, batch_loss
 from tailens.rebalance import DiscrepancySpec, class_weights
 from tailens.utility import UtilityMatrix, one_hot, tail_sensitive
 
@@ -274,3 +276,116 @@ class TestValidation:
                 plain_weights(2), one_hot(2),
                 utility_scale=1.0, weight_decay=0.0, anneal=0.0,
             )
+
+
+def per_batch_formula(ens, x, y, weights, utility, *, utility_scale, weight_decay, anneal,
+                      var_floor):
+    """The loss as computed batch by batch before the prepared step: cotangent
+    built per batch, regularizer terms and gradient from separate passes.
+    Frozen as the bitwise oracle of TrainingStep."""
+    k = ens.shape.num_classes
+    batch, m = x.shape[0], ens.n_particles
+    scale = 1.0 / (batch * m)
+    w = weights.normalized[y]
+    u_rows = utility.values[y]
+    cotangent = np.eye(k)[y] + u_rows / utility_scale
+    cotangent *= -(w * scale)[:, None]
+    per_particle, grads = backward_batch(ens.shape, ens.particles, x, cotangent)
+    logp_true = per_particle[:, np.arange(batch), y]
+    util_dot = np.einsum("mbk,bk->mb", per_particle, u_rows)
+    nll_term = -scale * float(np.sum(w * logp_true))
+    utility_term = -(scale / utility_scale) * float(np.sum(w * util_dot))
+
+    p = ens.particles
+    l2 = float(np.mean(np.sum(p**2, axis=1)))
+    pull = (2.0 * weight_decay / m) * p
+    if m == 1:
+        entropy, reg_grad = 0.0, pull
+    else:
+        variance = np.mean(p**2, axis=0) - np.mean(p, axis=0) ** 2
+        entropy = float(0.5 * np.sum(np.log(variance + var_floor)))
+        spread_grad = (p - p.mean(axis=0)) / (m * (variance + var_floor))
+        reg_grad = pull if anneal == 0.0 else pull - anneal * spread_grad
+    total = nll_term + utility_term + weight_decay * l2 - anneal * entropy
+    grads += reg_grad
+    return LossBreakdown(nll_term, utility_term, l2, entropy, total), grads
+
+
+@pytest.mark.filterwarnings("ignore:spread term")
+class TestPreparedStep:
+    SHAPE = NetShape(16, (32,), 10)
+
+    def setup(self, m, utility_kind, seed=0):
+        rng = np.random.default_rng(seed)
+        ens = ParticleEnsemble(
+            self.SHAPE, rng.normal(scale=0.3, size=(m, param_count(self.SHAPE)))
+        )
+        counts = np.round(100 * 0.6 ** np.arange(10)).astype(int) + 1
+        weights = class_weights(DiscrepancySpec(form="linear"), counts)
+        k = self.SHAPE.num_classes
+        utility = one_hot(k) if utility_kind == "one-hot" else tail_sensitive(
+            k, TailSplit(k, 0.5), 2.0
+        )
+        return rng, ens, weights, utility
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("utility_kind", ["one-hot", "tail-sensitive"])
+    @pytest.mark.parametrize("utility_scale, anneal", [(1.0, 1.0), (0.4, 0.37), (2.5, 0.0)])
+    def test_matches_the_per_batch_formula(self, m, utility_kind, utility_scale, anneal):
+        rng, ens, weights, utility = self.setup(m, utility_kind)
+        kwargs = dict(utility_scale=utility_scale, weight_decay=1e-2, var_floor=1e-8)
+        step = TrainingStep(ens, weights, utility, **kwargs)
+        # full batches and the remainder, interleaved, on one step; the
+        # particles move between calls as the trainer moves them
+        for batch in (128, 48, 128, 48):
+            x = rng.normal(size=(batch, 16))
+            y = rng.integers(0, 10, size=batch)
+            loss, grads = step(x, y, anneal)
+            want_loss, want_grads = per_batch_formula(ens, x, y, weights, utility,
+                                                      anneal=anneal, **kwargs)
+            assert loss == want_loss
+            assert np.array_equal(grads, want_grads)
+            checked_loss, checked_grads = batch_loss(ens, x, y, weights, utility,
+                                                     anneal=anneal, **kwargs)
+            assert checked_loss == want_loss
+            assert np.array_equal(checked_grads, want_grads)
+            ens.particles -= 0.05 * grads
+
+    def test_a_second_call_leaves_the_first_result_alone(self):
+        rng, ens, weights, utility = self.setup(3, "tail-sensitive")
+        step = TrainingStep(ens, weights, utility, utility_scale=1.0, weight_decay=1e-2)
+        x, y = rng.normal(size=(128, 16)), rng.integers(0, 10, size=128)
+        first_loss, first = step(x, y, 0.5)
+        kept = first.copy()
+        _, second = step(x[:48], y[:48], 0.5)
+        _, third = step(x, y, 0.5)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(third, kept)
+        for a, b in ((first, second), (first, third), (first, ens.particles)):
+            assert not np.shares_memory(a, b)
+        _, again = batch_loss(ens, x, y, weights, utility, utility_scale=1.0,
+                              weight_decay=1e-2, anneal=0.5)
+        assert np.array_equal(again, kept) and not np.shares_memory(again, first)
+
+    def test_checks_happen_at_construction(self):
+        _, ens, weights, utility = self.setup(2, "one-hot")
+        kwargs = dict(utility_scale=1.0, weight_decay=0.0, var_floor=1e-8)
+        for bad, match in (
+            (dict(utility=one_hot(3)), "utility matrix"),
+            (dict(weights=plain_weights(3)), "class weights"),
+            (dict(utility_scale=0.0), "utility scale"),
+            (dict(weight_decay=-1.0), "weight decay"),
+            (dict(var_floor=0.0), "variance floor"),
+        ):
+            args = {"weights": weights, "utility": utility, **kwargs, **bad}
+            with pytest.raises(InputError, match=match):
+                TrainingStep(ens, args.pop("weights"), args.pop("utility"), **args)
+
+    def test_single_particle_warns_once_per_step_object(self):
+        _, ens, weights, utility = self.setup(1, "one-hot")
+        with pytest.warns(UserWarning, match="spread term is 0") as caught:
+            step = TrainingStep(ens, weights, utility, utility_scale=1.0, weight_decay=0.0)
+        assert len(caught) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step(np.zeros((4, 16)), np.arange(4), 1.0)

@@ -1,6 +1,7 @@
 """Training loop: determinism, reductions, particle independence, schedules."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,17 @@ class TestReductionToCrossEntropySgd:
                 theta = theta - 0.05 * velocity
 
         assert np.array_equal(ens.particles, theta)
+
+
+def test_single_particle_run_warns_once():
+    # the spread term is 0 for one particle: said once per run, not once per step
+    train_data, _ = small_task()
+    config = quick_config(n_particles=1, epochs=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        train(config, train_data, one_hot(3))
+    spread = [w for w in caught if "spread term" in str(w.message)]
+    assert [str(w.message) for w in spread] == ["spread term is 0 for a single particle"]
 
 
 @pytest.mark.filterwarnings("ignore:spread term")
