@@ -215,25 +215,25 @@ def _build_utility(config: dict, num_classes: int):
         )
     matrix = load_matrix(kind)
     if matrix.num_classes != num_classes:
-        raise InputError(
-            f"utility file covers {matrix.num_classes} classes, data has {num_classes}"
-        )
+        raise InputError(f"{kind} covers {matrix.num_classes} classes, data has {num_classes}")
     return matrix
 
 
 def _load_data(config: dict, seed: int):
     """(train, test) from CSVs when configured, else synthetic at this seed."""
     if config["train_csv"] is not None:
-        train_data = load_csv(config["train_csv"], split_tag="train")
+        train_data = load_csv(config["train_csv"])
         test_data = None
         if config["test_csv"] is not None:
-            test_data = load_csv(config["test_csv"], "test", train_data.num_classes)
+            test_data = load_csv(config["test_csv"], train_data.num_classes)
             if test_data.dim != train_data.dim:
                 raise InputError(
                     f"{config['test_csv']} has {test_data.dim} features,"
                     f" {config['train_csv']} has {train_data.dim}"
                 )
         return train_data, test_data
+    if config["test_csv"] is not None:
+        raise InputError("--test-csv needs --train-csv")
     return generate_synthetic(
         num_classes=config["classes"],
         dim=config["dim"],
@@ -246,7 +246,7 @@ def _load_data(config: dict, seed: int):
 
 
 def cmd_generate_data(config: dict) -> int:
-    if config["train_csv"] is not None:  # a lone --test-csv is echoed, never read
+    if config["train_csv"] is not None or config["test_csv"] is not None:
         raise InputError("generate-data needs synthetic settings, not CSVs")
     train_data, test_data = _load_data(config, config["seed"])
     out = config["out"]
@@ -301,10 +301,10 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
     ens = load_checkpoint(checkpoint)
     k = ens.shape.num_classes
     _check_regions(k, checkpoint)
-    if config["test_csv"] is not None:
-        test_data = load_csv(config["test_csv"], split_tag="test", num_classes=k)
-    elif config["train_csv"] is not None:
+    if config["train_csv"] is not None:
         raise InputError("evaluate reads --test-csv, not --train-csv")
+    if config["test_csv"] is not None:
+        test_data = load_csv(config["test_csv"], num_classes=k)
     else:
         test_data = _load_data(config, config["seed"])[1]
     if test_data.num_classes != k:
@@ -324,22 +324,18 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
 
 
 def _run_cell(payload):
-    cell, axis, value, counts = payload
-    # CSV data ignores the seed: parse it once per cell, not once per run
-    csv_data = _load_data(cell, cell["seed"]) if cell["train_csv"] is not None else None
+    cell, axis, value, data, utility = payload
     reports = repeat_runs(
         _train_config(cell),
-        cell["runs"],
-        lambda seed: csv_data or _load_data(cell, seed),
-        lambda num_classes: _build_utility(cell, num_classes),
+        data,
+        utility,
         _numbers(cell, "tail_ratios", float),
         cell["ece_bins"],
     )
     row = {axis: value}
     if axis == "ratio":
-        weights = class_weights(
-            DiscrepancySpec(form=value, gamma=cell["gamma"], beta=cell["beta"]), counts
-        )
+        spec = DiscrepancySpec(form=value, gamma=cell["gamma"], beta=cell["beta"])
+        weights = class_weights(spec, data[0][0].class_counts)
         row["weight_first"] = round(float(weights.raw[0]), 6)
         row["weight_last"] = round(float(weights.raw[-1]), 6)
         row["growth_pct"] = round(growth_rate(weights), 2)
@@ -372,13 +368,15 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
         values = [v.strip() for v in grid.split(",") if v.strip()]
     if not values:
         raise InputError(f"sweep axis {axis!r} has an empty grid")
-    # every cell evaluates on this data: check it once, before any cell trains
-    train_data, test_data = _load_data(config, config["seed"])
+    # no axis changes the data, so run r of every cell trains on data[r]
+    if config["train_csv"] is None:
+        data = [_load_data(config, config["seed"] + r) for r in range(config["runs"])]
+    else:  # CSV data ignores the seed: every run shares one parse
+        data = [_load_data(config, config["seed"])] * config["runs"]
+    train_data, test_data = data[0]
     if test_data is None:
         raise InputError("sweep evaluates every run: --train-csv needs --test-csv")
     _check_regions(train_data.num_classes, config["train_csv"] or "classes")
-    counts = train_data.class_counts
-    del train_data, test_data  # the cells load their own; hold none while they run
     payloads = []
     for value in values:
         # particles takes any count the config accepts, other axes their listed values
@@ -388,7 +386,8 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
             )
         cell = {**config, axis: _coerce(axis, value)}
         _check(cell)
-        payloads.append((cell, axis, value, counts))
+        utility = _build_utility(cell, train_data.num_classes)
+        payloads.append((cell, axis, value, data, utility))
     out = config["out"]
     os.makedirs(out, exist_ok=True)
 

@@ -19,7 +19,6 @@ class LongTailDataset:
     features: np.ndarray  # (N, D) float64
     labels: np.ndarray  # (N,) int64 in [0, K)
     class_counts: np.ndarray  # (K,) int64, counts per class
-    split_tag: str = "data"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -151,7 +150,7 @@ def generate_synthetic(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     means = _class_means(num_classes, dim, separation, rng)
 
-    def draw(per_class, tag):
+    def draw(per_class):
         xs, ys = [], []
         for k in range(num_classes):
             n = int(per_class[k])
@@ -161,11 +160,10 @@ def generate_synthetic(
             features=np.concatenate(xs) if xs else np.empty((0, dim)),
             labels=np.concatenate(ys) if ys else np.empty(0, dtype=np.int64),
             class_counts=np.asarray(per_class, dtype=np.int64),
-            split_tag=tag,
         )
 
-    train = draw(counts, "train")
-    test = draw(np.full(num_classes, test_per_class, dtype=np.int64), "test")
+    train = draw(counts)
+    test = draw(np.full(num_classes, test_per_class, dtype=np.int64))
     return train, test
 
 
@@ -179,7 +177,7 @@ def save_csv(data: LongTailDataset, path) -> None:
 
 
 @names_file
-def load_csv(path, split_tag: str = "data", num_classes=None) -> LongTailDataset:
+def load_csv(path, num_classes=None) -> LongTailDataset:
     """Parse a feature CSV; K is num_classes, else max label + 1. Errors name file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -228,5 +226,4 @@ def load_csv(path, split_tag: str = "data", num_classes=None) -> LongTailDataset
         features=feats,
         labels=labels,
         class_counts=counts,
-        split_tag=split_tag,
     )

@@ -106,11 +106,6 @@ def regularizer(
     return RegularizerValue(l2_term=l2, entropy_term=entropy, grad=grad)
 
 
-def l2_term(ens: ParticleEnsemble) -> float:
-    """Mean squared parameter norm over particles."""
-    return regularizer(ens).l2_term
-
-
 def entropy_term(ens: ParticleEnsemble, var_floor: float = 1e-8) -> float:
     """Half the summed log of per-coordinate particle variance (floored)."""
     value = regularizer(ens, var_floor)

@@ -275,24 +275,19 @@ def evaluate(
 
 def repeat_runs(
     config: TrainConfig,
-    n_runs: int,
-    data_fn,
-    utility_fn,
+    data: list[tuple[LongTailDataset, LongTailDataset]],
+    utility: UtilityMatrix,
     tail_ratios: tuple[float, ...] = DEFAULT_TAIL_RATIOS,
     ece_bins: int = 15,
 ) -> list[MetricsReport]:
-    """Train and evaluate with seeds seed..seed+n_runs-1; one report per run.
-
-    data_fn(seed) supplies the (train, test) pair for a run; utility_fn(K)
-    builds the utility matrix once the class count is known.
+    """Train run r at seed config.seed + r on the (train, test) pair data[r], and
+    evaluate it; one report per run. Runs may share a pair: nothing writes to it.
     """
-    if n_runs < 1:
-        raise InputError(f"need at least one run, got {n_runs}")
+    if not data:
+        raise InputError("need the data of at least one run")
     reports = []
-    for seed in range(config.seed, config.seed + n_runs):
-        run_config = replace(config, seed=seed, particle_seeds=None)
-        train_data, test_data = data_fn(seed)
-        utility = utility_fn(train_data.num_classes)
+    for r, (train_data, test_data) in enumerate(data):
+        run_config = replace(config, seed=config.seed + r, particle_seeds=None)
         ens, _ = train(run_config, train_data, utility)
         reports.append(evaluate(ens, test_data, utility, tail_ratios, ece_bins)[0])
     return reports

@@ -43,8 +43,8 @@ def flags(out, **overrides):
 class TestGenerateData:
     def test_writes_csvs_and_config(self, tmp_path, capsys):
         assert main(["generate-data"] + flags(tmp_path)) == 0
-        train_data = load_csv(tmp_path / "train.csv", split_tag="train")
-        test_data = load_csv(tmp_path / "test.csv", split_tag="test")
+        train_data = load_csv(tmp_path / "train.csv")
+        test_data = load_csv(tmp_path / "test.csv")
         assert train_data.num_classes == 4
         assert len(test_data) == 40
         assert (tmp_path / "config.json").exists()
@@ -99,6 +99,8 @@ class TestTrain:
         )
         assert code == 0
         assert (out / "metrics.json").exists()
+        echoed = json.loads((out / "config.json").read_text())
+        assert echoed["test_csv"] == str(data_dir / "test.csv")
 
     @pytest.mark.filterwarnings("ignore:spread term")
     def test_checkpoint_stride_writes_epoch_files(self, tmp_path):
@@ -333,22 +335,35 @@ class TestSweep:
         args = ["sweep", "--axis", "bogus"] + self.sweep_flags(tmp_path)
         assert main(args) == 1
 
-    def test_csv_data_is_parsed_once_per_cell(self, tmp_path, monkeypatch):
-        # CSV data ignores the seed, so the runs of a cell share one parse:
-        # 2 files checked up front plus 2 per cell, not 2 per run
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        """Wrap each named cli function; name -> the number of calls so far."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    def test_csv_data_is_parsed_once_per_sweep(self, tmp_path, monkeypatch):
+        # CSV data ignores the seed: every run of every cell shares one parse
         assert main(["generate-data"] + flags(tmp_path / "data")) == 0
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return load_csv(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "load_csv", counted)
+        calls = self.count_calls(monkeypatch, "load_csv")
         csvs = ["--train-csv", str(tmp_path / "data" / "train.csv"),
                 "--test-csv", str(tmp_path / "data" / "test.csv")]
         args = ["sweep", "--axis", "ratio", "--grid", "linear,plain", "--runs", "3"]
         assert main(args + flags(tmp_path / "s") + csvs) == 0
-        assert len(calls) <= 6
+        assert calls == {"load_csv": 2}
+
+    def test_synthetic_data_and_utility_are_built_once(self, tmp_path, monkeypatch):
+        # one data pair per run's seed, shared by the cells; one utility per cell
+        utility = tmp_path / "u4.csv"
+        utility.write_text("1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n")
+        calls = self.count_calls(monkeypatch, "generate_synthetic", "load_matrix")
+        args = ["sweep", "--axis", "ratio", "--grid", "linear,plain", "--runs", "2"]
+        assert main(args + flags(tmp_path / "s", utility=str(utility))) == 0
+        assert calls == {"generate_synthetic": 2, "load_matrix": 2}
 
 
 GOOD_HEADER = (
@@ -430,6 +445,27 @@ MALFORMED = {
     "sweep-without-test-csv": (
         "sweep", None, None, ["--train-csv", "a.csv", "--axis", "ratio"], "--test-csv"
     ),
+    "generate-data-test-csv": (
+        "generate-data", None, None, ["--test-csv", "a.csv"],
+        "generate-data needs synthetic settings, not CSVs",
+    ),
+    "train-test-csv-alone": (
+        "train", None, None, ["--test-csv", "a.csv"], "--test-csv needs --train-csv"
+    ),
+    "sweep-test-csv-alone": (
+        "sweep", None, None, ["--test-csv", "a.csv", "--axis", "ratio"],
+        "--test-csv needs --train-csv",
+    ),
+    "evaluate-both-csvs": (
+        "evaluate", None, None,
+        ["--checkpoint", "model.ckpt", "--test-csv", "c.csv", "--train-csv", "a.csv"],
+        "evaluate reads --test-csv, not --train-csv",
+    ),
+    # the utility is built before any cell trains or --out exists
+    "sweep-utility-classes": (
+        "sweep", "u3.csv", b"1,0,0\n0,1,0\n0,0,1\n", ["--axis", "ratio", "--utility"],
+        "covers 3 classes, data has 4",
+    ),
     "generate-data-both-csvs": (
         "generate-data", None, None, ["--train-csv", "a.csv", "--test-csv", "a.csv"],
         "generate-data needs synthetic settings, not CSVs",
@@ -441,9 +477,11 @@ MALFORMED = {
 }
 
 # good inputs beside every family's file, for the families that need two files:
-# a 4-class training CSV with 3 features and a 3-class checkpoint of a 2-input network
+# a 4-class training CSV with 3 features, a 3-class checkpoint of a 2-input network
+# and a test CSV that fits it
 HELPERS = {
     "a.csv": b"f0,f1,f2,label\n" + b"".join(b"%d.0,0.5,-1.0,%d\n" % (i, i % 4) for i in range(8)),
+    "c.csv": b"f0,f1,label\n" + b"".join(b"%d.0,0.5,%d\n" % (i, i % 3) for i in range(6)),
     "model.ckpt": CHECKPOINT_MAGIC + b"\n" + THREE_CLASS_HEADER + b"\n"
     + np.array([1.0] + [0.0] * 21, dtype="<f8").tobytes(),
 }
@@ -535,7 +573,7 @@ BOUNDARIES = [
     ("separation", "0.0", "-5e-324"),
     ("test_per_class", "1", "0"),
     ("train_csv", None, 5),
-    ("test_csv", "t.csv", 5),
+    ("test_csv", None, 5),
     ("hidden", "1,1", "1,0"),
     ("epochs", "1", "0"),
     ("batch_size", "1", "0"),

@@ -72,7 +72,6 @@ class TestGenerate:
         assert np.all(np.diff(train.class_counts) <= 0)
         assert np.all(test.class_counts == 17)
         assert len(train) == train.class_counts.sum()
-        assert train.split_tag == "train" and test.split_tag == "test"
 
     def test_class_mean_norm_equals_separation(self):
         # with many samples the empirical class mean approaches the true one
@@ -173,7 +172,7 @@ class TestCsv:
         train, _ = generate_synthetic(4, 5, 50, 8.0, 2.0, seed=11)
         path = tmp_path / "train.csv"
         save_csv(train, path)
-        back = load_csv(path, split_tag="train")
+        back = load_csv(path)
         assert np.array_equal(back.features, train.features)
         assert np.array_equal(back.labels, train.labels)
         assert np.array_equal(back.class_counts, train.class_counts)

@@ -10,7 +10,6 @@ from tailens.ensemble import (
     diversity_diagnostics,
     entropy_grad,
     entropy_term,
-    l2_term,
     load_checkpoint,
     predictive_logprobs_batch,
     regularizer,
@@ -106,13 +105,13 @@ class TestL2:
     def test_zero_particles(self):
         shape = NetShape(1, (), 2)
         ens = ParticleEnsemble(shape, np.zeros((3, param_count(shape))))
-        assert l2_term(ens) == 0.0
+        assert regularizer(ens).l2_term == 0.0
 
     def test_hand_case(self):
         # particle norms 25 and 0 average to 12.5
         shape = NetShape(1, (), 2)
         particles = np.array([[3.0, 4.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-        assert l2_term(ParticleEnsemble(shape, particles)) == 12.5
+        assert regularizer(ParticleEnsemble(shape, particles)).l2_term == 12.5
 
 
 class TestEntropy:
@@ -273,7 +272,7 @@ class TestOneSpreadPass:
         value = regularizer(ens, var_floor, weight_decay=weight_decay, anneal=anneal)
         assert (value.l2_term, value.entropy_term) == (l2, entropy)
         assert np.array_equal(value.grad, combined)
-        assert l2_term(ens) == l2
+        assert regularizer(ens).l2_term == l2
         assert entropy_term(ens, var_floor) == entropy
         if spread_grad is None:
             spread_grad = np.zeros_like(particles)

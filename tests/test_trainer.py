@@ -348,12 +348,7 @@ class TestEvaluate:
 class TestRepeatRuns:
     def test_aggregates_over_seeds(self):
         config = quick_config(epochs=2)
-        reports = repeat_runs(
-            config,
-            n_runs=2,
-            data_fn=lambda seed: small_task(seed),
-            utility_fn=one_hot,
-        )
+        reports = repeat_runs(config, [small_task(0), small_task(1)], one_hot(3))
         assert len(reports) == 2
         assert reports[0] != reports[1]
         # run r is a plain train + evaluate at seed config.seed + r
@@ -364,6 +359,16 @@ class TestRepeatRuns:
 
     def test_requires_a_run(self):
         with pytest.raises(InputError):
-            repeat_runs(
-                quick_config(), 0, data_fn=small_task, utility_fn=one_hot
-            )
+            repeat_runs(quick_config(), [], one_hot(3))
+
+    def test_leaves_a_shared_pair_unchanged(self):
+        # CSV sweeps hand every run the same pair, so no run may write to it
+        pair = small_task()
+        before = [(d.features.copy(), d.labels.copy(), d.class_counts.copy()) for d in pair]
+        for data in pair:
+            for array in (data.features, data.labels, data.class_counts):
+                array.flags.writeable = False
+        repeat_runs(quick_config(epochs=2), [pair, pair], one_hot(3))
+        for data, arrays in zip(pair, before):
+            after = (data.features, data.labels, data.class_counts)
+            assert all(np.array_equal(a, b) for a, b in zip(after, arrays))
