@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .dataset import TailSplit, generate_synthetic, load_csv, save_csv
+from .dataset import generate_synthetic, load_csv, save_csv
 from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
 from .errors import InputError, NumericError, ParseError
@@ -208,11 +208,7 @@ def _build_utility(config: dict, num_classes: int):
     if kind == "one-hot":
         return one_hot(num_classes)
     if kind == "tail-sensitive":
-        return tail_sensitive(
-            num_classes,
-            TailSplit(num_classes, config["utility_tail_ratio"]),
-            config["rho"],
-        )
+        return tail_sensitive(num_classes, config["utility_tail_ratio"], config["rho"])
     matrix = load_matrix(kind)
     if matrix.num_classes != num_classes:
         raise InputError(f"{kind} covers {matrix.num_classes} classes, data has {num_classes}")
@@ -223,6 +219,12 @@ def _load_data(config: dict, seed: int):
     """(train, test) from CSVs when configured, else synthetic at this seed."""
     if config["train_csv"] is not None:
         train_data = load_csv(config["train_csv"])
+        # what training would reject after --out exists, said with the file's name
+        missing = np.flatnonzero(train_data.class_counts == 0).tolist()
+        if missing:
+            raise InputError(f"{config['train_csv']}: classes without training samples: {missing}")
+        if train_data.num_classes < 2:
+            raise InputError(f"{config['train_csv']}: training needs at least 2 classes")
         test_data = None
         if config["test_csv"] is not None:
             test_data = load_csv(config["test_csv"], train_data.num_classes)

@@ -7,7 +7,7 @@ n_max for class 0 down to n_max/imbalance for class K-1; test sets are uniform.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,30 +18,23 @@ from .errors import InputError, ParseError, names_file
 class LongTailDataset:
     features: np.ndarray  # (N, D) float64
     labels: np.ndarray  # (N,) int64 in [0, K)
-    class_counts: np.ndarray  # (K,) int64, counts per class
+    num_classes: int  # K
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.class_counts = np.asarray(self.class_counts, dtype=np.int64)
         if self.features.ndim != 2:
             raise InputError(f"features must be (N, D), got shape {self.features.shape}")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
             raise InputError("labels must be a vector aligned with features rows")
-        k = self.class_counts.shape[0]
-        if k < 1 or self.class_counts.ndim != 1:
-            raise InputError("class_counts must be a non-empty vector")
-        if np.any(self.class_counts < 0):
-            raise InputError("class_counts must be nonnegative")
+        k = self.num_classes
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= k):
             raise InputError(f"labels must lie in [0, {k})")
-        observed = np.bincount(self.labels, minlength=k)
-        if not np.array_equal(observed, self.class_counts):
-            raise InputError("class_counts disagree with the labels")
 
     @property
-    def num_classes(self) -> int:
-        return int(self.class_counts.shape[0])
+    def class_counts(self) -> np.ndarray:
+        """(K,) int64 samples per class, 0 for a class without samples."""
+        return np.bincount(self.labels, minlength=self.num_classes)
 
     @property
     def dim(self) -> int:
@@ -60,28 +53,15 @@ class RegionPartition:
     tail: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TailSplit:
-    """Binary head/tail split: `tail` holds the last ceil(ratio*K) class ids."""
-
-    num_classes: int
-    ratio: float
-    tail: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise InputError(f"tail ratio must be in (0, 1), got {self.ratio}")
-        if self.num_classes < 1:
-            raise InputError("need at least one class")
-        n_tail = math.ceil(self.ratio * self.num_classes)
-        object.__setattr__(
-            self, "tail", tuple(range(self.num_classes - n_tail, self.num_classes))
-        )
-
-    def tail_mask(self) -> np.ndarray:
-        mask = np.zeros(self.num_classes, dtype=bool)
-        mask[list(self.tail)] = True
-        return mask
+def tail_mask(num_classes: int, ratio: float) -> np.ndarray:
+    """(K,) bool head/tail split: True on the last ceil(ratio*K) class ids."""
+    if not 0.0 < ratio < 1.0:
+        raise InputError(f"tail ratio must be in (0, 1), got {ratio}")
+    if num_classes < 1:
+        raise InputError("need at least one class")
+    mask = np.zeros(num_classes, dtype=bool)
+    mask[num_classes - math.ceil(ratio * num_classes) :] = True
+    return mask
 
 
 def region_partition(num_classes: int) -> RegionPartition:
@@ -159,7 +139,7 @@ def generate_synthetic(
         return LongTailDataset(
             features=np.concatenate(xs) if xs else np.empty((0, dim)),
             labels=np.concatenate(ys) if ys else np.empty(0, dtype=np.int64),
-            class_counts=np.asarray(per_class, dtype=np.int64),
+            num_classes=num_classes,
         )
 
     train = draw(counts)
@@ -221,9 +201,4 @@ def load_csv(path, num_classes=None) -> LongTailDataset:
         raise ParseError(f"non-finite feature in {feats[bad].tolist()}", line=linenos[bad])
     labels = np.asarray(labels, dtype=np.int64)
     k = int(labels.max()) + 1 if num_classes is None else num_classes
-    counts = np.bincount(labels, minlength=k)
-    return LongTailDataset(
-        features=feats,
-        labels=labels,
-        class_counts=counts,
-    )
+    return LongTailDataset(features=feats, labels=labels, num_classes=k)

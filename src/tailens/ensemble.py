@@ -7,7 +7,6 @@ half the summed log of the per-coordinate particle variance.
 """
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +58,6 @@ def predictive_logprobs_batch(ens: ParticleEnsemble, x: np.ndarray):
     return per_particle, mixture
 
 
-SINGLE_PARTICLE = "spread term is 0 for a single particle"
-
-
 @dataclass(frozen=True)
 class RegularizerValue:
     l2_term: float
@@ -104,20 +100,6 @@ def regularizer(
         spread_grad *= anneal
         grad -= spread_grad
     return RegularizerValue(l2_term=l2, entropy_term=entropy, grad=grad)
-
-
-def entropy_term(ens: ParticleEnsemble, var_floor: float = 1e-8) -> float:
-    """Half the summed log of per-coordinate particle variance (floored)."""
-    value = regularizer(ens, var_floor)
-    if ens.n_particles == 1:
-        warnings.warn(SINGLE_PARTICLE, stacklevel=2)
-    return value.entropy_term
-
-
-def entropy_grad(ens: ParticleEnsemble, var_floor: float = 1e-8) -> np.ndarray:
-    """d(entropy_term)/d(particles): (theta - mean) / (M * (var + floor))."""
-    spread_grad = _spread(ens.particles, var_floor)[2]
-    return np.zeros_like(ens.particles) if spread_grad is None else spread_grad
 
 
 def regularizer_grad(

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import RegionPartition, TailSplit
+from .dataset import RegionPartition
 from .errors import InputError
 
 
@@ -46,13 +46,12 @@ def region_accuracy(
     )
 
 
-def false_head_rate(labels: np.ndarray, decisions: np.ndarray, tail: TailSplit) -> float:
-    """Share of tail-labeled samples whose decision landed in the head."""
+def false_head_rate(labels: np.ndarray, decisions: np.ndarray, tail_mask: np.ndarray) -> float:
+    """Share of tail-labeled samples whose decision landed in the head of the (K,) mask."""
     labels = np.asarray(labels)
     decisions = np.asarray(decisions)
     if labels.shape != decisions.shape or labels.ndim != 1:
         raise InputError("labels and decisions must be aligned vectors")
-    tail_mask = tail.tail_mask()
     is_tail_label = tail_mask[labels]
     if not is_tail_label.any():
         warnings.warn("no tail-labeled samples; false head rate is 0", stacklevel=2)
@@ -65,8 +64,7 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray | float:
     """-sum p log p over the last axis, with 0 log 0 = 0."""
     probs = np.asarray(probs, dtype=np.float64)
     terms = np.where(probs > 0, probs * np.log(np.where(probs > 0, probs, 1.0)), 0.0)
-    out = -terms.sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return -terms.sum(axis=-1)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

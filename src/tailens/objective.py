@@ -18,6 +18,8 @@ from .errors import InputError, NumericError
 from .rebalance import ClassWeights
 from .utility import UtilityMatrix
 
+SINGLE_PARTICLE = "spread term is 0 for a single particle"
+
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -55,7 +57,7 @@ class TrainingStep:
         if var_floor <= 0:
             raise InputError(f"variance floor must be > 0, got {var_floor}")
         if ens.n_particles == 1:
-            warnings.warn(ensemble.SINGLE_PARTICLE, stacklevel=2)
+            warnings.warn(SINGLE_PARTICLE, stacklevel=2)
         self.ens, self.weights, self.utility = ens, weights.normalized, utility.values
         self.utility_scale, self.weight_decay = utility_scale, weight_decay
         self.var_floor = var_floor

@@ -64,8 +64,9 @@ def class_weights(spec: DiscrepancySpec, counts) -> ClassWeights:
     counts = np.asarray(counts)
     if counts.ndim != 1 or counts.size < 1:
         raise InputError("counts must be a non-empty vector")
-    if np.any(counts < 1):
-        raise InputError("every class needs at least one training sample")
+    missing = np.flatnonzero(counts < 1)
+    if missing.size:
+        raise InputError(f"classes without training samples: {missing.tolist()}")
     raw = np.array([1.0 / f_value(spec, int(n)) for n in counts])
     return ClassWeights(raw=raw, normalized=normalize_raw(raw, counts))
 

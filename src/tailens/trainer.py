@@ -10,12 +10,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import LongTailDataset, TailSplit, region_partition
+from .dataset import LongTailDataset, region_partition, tail_mask
 from .decision import BatchDecisions, decide_batch
 from .ensemble import (
     ParticleEnsemble,
     diversity_diagnostics,
-    predictive_logprobs_batch,
     save_checkpoint,
 )
 from .errors import InputError, NumericError
@@ -27,7 +26,7 @@ from .metrics import (
     predictive_entropy,
     region_accuracy,
 )
-from .numcore import NetShape, init_params
+from .numcore import NetShape, forward_logprobs_batch, init_params
 from .objective import LossBreakdown, TrainingStep
 from .rebalance import DiscrepancySpec, class_weights
 from .utility import UtilityMatrix
@@ -126,19 +125,8 @@ def train(
     out_dir=None,
 ) -> tuple[ParticleEnsemble, list[EpochRecord]]:
     """Train an ensemble; returns it with one record per epoch."""
-    k = train_data.num_classes
-    if utility.num_classes != k:
-        raise InputError(
-            f"utility matrix is over {utility.num_classes} classes, data has {k}"
-        )
-    missing = np.flatnonzero(train_data.class_counts < 1)
-    if missing.size:
-        raise InputError(f"classes without training samples: {missing.tolist()}")
-    if k < 2:
-        raise InputError("training needs at least 2 classes")
-
     weights = class_weights(config.ratio, train_data.class_counts)
-    shape = NetShape(train_data.dim, config.hidden_dims, k)
+    shape = NetShape(train_data.dim, config.hidden_dims, train_data.num_classes)
     ens = ParticleEnsemble(shape=shape, particles=_init_particles(config, shape))
     velocity = np.zeros_like(ens.particles)
     step = TrainingStep(
@@ -190,7 +178,7 @@ def train(
             n_batches += 1
 
         means = sums / n_batches
-        preds = predictive_logprobs_batch(ens, diag_x)[0].argmax(axis=2)  # (M, n_diag)
+        preds = forward_logprobs_batch(shape, ens.particles, diag_x).argmax(axis=2)  # (M, n_diag)
         diag = diversity_diagnostics(ens, preds)
         records.append(
             EpochRecord(
@@ -251,7 +239,7 @@ def evaluate(
 
     acc = region_accuracy(labels, batch.decisions, region_partition(k))
     fhr = {
-        float(r): false_head_rate(labels, batch.decisions, TailSplit(k, float(r)))
+        float(r): false_head_rate(labels, batch.decisions, tail_mask(k, float(r)))
         for r in tail_ratios
     }
     entropy = predictive_entropy(batch.mixture)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TailSplit
+from .dataset import tail_mask
 from .errors import InputError, ParseError, names_file
 
 
@@ -39,17 +39,13 @@ def one_hot(num_classes: int) -> UtilityMatrix:
     return UtilityMatrix(num_classes, np.eye(num_classes))
 
 
-def tail_sensitive(num_classes: int, tail: TailSplit, penalty: float = 1.0) -> UtilityMatrix:
+def tail_sensitive(num_classes: int, tail_ratio: float, penalty: float = 1.0) -> UtilityMatrix:
     """One-hot plus a -penalty entry for deciding head when the truth is tail."""
     if penalty < 0:
         raise InputError(f"penalty must be >= 0, got {penalty}")
-    if tail.num_classes != num_classes:
-        raise InputError(
-            f"tail split is over {tail.num_classes} classes, matrix wants {num_classes}"
-        )
     values = np.eye(num_classes)
-    tail_mask = tail.tail_mask()
-    values[np.ix_(tail_mask, ~tail_mask)] = -penalty
+    tail = tail_mask(num_classes, tail_ratio)
+    values[np.ix_(tail, ~tail)] = -penalty
     return UtilityMatrix(num_classes, values)
 
 

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import random_ensemble, random_utility
-from tailens.dataset import TailSplit, generate_synthetic
+from tailens.dataset import generate_synthetic, tail_mask
 from tailens.decision import decide_batch
 from tailens.ensemble import (
     ParticleEnsemble,
-    entropy_grad,
-    entropy_term,
     predictive_logprobs_batch,
+    regularizer,
 )
 from tailens.metrics import (
     auc_misclassification,
@@ -76,7 +75,7 @@ class _RunCache:
         elif arm == "plain":
             overrides["ratio"] = DiscrepancySpec(form="plain")
         elif arm == "tail":
-            utility = tail_sensitive(10, TailSplit(10, 0.5), penalty=1.0)
+            utility = tail_sensitive(10, 0.5, penalty=1.0)
             overrides["utility_scale"] = 32.0
         elif arm == "off":
             overrides["repulsion"] = False
@@ -120,7 +119,7 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
             DiscrepancySpec(form=form, gamma=float(rng.uniform(0.5, 2.0)), beta=0.999),
             counts,
         )
-        utility = (one_hot(3), tail_sensitive(3, TailSplit(3, 0.4), 1.0),
+        utility = (one_hot(3), tail_sensitive(3, 0.4, 1.0),
                    random_utility(3, rng))[i % 3]
         kwargs = dict(
             utility_scale=float(rng.uniform(0.5, 8.0)),
@@ -205,8 +204,8 @@ def test_criterion_03_metric_brute_force_oracles(capsys):
         labels = rng.integers(0, k, size=n)
         labels[0] = k - 1  # guarantee a tail-labeled sample
         decisions = rng.integers(0, k, size=n)
-        tail = TailSplit(k, ratio)
-        tail_ids = set(tail.tail)
+        tail = tail_mask(k, ratio)
+        tail_ids = set(np.flatnonzero(tail).tolist())
         hits = [
             float(int(d) not in tail_ids)
             for l, d in zip(labels, decisions)
@@ -270,14 +269,14 @@ def test_criterion_04_decision_rule_identities(capsys):
     mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
     argmax_match = int((hot.decisions == mean_logp.argmax(axis=1)).sum())
 
-    neutral = decide_batch(ens, tail_sensitive(k, TailSplit(k, 0.5), 0.0), x)
+    neutral = decide_batch(ens, tail_sensitive(k, 0.5, 0.0), x)
     rho_zero_match = int((neutral.decisions == hot.decisions).sum())
 
     shift_stable = True
-    base = decide_batch(ens, tail_sensitive(k, TailSplit(k, 0.5), 1.0), x)
+    base = decide_batch(ens, tail_sensitive(k, 0.5, 1.0), x)
     for c in (-3.0, 0.7, 42.0):
         shifted = UtilityMatrix(
-            k, tail_sensitive(k, TailSplit(k, 0.5), 1.0).values + c
+            k, tail_sensitive(k, 0.5, 1.0).values + c
         )
         moved = decide_batch(ens, shifted, x)
         shift_stable = shift_stable and bool(
@@ -415,8 +414,10 @@ def test_criterion_10_invariance_suite(capsys):
         a = ParticleEnsemble(shape, particles.copy())
         b = ParticleEnsemble(shape, particles + shift)
         translation_ok = translation_ok and bool(
-            abs(entropy_term(a) - entropy_term(b)) < 1e-9
-            and np.allclose(entropy_grad(a), entropy_grad(b), atol=1e-9)
+            abs(regularizer(a).entropy_term - regularizer(b).entropy_term) < 1e-9
+            and np.allclose(
+                -regularizer(a, anneal=1.0).grad, -regularizer(b, anneal=1.0).grad, atol=1e-9
+            )
         )
 
     convexity_ok = True

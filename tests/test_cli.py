@@ -380,6 +380,13 @@ FIVE_FEATURES = b"f0,f1,f2,f3,f4,label\n1,2,3,4,5,0\n5,4,3,2,1,1\n"
 
 TWO_CLASSES = b"f0,f1,f2,label\n" + b"".join(b"%d.0,0.5,-1.0,%d\n" % (i, i % 2) for i in range(8))
 
+
+def three_features(*labels):
+    """A training CSV with one 3-feature row per label."""
+    rows = (b"%d.0,0.5,-1.0,%d\n" % (i, y) for i, y in enumerate(labels))
+    return b"f0,f1,f2,label\n" + b"".join(rows)
+
+
 # family -> (command, file name, file bytes, extra flags naming the file, stderr text)
 MALFORMED = {
     "config-json": ("train", "cfg.json", b"{not json", ["--config"], "JSON"),
@@ -469,6 +476,20 @@ MALFORMED = {
     "generate-data-both-csvs": (
         "generate-data", None, None, ["--train-csv", "a.csv", "--test-csv", "a.csv"],
         "generate-data needs synthetic settings, not CSVs",
+    ),
+    # training would reject these CSVs after --out exists; the CLI names the file first
+    "train-csv-empty-class": (
+        "train", "gap.csv", three_features(0, 0, 2), ["--train-csv"],
+        "classes without training samples: [1]",
+    ),
+    "train-csv-one-class": (
+        "train", "one.csv", three_features(0, 0, 0), ["--train-csv"],
+        "training needs at least 2 classes",
+    ),
+    "sweep-csv-empty-class": (
+        "sweep", "gap.csv", three_features(0, 0, 1, 3),
+        ["--axis", "ratio", "--test-csv", "a.csv", "--train-csv"],
+        "classes without training samples: [2]",
     ),
     "synthetic-empty-class": (
         "generate-data", None, None, ["--n-max", "100", "--imbalance", "300"],

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from tailens.dataset import (
     LongTailDataset,
-    TailSplit,
     generate_synthetic,
     load_csv,
     region_partition,
     save_csv,
+    tail_mask,
     train_class_counts,
 )
 from tailens.errors import InputError, ParseError
@@ -91,17 +91,18 @@ class TestGenerate:
 
 
 class TestDatasetType:
-    def test_counts_must_match_labels(self):
-        with pytest.raises(InputError):
-            LongTailDataset(np.zeros((3, 2)), np.array([0, 0, 1]), np.array([1, 2]))
-
     def test_labels_in_range(self):
         with pytest.raises(InputError):
-            LongTailDataset(np.zeros((2, 2)), np.array([0, 5]), np.array([1, 1]))
+            LongTailDataset(np.zeros((2, 2)), np.array([0, 5]), 2)
 
     def test_len_and_dims(self):
-        data = LongTailDataset(np.zeros((3, 2)), np.array([0, 0, 1]), np.array([2, 1]))
+        data = LongTailDataset(np.zeros((3, 2)), np.array([0, 0, 1]), 2)
         assert len(data) == 3 and data.num_classes == 2 and data.dim == 2
+
+    def test_empty_last_class_keeps_k(self):
+        data = LongTailDataset(np.zeros((3, 2)), np.array([0, 0, 1]), 3)
+        assert data.num_classes == 3
+        assert np.array_equal(data.class_counts, [2, 1, 0])
 
 
 class TestRegions:
@@ -131,33 +132,32 @@ class TestRegions:
 
 class TestTailSplit:
     def test_ratio_quarter(self):
-        assert TailSplit(10, 0.25).tail == (7, 8, 9)
+        assert tuple(np.flatnonzero(tail_mask(10, 0.25))) == (7, 8, 9)
 
     def test_ratio_half(self):
-        assert TailSplit(10, 0.5).tail == (5, 6, 7, 8, 9)
+        assert tuple(np.flatnonzero(tail_mask(10, 0.5))) == (5, 6, 7, 8, 9)
 
     def test_ratio_three_quarters(self):
-        assert TailSplit(10, 0.75).tail == (2, 3, 4, 5, 6, 7, 8, 9)
+        assert tuple(np.flatnonzero(tail_mask(10, 0.75))) == (2, 3, 4, 5, 6, 7, 8, 9)
 
     def test_mask_matches_ids(self):
-        split = TailSplit(7, 0.4)
-        mask = split.tail_mask()
-        assert tuple(np.flatnonzero(mask)) == split.tail
+        mask = tail_mask(7, 0.4)
+        assert mask.dtype == bool and mask.shape == (7,)
+        assert tuple(np.flatnonzero(mask)) == (4, 5, 6)
 
     @given(
         st.integers(min_value=1, max_value=100),
         st.floats(min_value=0.01, max_value=0.99),
     )
     def test_tail_and_head_partition(self, k, ratio):
-        split = TailSplit(k, ratio)
-        mask = split.tail_mask()
+        mask = tail_mask(k, ratio)
         assert 1 <= mask.sum() <= k
-        assert split.tail == tuple(range(k - mask.sum(), k))
+        assert tuple(np.flatnonzero(mask)) == tuple(range(k - mask.sum(), k))
 
     def test_ratio_bounds(self):
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(InputError):
-                TailSplit(5, bad)
+                tail_mask(5, bad)
 
 
 class TestCsv:

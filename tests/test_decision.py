@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import probs_ensemble, random_ensemble
-from tailens.dataset import TailSplit
 from tailens.decision import decide_batch, write_predictions_csv
 from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import InputError
@@ -42,7 +41,7 @@ class TestTailSensitive:
     def test_zero_penalty_reduces_to_one_hot(self, rng):
         ens = random_ensemble(NetShape(3, (5,), 6), 3, seed=13)
         x = rng.normal(size=(150, 3))
-        neutral = tail_sensitive(6, TailSplit(6, 0.5), penalty=0.0)
+        neutral = tail_sensitive(6, 0.5, penalty=0.0)
         assert np.array_equal(
             decide_batch(ens, neutral, x).decisions,
             decide_batch(ens, one_hot(6), x).decisions,
@@ -52,7 +51,7 @@ class TestTailSensitive:
         # predictive (0.55, 0.45); penalizing head decisions on tail truth
         # makes the tail class the better bet
         ens = probs_ensemble([[0.55, 0.45]])
-        utility = tail_sensitive(2, TailSplit(2, 0.5), penalty=1.0)
+        utility = tail_sensitive(2, 0.5, penalty=1.0)
         out = decide_batch(ens, utility, np.zeros((1, 1)))
         assert out.expected_gains[0] == pytest.approx([0.10, 0.45], rel=1e-10)
         assert out.decisions[0] == 1
@@ -65,7 +64,7 @@ class TestTailSensitive:
     def test_flip_threshold(self, penalty, expected):
         # decision flips once penalty exceeds p0/p1 - 1 = 2/9
         ens = probs_ensemble([[0.55, 0.45]])
-        utility = tail_sensitive(2, TailSplit(2, 0.5), penalty=penalty)
+        utility = tail_sensitive(2, 0.5, penalty=penalty)
         assert decide_batch(ens, utility, np.zeros((1, 1))).decisions[0] == expected
 
 

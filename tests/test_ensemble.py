@@ -8,8 +8,6 @@ from tailens.ensemble import (
     CHECKPOINT_MAGIC,
     ParticleEnsemble,
     diversity_diagnostics,
-    entropy_grad,
-    entropy_term,
     load_checkpoint,
     predictive_logprobs_batch,
     regularizer,
@@ -119,7 +117,9 @@ class TestEntropy:
         shape = NetShape(2, (3,), 2)
         p = param_count(shape)
         ens = ParticleEnsemble(shape, np.ones((3, p)))
-        assert entropy_term(ens, 1e-8) == pytest.approx(0.5 * p * np.log(1e-8), rel=1e-12)
+        assert regularizer(ens, 1e-8).entropy_term == pytest.approx(
+            0.5 * p * np.log(1e-8), rel=1e-12
+        )
 
     def test_two_particle_hand_case(self):
         # one coordinate spread 0-vs-2: mean 1, mean square 2, variance 1
@@ -127,42 +127,41 @@ class TestEntropy:
         particles = np.zeros((2, 4))
         particles[1, 0] = 2.0
         expected = 0.5 * (np.log(1.0 + 1e-8) + 3 * np.log(1e-8))
-        assert entropy_term(ParticleEnsemble(shape, particles)) == pytest.approx(
+        assert regularizer(ParticleEnsemble(shape, particles)).entropy_term == pytest.approx(
             expected, rel=1e-12
         )
 
-    def test_single_particle_warns_and_returns_zero(self):
+    def test_single_particle_returns_zero(self):
         shape = NetShape(1, (), 2)
         ens = ParticleEnsemble(shape, np.ones((1, 4)))
-        with pytest.warns(UserWarning):
-            assert entropy_term(ens) == 0.0
-        assert np.array_equal(entropy_grad(ens), np.zeros((1, 4)))
+        assert regularizer(ens).entropy_term == 0.0
+        assert np.array_equal(-regularizer(ens, anneal=1.0).grad, np.zeros((1, 4)))
 
     def test_strictly_increases_with_variance(self, rng):
         shape = NetShape(1, (), 2)
         particles = rng.normal(size=(4, 4))
-        base = entropy_term(ParticleEnsemble(shape, particles.copy()))
+        base = regularizer(ParticleEnsemble(shape, particles.copy())).entropy_term
         spread = particles.copy()
         spread[:, 2] = particles[:, 2].mean() + 1.5 * (
             particles[:, 2] - particles[:, 2].mean()
         )
-        assert entropy_term(ParticleEnsemble(shape, spread)) > base
+        assert regularizer(ParticleEnsemble(shape, spread)).entropy_term > base
 
     def test_grad_translation_equivariant(self, rng):
         # shifting one coordinate of every particle leaves the gradient alone
         shape = NetShape(2, (3,), 2)
         particles = rng.normal(size=(3, param_count(shape)))
-        g1 = entropy_grad(ParticleEnsemble(shape, particles.copy()))
+        g1 = -regularizer(ParticleEnsemble(shape, particles.copy()), anneal=1.0).grad
         shifted = particles.copy()
         shifted[:, 5] += 11.0
-        g2 = entropy_grad(ParticleEnsemble(shape, shifted))
+        g2 = -regularizer(ParticleEnsemble(shape, shifted), anneal=1.0).grad
         assert np.allclose(g1, g2, rtol=1e-6, atol=1e-9)
 
     def test_grad_matches_finite_differences(self, rng):
         shape = NetShape(1, (), 2)
         particles = rng.normal(size=(2, 4))
         ens = ParticleEnsemble(shape, particles.copy())
-        grad = entropy_grad(ens, 1e-8)
+        grad = -regularizer(ens, 1e-8, anneal=1.0).grad
         step = 1e-5
         for j in range(2):
             for k in range(4):
@@ -171,15 +170,15 @@ class TestEntropy:
                 down = particles.copy()
                 down[j, k] -= step
                 fd = (
-                    entropy_term(ParticleEnsemble(shape, up), 1e-8)
-                    - entropy_term(ParticleEnsemble(shape, down), 1e-8)
+                    regularizer(ParticleEnsemble(shape, up), 1e-8).entropy_term
+                    - regularizer(ParticleEnsemble(shape, down), 1e-8).entropy_term
                 ) / (2 * step)
                 assert grad[j, k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_floor_must_be_positive(self):
         ens = random_ensemble(NetShape(1, (), 2), 2, seed=0)
         with pytest.raises(InputError):
-            entropy_term(ens, 0.0)
+            regularizer(ens, 0.0)
 
 
 class TestRegularizer:
@@ -273,17 +272,18 @@ class TestOneSpreadPass:
         assert (value.l2_term, value.entropy_term) == (l2, entropy)
         assert np.array_equal(value.grad, combined)
         assert regularizer(ens).l2_term == l2
-        assert entropy_term(ens, var_floor) == entropy
+        assert regularizer(ens, var_floor).entropy_term == entropy
         if spread_grad is None:
             spread_grad = np.zeros_like(particles)
-        assert np.array_equal(entropy_grad(ens, var_floor), spread_grad)
+        assert np.array_equal(-regularizer(ens, var_floor, anneal=1.0).grad, spread_grad)
         assert np.array_equal(regularizer_grad(ens, weight_decay, anneal, var_floor), combined)
         assert np.array_equal(ens.particles, particles)  # read, never written
 
     def test_results_do_not_alias_the_particles(self, rng):
         ens = random_ensemble(NetShape(2, (3,), 2), 3, seed=2)
         value = regularizer(ens, weight_decay=0.1, anneal=0.5)
-        for out in (value.grad, entropy_grad(ens), regularizer_grad(ens, 0.0, 0.0)):
+        spread = regularizer(ens, anneal=1.0).grad
+        for out in (value.grad, spread, regularizer_grad(ens, 0.0, 0.0)):
             assert not np.shares_memory(out, ens.particles)
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from tailens.dataset import TailSplit, region_partition
+from tailens.dataset import region_partition, tail_mask
 from tailens.errors import InputError
 from tailens.metrics import (
     MetricsReport,
@@ -62,24 +62,24 @@ class TestFalseHeadRate:
     def test_hand_case(self):
         # tail classes {2, 3}; three tail-labeled samples, two decided head
         fhr = false_head_rate(
-            np.array([2, 3, 2, 0]), np.array([0, 3, 1, 0]), TailSplit(4, 0.5)
+            np.array([2, 3, 2, 0]), np.array([0, 3, 1, 0]), tail_mask(4, 0.5)
         )
         assert fhr == pytest.approx(2 / 3, rel=1e-12)
 
     def test_no_tail_labels_warns_zero(self):
         with pytest.warns(UserWarning):
-            fhr = false_head_rate(np.array([0, 1]), np.array([2, 3]), TailSplit(4, 0.5))
+            fhr = false_head_rate(np.array([0, 1]), np.array([2, 3]), tail_mask(4, 0.5))
         assert fhr == 0.0
 
     def test_extremes(self):
-        tail = TailSplit(4, 0.5)
+        tail = tail_mask(4, 0.5)
         labels = np.array([2, 3, 3])
         assert false_head_rate(labels, np.array([0, 1, 0]), tail) == 1.0
         assert false_head_rate(labels, np.array([3, 2, 3]), tail) == 0.0
 
     def test_matches_brute_force(self, rng):
-        tail = TailSplit(6, 0.4)
-        tail_ids = set(tail.tail)
+        tail = tail_mask(6, 0.4)
+        tail_ids = set(np.flatnonzero(tail).tolist())
         for _ in range(20):
             labels = rng.integers(0, 6, size=50)
             decisions = rng.integers(0, 6, size=50)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import random_ensemble, random_utility
-from tailens.dataset import TailSplit
 from tailens.ensemble import ParticleEnsemble, predictive_logprobs_batch
 from tailens.errors import InputError, NumericError
 from tailens.numcore import NetShape, backward_batch, init_params, param_count
@@ -44,7 +43,7 @@ def oracle_setup():
     )
     ens = ParticleEnsemble(shape=shape, particles=particles)
     weights = class_weights(DiscrepancySpec(form="linear"), ORACLE_COUNTS)
-    utility = tail_sensitive(4, TailSplit(4, 0.5), 1.0)
+    utility = tail_sensitive(4, 0.5, 1.0)
     return ens, weights, utility
 
 
@@ -323,9 +322,7 @@ class TestPreparedStep:
         counts = np.round(100 * 0.6 ** np.arange(10)).astype(int) + 1
         weights = class_weights(DiscrepancySpec(form="linear"), counts)
         k = self.SHAPE.num_classes
-        utility = one_hot(k) if utility_kind == "one-hot" else tail_sensitive(
-            k, TailSplit(k, 0.5), 2.0
-        )
+        utility = one_hot(k) if utility_kind == "one-hot" else tail_sensitive(k, 0.5, 2.0)
         return rng, ens, weights, utility
 
     @pytest.mark.parametrize("m", [1, 3, 8])

@@ -300,23 +300,37 @@ class TestArtifacts:
 
 
 class TestTrainValidation:
-    def test_utility_class_mismatch(self):
-        train_data, _ = small_task()
-        with pytest.raises(InputError):
-            train(quick_config(), train_data, one_hot(4))
+    """train checks nothing itself: the types it builds reject bad inputs before
+    the first epoch, which would write a checkpoint."""
 
-    def test_rejects_empty_classes(self, rng):
+    def rejects_before_training(self, tmp_path, data, utility, message):
+        with pytest.raises(InputError, match=message):
+            train(quick_config(checkpoint_every=1), data, utility, out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_utility_class_mismatch(self, tmp_path):
+        train_data, _ = small_task()
+        self.rejects_before_training(
+            tmp_path, train_data, one_hot(4), "utility matrix is over 4 classes, model has 3"
+        )
+
+    def test_rejects_empty_classes(self, tmp_path, rng):
         features = rng.normal(size=(3, 2))
         labels = np.array([0, 0, 1])
-        data = LongTailDataset(features, labels, np.array([2, 1, 0]))
-        with pytest.raises(InputError):
-            train(quick_config(), data, one_hot(3))
+        data = LongTailDataset(features, labels, 3)
+        self.rejects_before_training(
+            tmp_path, data, one_hot(3), r"classes without training samples: \[2\]"
+        )
+
+    def test_rejects_one_class(self, tmp_path, rng):
+        data = LongTailDataset(rng.normal(size=(3, 2)), np.zeros(3, dtype=np.int64), 1)
+        self.rejects_before_training(tmp_path, data, one_hot(1), "need at least 2 classes")
 
     def test_numeric_error_names_the_dataset_row(self):
         train_data, _ = small_task()
         features = train_data.features.copy()
         features[5] = np.nan
-        data = LongTailDataset(features, train_data.labels, train_data.class_counts)
+        data = LongTailDataset(features, train_data.labels, train_data.num_classes)
         with pytest.raises(NumericError) as info:
             train(quick_config(batch_size=16), data, one_hot(3))
         # the shuffled batch holds row 5 at another position
@@ -366,7 +380,7 @@ class TestRepeatRuns:
         pair = small_task()
         before = [(d.features.copy(), d.labels.copy(), d.class_counts.copy()) for d in pair]
         for data in pair:
-            for array in (data.features, data.labels, data.class_counts):
+            for array in (data.features, data.labels):
                 array.flags.writeable = False
         repeat_runs(quick_config(epochs=2), [pair, pair], one_hot(3))
         for data, arrays in zip(pair, before):

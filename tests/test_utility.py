@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailens.dataset import TailSplit
 from tailens.errors import InputError, ParseError
 from tailens.utility import UtilityMatrix, load_matrix, one_hot, tail_sensitive
 
@@ -26,12 +25,11 @@ class TestOneHot:
 
 class TestTailSensitive:
     def test_zero_penalty_reduces_to_one_hot(self):
-        split = TailSplit(6, 0.5)
-        assert np.array_equal(tail_sensitive(6, split, 0.0).values, one_hot(6).values)
+        assert np.array_equal(tail_sensitive(6, 0.5, 0.0).values, one_hot(6).values)
 
     def test_k4_structure(self):
         # tail holds classes {2, 3}; deciding head on a tail truth costs rho
-        values = tail_sensitive(4, TailSplit(4, 0.5), 1.0).values
+        values = tail_sensitive(4, 0.5, 1.0).values
         assert values[3][0] == -1.0
         assert values[3][3] == 1.0
         assert values[0][3] == 0.0
@@ -45,21 +43,17 @@ class TestTailSensitive:
     )
     @settings(max_examples=60, deadline=None)
     def test_diagonal_is_row_max_for_any_penalty(self, k, ratio, rho):
-        values = tail_sensitive(k, TailSplit(k, ratio), rho).values
+        values = tail_sensitive(k, ratio, rho).values
         diag = np.diag(values)
         assert np.all(values <= diag[:, None])
 
     def test_asymmetric_when_penalized(self):
-        values = tail_sensitive(4, TailSplit(4, 0.5), 2.0).values
+        values = tail_sensitive(4, 0.5, 2.0).values
         assert not np.array_equal(values, values.T)
 
     def test_negative_penalty_rejected(self):
         with pytest.raises(InputError):
-            tail_sensitive(4, TailSplit(4, 0.5), -0.5)
-
-    def test_split_size_must_match(self):
-        with pytest.raises(InputError):
-            tail_sensitive(5, TailSplit(4, 0.5), 1.0)
+            tail_sensitive(4, 0.5, -0.5)
 
 
 class TestMatrixValidation:
@@ -80,7 +74,7 @@ class TestMatrixValidation:
             UtilityMatrix(3, np.eye(2))
 
     def test_argmax_of_each_row_includes_diagonal(self):
-        values = tail_sensitive(5, TailSplit(5, 0.4), 3.0).values
+        values = tail_sensitive(5, 0.4, 3.0).values
         for i in range(5):
             assert values[i].max() == values[i, i]
 
