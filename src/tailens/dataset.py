@@ -6,7 +6,9 @@ n_max for class 0 down to n_max/imbalance for class K-1; test sets are uniform.
 """
 
 import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,49 +158,91 @@ def save_csv(data: LongTailDataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
+# One parser defines what a data row is: comma-separated, optionally
+# double-quoted fields; blank lines skipped; no comment lines.
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1)
+
+
+def _parse_rows(lines, dim) -> np.ndarray:
+    """(N,) structured rows with fields x (D float64) and y (int64)."""
+    row = np.dtype([("x", np.float64, (dim,)), ("y", np.int64)])
+    with warnings.catch_warnings():
+        # a file without data rows is reported by the caller, with its line
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=row, **_LOADTXT)
+
+
+def _data_lines(path):
+    """(file line number, text) of every non-blank line after the header."""
+    with open(path, newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno > 1 and line.strip("\r\n"):
+                yield lineno, line
+
+
+def _line_of(path, row: int) -> int:
+    """File line of data row `row`, skipping blank lines as the parse does."""
+    return next(itertools.islice(_data_lines(path), row, None))[0]
+
+
+def _check_labels(labels, num_classes, line_of) -> None:
+    """Reject the first negative label or label >= K; line_of maps its row to a file line."""
+    bad = labels < 0
+    if num_classes is not None:
+        bad |= labels >= num_classes
+    if bad.any():
+        i = int(np.argmax(bad))
+        label = int(labels[i])
+        reason = "is negative" if label < 0 else f"is not below K={num_classes}"
+        raise ParseError(f"label {label} {reason}", line=line_of(i))
+
+
+def _first_rejected_line(path, dim, num_classes):
+    """Parse a malformed file line by line and raise for the first line that fails."""
+    for lineno, line in _data_lines(path):
+        try:
+            row = _parse_rows([line], dim)
+        except ValueError:
+            fields = np.loadtxt([line], dtype=str, **_LOADTXT).tolist()
+            if len(fields) != dim + 1:
+                raise ParseError(
+                    f"expected {dim + 1} columns, got {len(fields)}", line=lineno
+                ) from None
+            try:
+                np.loadtxt([line], dtype=np.float64, usecols=range(dim), **_LOADTXT)
+            except ValueError:
+                raise ParseError(f"non-numeric feature in {fields[:-1]}", line=lineno) from None
+            raise ParseError(f"label {fields[-1]!r} is not an integer", line=lineno) from None
+        # a label out of range before the first unparsable line is the one to report
+        _check_labels(row["y"], num_classes, lambda _: lineno)
+
+
 @names_file
 def load_csv(path, num_classes=None) -> LongTailDataset:
     """Parse a feature CSV; K is num_classes, else max label + 1. Errors name file and line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError("empty file", line=1) from None
         if len(header) < 2 or header[-1].strip() != "label":
             raise ParseError("header must end with a 'label' column", line=1)
         dim = len(header) - 1
-
-        feats, labels, linenos = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise ParseError(
-                    f"expected {dim + 1} columns, got {len(row)}", line=lineno
-                )
-            try:
-                feats.append([float(v) for v in row[:-1]])
-            except ValueError:
-                raise ParseError(f"non-numeric feature in {row[:-1]}", line=lineno) from None
-            try:
-                label = int(row[-1].strip())
-            except ValueError:
-                raise ParseError(f"label {row[-1]!r} is not an integer", line=lineno) from None
-            if label < 0:
-                raise ParseError(f"label {label} is negative", line=lineno)
-            if num_classes is not None and label >= num_classes:
-                raise ParseError(f"label {label} is not below K={num_classes}", line=lineno)
-            labels.append(label)
-            linenos.append(lineno)
-
-    if not labels:
+        try:
+            rows = _parse_rows(fh, dim)
+        except ValueError as err:
+            _first_rejected_line(path, dim, num_classes)
+            raise ParseError(str(err)) from None
+    if rows.size == 0:
         raise ParseError("no data rows", line=2)
-    feats = np.asarray(feats, dtype=np.float64)
-    finite = np.isfinite(feats).all(axis=1)
+    # one C-contiguous copy: the strided field view could take the forward's
+    # matmul down another BLAS kernel and change output bits
+    features = np.ascontiguousarray(rows["x"])
+    labels = np.ascontiguousarray(rows["y"])
+    _check_labels(labels, num_classes, lambda i: _line_of(path, i))
+    finite = np.isfinite(features).all(axis=1)
     if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ParseError(f"non-finite feature in {feats[bad].tolist()}", line=linenos[bad])
-    labels = np.asarray(labels, dtype=np.int64)
+        i = int(np.argmin(finite))
+        raise ParseError(f"non-finite feature in {features[i].tolist()}", line=_line_of(path, i))
     k = int(labels.max()) + 1 if num_classes is None else num_classes
-    return LongTailDataset(features=feats, labels=labels, num_classes=k)
+    return LongTailDataset(features=features, labels=labels, num_classes=k)

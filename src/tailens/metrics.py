@@ -52,6 +52,10 @@ def false_head_rate(labels: np.ndarray, decisions: np.ndarray, tail_mask: np.nda
     decisions = np.asarray(decisions)
     if labels.shape != decisions.shape or labels.ndim != 1:
         raise InputError("labels and decisions must be aligned vectors")
+    k = tail_mask.shape[0]
+    for name, ids in (("labels", labels), ("decisions", decisions)):
+        if ids.size and (ids.min() < 0 or ids.max() >= k):
+            raise InputError(f"{name} must lie in [0, {k})")
     is_tail_label = tail_mask[labels]
     if not is_tail_label.any():
         warnings.warn("no tail-labeled samples; false head rate is 0", stacklevel=2)

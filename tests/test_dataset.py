@@ -1,5 +1,8 @@
 """Synthetic generation, CSV round-trips, and class partition checks."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from tailens.dataset import (
     tail_mask,
     train_class_counts,
 )
-from tailens.errors import InputError, ParseError
+from tailens.errors import InputError, ParseError, names_file
 
 
 class TestCounts:
@@ -225,3 +228,198 @@ class TestCsv:
         path.write_text("f0,label\n")
         with pytest.raises(ParseError):
             load_csv(path)
+
+    def test_arrays_are_c_contiguous_float64_and_int64(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("f0,f1,f2,label\n1,2,3,0\n4,5,6,1\n")
+        data = load_csv(path)
+        assert data.features.dtype == np.float64 and data.features.flags.c_contiguous
+        assert data.features.shape == (2, 3)
+        assert data.labels.dtype == np.int64
+        assert np.array_equal(data.features, [[1, 2, 3], [4, 5, 6]])
+
+    def test_header_only_warns_nothing(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text("f0,label\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="bare.csv: line 2: no data rows"):
+                load_csv(path)
+
+    def test_hash_line_is_a_row_not_a_comment(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n# a note\n")
+        with pytest.raises(ParseError, match="bad.csv: line 3: expected 3 columns, got 1"):
+            load_csv(path)
+
+    def test_blank_lines_count_toward_the_line_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\r\n\r\n1.0,0\r\n\r\n\r\n2.0,-1\r\n")
+        with pytest.raises(ParseError, match="bad.csv: line 6: label -1 is negative"):
+            load_csv(path)
+
+    def test_first_bad_row_wins_over_a_later_one(self, tmp_path):
+        # a label out of range on line 3 comes before the unparsable line 4,
+        # and any row error before a non-finite feature on line 2
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\nnan,0\n1.0,7\nabc,0\n")
+        with pytest.raises(ParseError, match="line 3: label 7 is not below K=3"):
+            load_csv(path, num_classes=3)
+
+    def test_digit_separators_are_rejected(self, tmp_path):
+        # Python's float() and int() read 1_0 as 10; the CSV format has no
+        # digit separators, so the feature and the label are malformed
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n1_0,0\n")
+        assert row_parser(path).features[0, 0] == 10.0
+        with pytest.raises(ParseError, match="line 2: non-numeric feature"):
+            load_csv(path)
+        path.write_text("f0,label\n1.0,0\n2.0,1_0\n")
+        with pytest.raises(ParseError, match="line 3: label '1_0' is not an integer"):
+            load_csv(path)
+
+
+@names_file
+def row_parser(path, num_classes=None) -> LongTailDataset:
+    """load_csv as it parsed row by row in Python before the one-pass parse.
+    Frozen as the reference of load_csv."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file", line=1) from None
+        if len(header) < 2 or header[-1].strip() != "label":
+            raise ParseError("header must end with a 'label' column", line=1)
+        dim = len(header) - 1
+
+        feats, labels, linenos = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != dim + 1:
+                raise ParseError(
+                    f"expected {dim + 1} columns, got {len(row)}", line=lineno
+                )
+            try:
+                feats.append([float(v) for v in row[:-1]])
+            except ValueError:
+                raise ParseError(f"non-numeric feature in {row[:-1]}", line=lineno) from None
+            try:
+                label = int(row[-1].strip())
+            except ValueError:
+                raise ParseError(f"label {row[-1]!r} is not an integer", line=lineno) from None
+            if label < 0:
+                raise ParseError(f"label {label} is negative", line=lineno)
+            if num_classes is not None and label >= num_classes:
+                raise ParseError(f"label {label} is not below K={num_classes}", line=lineno)
+            labels.append(label)
+            linenos.append(lineno)
+
+    if not labels:
+        raise ParseError("no data rows", line=2)
+    feats = np.asarray(feats, dtype=np.float64)
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ParseError(f"non-finite feature in {feats[bad].tolist()}", line=linenos[bad])
+    labels = np.asarray(labels, dtype=np.int64)
+    k = int(labels.max()) + 1 if num_classes is None else num_classes
+    return LongTailDataset(features=feats, labels=labels, num_classes=k)
+
+
+K_MAX = 6
+
+
+@st.composite
+def feature_token(draw):
+    """A finite float64 written as repr, in exponent or %g form, maybe signed."""
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    text = format(x, draw(st.sampled_from(["", ".17e", ".3E", ".17g", ".0f"])))
+    if not np.isfinite(float(text)):  # .3E rounds 1.7977e308 up past the largest float
+        text = repr(x)
+    if text.startswith("0."):
+        text = draw(st.sampled_from([text, text[1:]]))
+    if not text.startswith("-"):
+        text = draw(st.sampled_from([text, "+" + text]))
+    return text
+
+
+def decorate(draw, token):
+    return draw(st.sampled_from(["{}", " {}", "{} ", " {} ", '"{}"', '" {} "'])).format(token)
+
+
+@st.composite
+def csv_rows(draw):
+    """(dim, rows of field strings) with labels in [0, K_MAX)."""
+    dim = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        feats = [decorate(draw, draw(feature_token())) for _ in range(dim)]
+        label = str(draw(st.integers(0, K_MAX - 1)))
+        rows.append(feats + [decorate(draw, draw(st.sampled_from([label, "+" + label])))])
+    return dim, rows
+
+
+def write_csv(draw, path, dim, rows, malformed_at=None):
+    """Header, then the rows with random blank lines between them."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join([f"f{i}" for i in range(dim)] + ["label"])]
+    for i, row in enumerate(rows):
+        blanks = draw(st.integers(1 if i == malformed_at else 0, 2))
+        lines += [""] * blanks + [",".join(row)]
+    path.write_bytes((end.join(lines) + end).encode())
+
+
+def parse_both(path, num_classes):
+    results = []
+    for parse in (row_parser, load_csv):
+        try:
+            results.append(parse(path, num_classes))
+        except ParseError as err:
+            results.append(err)
+    return results
+
+
+BAD_FEATURES = ("abc", "", "1.2.3", "--1", "0x10")
+BAD_LABELS = ("1.5", "3.0", "x", "", "1e0")
+NON_FINITE = ("nan", "-inf", "Infinity", "1e999")
+
+# kind of malformed row -> how it is made from a valid one
+MALFORMED_ROWS = {
+    "columns": lambda draw, row: row + ["1"] if draw(st.booleans()) else row[:-1],
+    "feature": lambda draw, row: [draw(st.sampled_from(BAD_FEATURES))] + row[1:],
+    "label": lambda draw, row: row[:-1] + [draw(st.sampled_from(BAD_LABELS))],
+    "negative": lambda draw, row: row[:-1] + [str(draw(st.integers(-9, -1)))],
+    "too-large": lambda draw, row: row[:-1] + [str(draw(st.integers(K_MAX, K_MAX + 3)))],
+    "non-finite": lambda draw, row: [draw(st.sampled_from(NON_FINITE))] + row[1:],
+}
+
+
+class TestCsvMatchesRowParser:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), given_k=st.booleans())
+    def test_valid_files_parse_the_same(self, tmp_path_factory, data, given_k):
+        dim, rows = data.draw(csv_rows())
+        path = tmp_path_factory.mktemp("valid") / "data.csv"
+        write_csv(data.draw, path, dim, rows)
+        want, got = parse_both(path, K_MAX if given_k else None)
+        assert isinstance(want, LongTailDataset), want
+        assert isinstance(got, LongTailDataset), got
+        assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+        assert np.array_equal(got.labels, want.labels)
+        assert got.num_classes == want.num_classes
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(MALFORMED_ROWS)))
+    def test_malformed_files_name_the_same_line(self, tmp_path_factory, data, kind):
+        dim, rows = data.draw(csv_rows())
+        at = data.draw(st.integers(0, len(rows) - 1))
+        rows[at] = MALFORMED_ROWS[kind](data.draw, rows[at])
+        path = tmp_path_factory.mktemp("malformed") / "data.csv"
+        write_csv(data.draw, path, dim, rows, malformed_at=at)
+        want, got = parse_both(path, K_MAX)
+        assert isinstance(want, ParseError), kind
+        assert isinstance(got, ParseError), kind
+        assert got.line == want.line
+        assert str(got) == str(want)

@@ -77,6 +77,15 @@ class TestFalseHeadRate:
         assert false_head_rate(labels, np.array([0, 1, 0]), tail) == 1.0
         assert false_head_rate(labels, np.array([3, 2, 3]), tail) == 0.0
 
+    @pytest.mark.parametrize("name", ["labels", "decisions"])
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_ids_outside_the_mask_rejected(self, name, bad):
+        # -1 used to wrap to the last class and 4 to raise a bare IndexError
+        ids = {"labels": np.array([2, 3]), "decisions": np.array([0, 3])}
+        ids[name] = np.array([2, bad])
+        with pytest.raises(InputError, match=rf"{name} must lie in \[0, 4\)"):
+            false_head_rate(ids["labels"], ids["decisions"], tail_mask(4, 0.5))
+
     def test_matches_brute_force(self, rng):
         tail = tail_mask(6, 0.4)
         tail_ids = set(np.flatnonzero(tail).tolist())
