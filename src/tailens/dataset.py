@@ -46,15 +46,6 @@ class LongTailDataset:
         return int(self.labels.shape[0])
 
 
-@dataclass(frozen=True)
-class RegionPartition:
-    """Head/medium/tail class-id regions in class-id order."""
-
-    head: tuple[int, ...]
-    med: tuple[int, ...]
-    tail: tuple[int, ...]
-
-
 def tail_mask(num_classes: int, ratio: float) -> np.ndarray:
     """(K,) bool head/tail split: True on the last ceil(ratio*K) class ids."""
     if not 0.0 < ratio < 1.0:
@@ -64,19 +55,6 @@ def tail_mask(num_classes: int, ratio: float) -> np.ndarray:
     mask = np.zeros(num_classes, dtype=bool)
     mask[num_classes - math.ceil(ratio * num_classes) :] = True
     return mask
-
-
-def region_partition(num_classes: int) -> RegionPartition:
-    """First floor(K/3) ids are head, next floor(K/3) medium, rest tail."""
-    if num_classes < 3:
-        raise InputError(f"region partition needs K >= 3, got {num_classes}")
-    third = num_classes // 3
-    ids = range(num_classes)
-    return RegionPartition(
-        head=tuple(ids[:third]),
-        med=tuple(ids[third : 2 * third]),
-        tail=tuple(ids[2 * third :]),
-    )
 
 
 def train_class_counts(num_classes: int, n_max: int, imbalance: float) -> np.ndarray:

@@ -9,8 +9,8 @@ log-probabilities. Ties break toward the lowest class id. The plain argmax of
 the mixture distribution is reported alongside as a diagnostic.
 """
 
-import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +30,11 @@ class BatchDecisions:
 
     def __len__(self) -> int:
         return int(self.decisions.shape[0])
+
+    @cached_property
+    def entropy(self) -> np.ndarray:
+        """(N,) predictive entropy of the mixture, computed on the first read."""
+        return predictive_entropy(self.mixture)
 
 
 def decide_batch(
@@ -55,18 +60,14 @@ def decide_batch(
 
 
 def write_predictions_csv(batch: BatchDecisions, path) -> None:
-    """Per-sample decisions: index,decision,argmax_pred,entropy,maxprob."""
-    entropy = predictive_entropy(batch.mixture)
-    maxprob = batch.mixture.max(axis=1)
+    """Per-sample decisions: index,decision,argmax_pred,entropy,maxprob. The rows
+    are the csv module's excel-dialect bytes (repr floats, CRLF), streamed."""
+    rows = zip(
+        batch.decisions.tolist(),
+        batch.argmax_preds.tolist(),
+        batch.entropy.tolist(),
+        batch.mixture.max(axis=1).tolist(),
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "decision", "argmax_pred", "entropy", "maxprob"])
-        writer.writerows(
-            zip(
-                range(len(batch)),
-                batch.decisions.tolist(),
-                batch.argmax_preds.tolist(),
-                map(repr, entropy.tolist()),
-                map(repr, maxprob.tolist()),
-            )
-        )
+        fh.write("index,decision,argmax_pred,entropy,maxprob\r\n")
+        fh.writelines(f"{i},{d},{a},{e!r},{m!r}\r\n" for i, (d, a, e, m) in enumerate(rows))

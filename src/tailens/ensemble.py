@@ -65,38 +65,33 @@ class RegularizerValue:
     grad: np.ndarray  # (M, P) gradient of weight_decay * l2_term - anneal * entropy_term
 
 
-def _spread(particles, var_floor):
-    """The L2 term, the spread term and its (M, P) gradient, or None for one particle.
+def regularizer(
+    ens: ParticleEnsemble, var_floor: float = 1e-8, *, weight_decay: float = 0.0,
+    anneal: float = 0.0,
+) -> RegularizerValue:
+    """The L2 and spread terms and the gradient of weight_decay * L2 - anneal * spread.
 
     One pass: the squares, the mean and the floored per-coordinate variance are
     each formed once. The variance is the mean of squares minus the square of
-    the mean; the spread gradient is (theta - mean) / (M * (var + floor)).
+    the mean; the spread gradient is (theta - mean) / (M * (var + floor)). With
+    one particle the spread term is 0 and has no gradient.
     """
     if var_floor <= 0:
         raise InputError(f"variance floor must be > 0, got {var_floor}")
     # each mean is np.mean's sum then divide by M, without its per-call overhead
-    m = len(particles)
+    particles, m = ens.particles, ens.n_particles
     squares = particles**2
     l2 = float(squares.sum(axis=1).sum() / m)
+    grad = (2.0 * weight_decay / m) * particles
     if m == 1:
-        return l2, 0.0, None
+        return RegularizerValue(l2_term=l2, entropy_term=0.0, grad=grad)
     mean = particles.sum(axis=0) / m
     spread_grad = particles - mean
     floored = squares.sum(axis=0) / m - mean**2
     floored += var_floor
     entropy = float(0.5 * np.log(floored).sum())
-    spread_grad /= m * floored
-    return l2, entropy, spread_grad
-
-
-def regularizer(
-    ens: ParticleEnsemble, var_floor: float = 1e-8, *, weight_decay: float = 0.0,
-    anneal: float = 0.0,
-) -> RegularizerValue:
-    """The L2 and spread terms and the gradient of weight_decay * L2 - anneal * spread."""
-    l2, entropy, spread_grad = _spread(ens.particles, var_floor)
-    grad = (2.0 * weight_decay / ens.n_particles) * ens.particles
-    if anneal != 0.0 and spread_grad is not None:
+    if anneal != 0.0:
+        spread_grad /= m * floored
         spread_grad *= anneal
         grad -= spread_grad
     return RegularizerValue(l2_term=l2, entropy_term=entropy, grad=grad)

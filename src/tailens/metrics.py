@@ -12,7 +12,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import RegionPartition
 from .errors import InputError
 
 
@@ -24,26 +23,24 @@ class RegionAccuracy:
     tail: float | None
 
 
-def _acc(mask, correct):
-    if not mask.any():
-        return None
-    return float(correct[mask].mean())
-
-
 def region_accuracy(
-    labels: np.ndarray, decisions: np.ndarray, partition: RegionPartition
+    labels: np.ndarray, decisions: np.ndarray, num_classes: int
 ) -> RegionAccuracy:
+    """Accuracy overall and per region, None for an empty region. The first K // 3
+    class ids are head, the next K // 3 medium and the rest tail."""
     labels = np.asarray(labels)
     decisions = np.asarray(decisions)
     if labels.shape != decisions.shape or labels.ndim != 1 or labels.size == 0:
         raise InputError("labels and decisions must be aligned non-empty vectors")
+    if num_classes < 3:
+        raise InputError(f"head/medium/tail regions need K >= 3, got {num_classes}")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise InputError(f"labels must lie in [0, {num_classes})")
     correct = labels == decisions
-    return RegionAccuracy(
-        overall=float(correct.mean()),
-        head=_acc(np.isin(labels, partition.head), correct),
-        med=_acc(np.isin(labels, partition.med), correct),
-        tail=_acc(np.isin(labels, partition.tail), correct),
-    )
+    region = np.minimum(labels // (num_classes // 3), 2)
+    hits = (correct[region == r] for r in range(3))
+    regions = (float(h.mean()) if h.size else None for h in hits)
+    return RegionAccuracy(float(correct.mean()), *regions)
 
 
 def false_head_rate(labels: np.ndarray, decisions: np.ndarray, tail_mask: np.ndarray) -> float:

@@ -53,29 +53,22 @@ def param_count(shape: NetShape) -> int:
     return shape.layout[-1][2]
 
 
-def _views(shape, rows):
-    """unpack without the shape check, for a matrix made to the shape's layout."""
-    m = len(rows)
-    return [
-        (rows[:, start:bias].reshape(m, fan_out, fan_in), rows[:, bias:stop])
-        for start, bias, stop, fan_out, fan_in in shape.layout
-    ]
-
-
 def unpack(shape: NetShape, particles: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views (no copies) of each layer's (M, out, in) weights and (M, out) biases."""
     particles, p = np.asarray(particles), param_count(shape)
     if particles.ndim != 2 or particles.shape[1] != p:
         raise InputError(f"expected an (M, {p}) particle matrix, got shape {particles.shape}")
-    return _views(shape, particles)
+    m = len(particles)
+    return [
+        (particles[:, start:bias].reshape(m, fan_out, fan_in), particles[:, bias:stop])
+        for start, bias, stop, fan_out, fan_in in shape.layout
+    ]
 
 
 def init_params(shape: NetShape, rng: np.random.Generator) -> np.ndarray:
     """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, flattened."""
-    dims = shape.dims
     chunks = []
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    for _, _, _, fan_out, fan_in in shape.layout:
         bound = 1.0 / np.sqrt(fan_in)
         chunks.append(rng.uniform(-bound, bound, size=fan_out * fan_in))
         chunks.append(rng.uniform(-bound, bound, size=fan_out))
@@ -139,7 +132,7 @@ def backward_batch(
     np.subtract(cotangents, dz, out=dz)
 
     grad = np.empty_like(particles, dtype=np.float64)
-    for i, (gw, gb) in reversed(list(enumerate(_views(shape, grad)))):
+    for i, (gw, gb) in reversed(list(enumerate(unpack(shape, grad)))):
         np.matmul(dz.transpose(0, 2, 1), acts[i], out=gw)
         dz.sum(axis=1, out=gb)
         if i > 0:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import LongTailDataset, region_partition, tail_mask
+from .dataset import LongTailDataset, tail_mask
 from .decision import BatchDecisions, decide_batch
 from .ensemble import (
     ParticleEnsemble,
@@ -23,7 +23,6 @@ from .metrics import (
     auc_misclassification,
     expected_calibration_error,
     false_head_rate,
-    predictive_entropy,
     region_accuracy,
 )
 from .numcore import NetShape, forward_logprobs_batch, init_params
@@ -237,12 +236,11 @@ def evaluate(
     labels = test_data.labels
     correct = batch.decisions == labels
 
-    acc = region_accuracy(labels, batch.decisions, region_partition(k))
+    acc = region_accuracy(labels, batch.decisions, k)
     fhr = {
         float(r): false_head_rate(labels, batch.decisions, tail_mask(k, float(r)))
         for r in tail_ratios
     }
-    entropy = predictive_entropy(batch.mixture)
     confidence = batch.mixture[np.arange(len(batch)), batch.decisions]
     diag = diversity_diagnostics(ens, batch.particle_preds)
     report = MetricsReport(
@@ -252,7 +250,7 @@ def evaluate(
         acc_tail=acc.tail,
         fhr=fhr,
         fhr_avg=float(np.mean(list(fhr.values()))),
-        auc=auc_misclassification(entropy, correct),
+        auc=auc_misclassification(batch.entropy, correct),
         ece=expected_calibration_error(confidence, correct, ece_bins),
         n_test=len(test_data),
         param_distance=diag.param_distance,

@@ -144,6 +144,24 @@ class TestEvaluate:
         assert rows[0] == ["index", "decision", "argmax_pred", "entropy", "maxprob"]
         assert len(rows) == 41
 
+    def test_entropy_is_computed_once(self, tmp_path, monkeypatch):
+        # the AUC and predictions.csv read the same cached entropy
+        run = tmp_path / "run"
+        assert main(["train"] + flags(run)) == 0
+        calls = []
+        real = tailens.metrics.predictive_entropy
+
+        def counted(probs):
+            calls.append(probs.shape)
+            return real(probs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tailens") and hasattr(module, "predictive_entropy"):
+                monkeypatch.setattr(module, "predictive_entropy", counted)
+        args = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
+        assert main(args + flags(tmp_path / "eval")) == 0
+        assert calls == [(40, 4)]
+
     def test_class_count_mismatch(self, tmp_path, capsys):
         run = tmp_path / "run"
         assert main(["train"] + flags(run)) == 0

@@ -12,12 +12,12 @@ from tailens.dataset import (
     LongTailDataset,
     generate_synthetic,
     load_csv,
-    region_partition,
     save_csv,
     tail_mask,
     train_class_counts,
 )
 from tailens.errors import InputError, ParseError, names_file
+from tailens.metrics import region_accuracy
 
 
 class TestCounts:
@@ -108,28 +108,40 @@ class TestDatasetType:
         assert np.array_equal(data.class_counts, [2, 1, 0])
 
 
+def regions(k):
+    """(head, med, tail) class ids, read back from region_accuracy: with only
+    class c decided right, only c's region scores above 0."""
+    labels = np.arange(k)
+    found = ([], [], [])
+    for c in range(k):
+        acc = region_accuracy(labels, np.where(labels == c, c, -1), k)
+        scored = [r for r, v in enumerate((acc.head, acc.med, acc.tail)) if v]
+        assert len(scored) == 1
+        found[scored[0]].append(c)
+    return tuple(map(tuple, found))
+
+
 class TestRegions:
     def test_k100(self):
-        part = region_partition(100)
-        assert (len(part.head), len(part.med), len(part.tail)) == (33, 33, 34)
+        head, med, tail = regions(100)
+        assert (len(head), len(med), len(tail)) == (33, 33, 34)
 
     def test_k10(self):
-        part = region_partition(10)
-        assert (len(part.head), len(part.med), len(part.tail)) == (3, 3, 4)
-        assert part.head == (0, 1, 2) and part.tail == (6, 7, 8, 9)
+        head, med, tail = regions(10)
+        assert (len(head), len(med), len(tail)) == (3, 3, 4)
+        assert head == (0, 1, 2) and tail == (6, 7, 8, 9)
 
     def test_k3(self):
-        part = region_partition(3)
-        assert part.head == (0,) and part.med == (1,) and part.tail == (2,)
+        assert regions(3) == ((0,), (1,), (2,))
 
     def test_needs_three_classes(self):
         with pytest.raises(InputError):
-            region_partition(2)
+            region_accuracy(np.array([0, 1]), np.array([0, 1]), 2)
 
     @given(st.integers(min_value=3, max_value=200))
     def test_partition_disjoint_exhaustive(self, k):
-        part = region_partition(k)
-        ids = sorted(part.head + part.med + part.tail)
+        head, med, tail = regions(k)
+        ids = sorted(head + med + tail)
         assert ids == list(range(k))
 
 

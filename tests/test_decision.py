@@ -6,12 +6,30 @@ import numpy as np
 import pytest
 
 from conftest import probs_ensemble, random_ensemble
-from tailens.decision import decide_batch, write_predictions_csv
+from tailens.decision import BatchDecisions, decide_batch, write_predictions_csv
 from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import InputError
 from tailens.metrics import predictive_entropy
 from tailens.numcore import NetShape
 from tailens.utility import UtilityMatrix, one_hot, tail_sensitive
+
+
+def csv_writer_predictions(batch, path):
+    """The predictions writer as it stood on csv.writer, frozen as a byte oracle."""
+    entropy = predictive_entropy(batch.mixture)
+    maxprob = batch.mixture.max(axis=1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "decision", "argmax_pred", "entropy", "maxprob"])
+        writer.writerows(
+            zip(
+                range(len(batch)),
+                batch.decisions.tolist(),
+                batch.argmax_preds.tolist(),
+                map(repr, entropy.tolist()),
+                map(repr, maxprob.tolist()),
+            )
+        )
 
 
 class TestOneHot:
@@ -133,3 +151,33 @@ class TestPredictionsCsv:
             assert int(row[2]) == batch.argmax_preds[i]
             assert float(row[3]) == predictive_entropy(batch.mixture[i])
             assert float(row[4]) == batch.mixture[i].max()
+
+    def test_entropy_is_cached_bitwise(self, rng):
+        ens = random_ensemble(NetShape(3, (4,), 4), 2, seed=16)
+        batch = decide_batch(ens, one_hot(4), rng.normal(size=(9, 3)))
+        first = batch.entropy
+        assert first.tobytes() == predictive_entropy(batch.mixture).tobytes()
+        assert batch.entropy is first
+
+    def test_bytes_match_the_csv_writer_oracle(self, rng, tmp_path):
+        # a one-hot row (entropy -0.0), a subnormal probability and exponent
+        # reprs, then the rows of a real ensemble
+        corners = np.array(
+            [[1.0, 0.0, 0.0], [1e-320, 1.0, 0.0], [1e-10, 1.0 - 1e-10, 0.0], [0.25, 0.25, 0.5]]
+        )
+        ens = random_ensemble(NetShape(3, (4,), 3), 2, seed=17)
+        real = decide_batch(ens, one_hot(3), rng.normal(size=(50, 3)))
+        mixture = np.vstack([corners, real.mixture])
+        batch = BatchDecisions(
+            decisions=mixture.argmin(axis=1),
+            argmax_preds=mixture.argmax(axis=1),
+            expected_gains=mixture,
+            mixture=mixture,
+            particle_preds=np.zeros((2, len(mixture)), dtype=np.int64),
+        )
+        write_predictions_csv(batch, tmp_path / "new.csv")
+        csv_writer_predictions(batch, tmp_path / "oracle.csv")
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "oracle.csv").read_bytes()
+        assert b"\r\n0,1,0,-0.0,1.0\r\n" in written and b"e-318," in written
+        assert len(written.splitlines()) == 55

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from tailens.dataset import region_partition, tail_mask
+from tailens.dataset import tail_mask
 from tailens.errors import InputError
 from tailens.metrics import (
     MetricsReport,
@@ -25,37 +25,36 @@ from tailens.metrics import (
 
 class TestRegionAccuracy:
     def test_hand_case(self):
-        acc = region_accuracy(
-            np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2]), region_partition(3)
-        )
+        acc = region_accuracy(np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2]), 3)
         assert acc.overall == 0.75
         assert acc.head == 0.5
         assert acc.med == 1.0
         assert acc.tail == 1.0
 
     def test_empty_region_is_none(self):
-        acc = region_accuracy(
-            np.array([0, 0, 2]), np.array([0, 2, 2]), region_partition(3)
-        )
+        acc = region_accuracy(np.array([0, 0, 2]), np.array([0, 2, 2]), 3)
         assert acc.med is None
         assert acc.head == 0.5 and acc.tail == 1.0
 
     def test_regions_decompose_overall(self, rng):
         labels = rng.integers(0, 9, size=400)
         decisions = rng.integers(0, 9, size=400)
-        part = region_partition(9)
-        acc = region_accuracy(labels, decisions, part)
-        weighted = sum(
-            np.isin(labels, ids).sum() * value
-            for ids, value in ((part.head, acc.head), (part.med, acc.med), (part.tail, acc.tail))
-        )
+        acc = region_accuracy(labels, decisions, 9)
+        thirds = ((range(0, 3), acc.head), (range(3, 6), acc.med), (range(6, 9), acc.tail))
+        weighted = sum(np.isin(labels, ids).sum() * value for ids, value in thirds)
         assert acc.overall == pytest.approx(weighted / 400, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(InputError):
-            region_accuracy(np.array([0, 1]), np.array([0]), region_partition(3))
+            region_accuracy(np.array([0, 1]), np.array([0]), 3)
         with pytest.raises(InputError):
-            region_accuracy(np.array([]), np.array([]), region_partition(3))
+            region_accuracy(np.array([]), np.array([]), 3)
+
+    @pytest.mark.parametrize("labels", [[0, 4, 9, 12], [0, 4, -1, 8]])
+    def test_labels_outside_the_classes_rejected(self, labels):
+        # a label outside [0, K) belongs to no region: rejected, not dropped
+        with pytest.raises(InputError, match=r"labels must lie in \[0, 9\)"):
+            region_accuracy(np.array(labels), np.zeros(4, dtype=np.int64), 9)
 
 
 class TestFalseHeadRate:

@@ -265,6 +265,7 @@ class TestValidation:
             )
         assert info.value.sample == 1
 
+    @pytest.mark.filterwarnings("ignore:spread term")
     def test_non_finite_parameters_raise(self, rng):
         shape = NetShape(2, (3,), 2)
         ens = ParticleEnsemble(shape, rng.normal(size=(1, param_count(shape))))
