@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -394,6 +393,9 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
     os.makedirs(out, exist_ok=True)
 
     if config["jobs"] > 1:
+        # imported here: the process pool costs every other command its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
             rows = list(pool.map(_run_cell, payloads))
     else:

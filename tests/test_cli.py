@@ -609,6 +609,31 @@ def test_csv_run_matches_golden_hashes(tmp_path, monkeypatch):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of the CSVs `tailens generate-data --seed 0` writes, recorded when
+# save_csv still wrote its rows through csv.writer.
+DATA_GOLDEN = {
+    "data/train.csv": "eefdafcdfeec407ffca309c3c81f71c82b25bb4a4bb9094a018dbe5165b1750e",
+    "data/test.csv": "9ca8f2c4883fbbe931924cf78719a7ba0e98cd0379bf5db0b36ff10f87fd1d2e",
+}
+
+
+def test_generated_csvs_match_golden_hashes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate-data", "--seed", "0", "--out", "data"]) == 0
+    for name, digest in DATA_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_import_leaves_the_process_pool_out():
+    # only sweep --jobs > 1 starts processes, so only it pays for the pool's import
+    env = dict(os.environ, PYTHONPATH=str(Path(tailens.__file__).parents[1]))
+    code = "import sys, tailens.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
 # sha256 of sweep_particles.csv from `tailens sweep --axis particles --grid 1,8
 # --epochs 5 --runs 1 --jobs 1`: both ends of the particle stack, M=1 and M=8.
 SWEEP_GOLDEN = "4a176523cfcb0da08d44f8d7994c877f4f8646405398313b345cdd1ffc6959b4"

@@ -1,13 +1,15 @@
 """Synthetic generation, CSV round-trips, and class partition checks."""
 
-import csv
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import csv_writer_save, row_parser
 from tailens.dataset import (
     LongTailDataset,
     generate_synthetic,
@@ -16,7 +18,7 @@ from tailens.dataset import (
     tail_mask,
     train_class_counts,
 )
-from tailens.errors import InputError, ParseError, names_file
+from tailens.errors import InputError, ParseError
 from tailens.metrics import region_accuracy
 
 
@@ -291,55 +293,6 @@ class TestCsv:
             load_csv(path)
 
 
-@names_file
-def row_parser(path, num_classes=None) -> LongTailDataset:
-    """load_csv as it parsed row by row in Python before the one-pass parse.
-    Frozen as the reference of load_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if len(header) < 2 or header[-1].strip() != "label":
-            raise ParseError("header must end with a 'label' column", line=1)
-        dim = len(header) - 1
-
-        feats, labels, linenos = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise ParseError(
-                    f"expected {dim + 1} columns, got {len(row)}", line=lineno
-                )
-            try:
-                feats.append([float(v) for v in row[:-1]])
-            except ValueError:
-                raise ParseError(f"non-numeric feature in {row[:-1]}", line=lineno) from None
-            try:
-                label = int(row[-1].strip())
-            except ValueError:
-                raise ParseError(f"label {row[-1]!r} is not an integer", line=lineno) from None
-            if label < 0:
-                raise ParseError(f"label {label} is negative", line=lineno)
-            if num_classes is not None and label >= num_classes:
-                raise ParseError(f"label {label} is not below K={num_classes}", line=lineno)
-            labels.append(label)
-            linenos.append(lineno)
-
-    if not labels:
-        raise ParseError("no data rows", line=2)
-    feats = np.asarray(feats, dtype=np.float64)
-    finite = np.isfinite(feats).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ParseError(f"non-finite feature in {feats[bad].tolist()}", line=linenos[bad])
-    labels = np.asarray(labels, dtype=np.int64)
-    k = int(labels.max()) + 1 if num_classes is None else num_classes
-    return LongTailDataset(features=feats, labels=labels, num_classes=k)
-
-
 K_MAX = 6
 
 
@@ -435,3 +388,85 @@ class TestCsvMatchesRowParser:
         assert isinstance(got, ParseError), kind
         assert got.line == want.line
         assert str(got) == str(want)
+
+
+# float64 corners of repr: signed zero, subnormals, the switches between fixed
+# and exponent form at 1e-4 and 1e16, and integral values
+REPR_CORNERS = (-0.0, 5e-324, 1e-320, 1e-05, 1e-04, 9999999999999998.0, 1e16, 1e300, 3.0)
+
+
+@st.composite
+def datasets(draw):
+    """A finite dataset: D in 1..20, N in 0..50, labels up to 2**62."""
+    dim, n = draw(st.integers(1, 20)), draw(st.integers(0, 50))
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(REPR_CORNERS + tuple(-v for v in REPR_CORNERS)),
+    )
+    features = draw(arrays(np.float64, (n, dim), elements=value))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, 2**62)))
+    return LongTailDataset(features, labels, int(labels.max(initial=0)) + 1)
+
+
+class TestSaveCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(data=datasets())
+    def test_bytes_match_the_csv_writer_oracle(self, tmp_path_factory, data):
+        tmp = tmp_path_factory.mktemp("save")
+        save_csv(data, tmp / "new.csv")
+        csv_writer_save(data, tmp / "oracle.csv")
+        written = (tmp / "new.csv").read_bytes()
+        assert written == (tmp / "oracle.csv").read_bytes()
+        if len(data):
+            back = load_csv(tmp / "new.csv", data.num_classes)
+            assert np.array_equal(back.features.view(np.uint64), data.features.view(np.uint64))
+            assert np.array_equal(back.labels, data.labels)
+
+    def test_corners_and_line_ends(self, tmp_path):
+        features = np.array([REPR_CORNERS, [-v for v in REPR_CORNERS]])
+        data = LongTailDataset(features, np.array([0, 2**62]), 2**62 + 1)
+        save_csv(data, tmp_path / "corners.csv")
+        written = (tmp_path / "corners.csv").read_bytes()
+        assert written == (
+            b"f0,f1,f2,f3,f4,f5,f6,f7,f8,label\r\n"
+            b"-0.0,5e-324,1e-320,1e-05,0.0001,9999999999999998.0,1e+16,1e+300,3.0,0\r\n"
+            b"0.0,-5e-324,-1e-320,-1e-05,-0.0001,-9999999999999998.0,-1e+16,-1e+300,-3.0,"
+            b"4611686018427387904\r\n"
+        )
+
+    def test_bytes_ignore_numpy_print_options(self, tmp_path):
+        # numpy's legacy print mode writes a scalar's str with 12 digits; the
+        # file must hold the float's own repr whatever numpy's options are
+        train, _ = generate_synthetic(3, 4, 30, 4.0, 2.0, seed=5)
+        csv_writer_save(train, tmp_path / "oracle.csv")
+        with np.printoptions(legacy="1.13"):
+            save_csv(train, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, rng):
+        # the writer holds one block of rows as Python objects: a whole-matrix
+        # tolist() of these 50,000 x 16 features peaks near 28 MiB
+        data = LongTailDataset(
+            rng.normal(size=(50_000, 16)), rng.integers(0, 10, 50_000), 10
+        )
+        tracemalloc.start()
+        try:
+            save_csv(data, tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected_before_the_file_exists(self, tmp_path, bad):
+        # load_csv rejects a non-finite feature, so save_csv must not write one;
+        # row 3000 lies beyond the first block of rows
+        features = np.ones((3200, 16))
+        features[3000, 7] = bad
+        features[3100, 0] = np.nan
+        data = LongTailDataset(features, np.zeros(3200, dtype=np.int64), 2)
+        path = tmp_path / "bad.csv"
+        with pytest.raises(InputError, match="row 3000: non-finite feature") as caught:
+            save_csv(data, path)
+        assert caught.value.row == 3000
+        assert not path.exists()

@@ -6,30 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import probs_ensemble, random_ensemble
+from oracles import csv_writer_predictions
 from tailens.decision import BatchDecisions, decide_batch, write_predictions_csv
 from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import InputError
 from tailens.metrics import predictive_entropy
 from tailens.numcore import NetShape
 from tailens.utility import UtilityMatrix, one_hot, tail_sensitive
-
-
-def csv_writer_predictions(batch, path):
-    """The predictions writer as it stood on csv.writer, frozen as a byte oracle."""
-    entropy = predictive_entropy(batch.mixture)
-    maxprob = batch.mixture.max(axis=1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "decision", "argmax_pred", "entropy", "maxprob"])
-        writer.writerows(
-            zip(
-                range(len(batch)),
-                batch.decisions.tolist(),
-                batch.argmax_preds.tolist(),
-                map(repr, entropy.tolist()),
-                map(repr, maxprob.tolist()),
-            )
-        )
 
 
 class TestOneHot:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import probs_ensemble, random_ensemble
+from oracles import separate_passes
 from tailens.ensemble import (
     CHECKPOINT_MAGIC,
     ParticleEnsemble,
@@ -234,24 +235,6 @@ class TestRegularizer:
             )
 
 
-def _separate_passes(particles, weight_decay, anneal, var_floor):
-    """The L2 term, spread term, spread gradient and combined gradient, each
-    from its own pass as they were before the one spread pass; frozen as the
-    oracle. The spread gradient is None for one particle."""
-    m = len(particles)
-    l2 = float(np.mean(np.sum(particles**2, axis=1)))
-    pull = (2.0 * weight_decay / m) * particles
-    if m == 1:
-        return l2, 0.0, None, pull
-    variance = np.mean(particles**2, axis=0) - np.mean(particles, axis=0) ** 2
-    entropy = float(0.5 * np.sum(np.log(variance + var_floor)))
-    centered = particles - particles.mean(axis=0)
-    variance = np.mean(particles**2, axis=0) - np.mean(particles, axis=0) ** 2
-    spread_grad = centered / (m * (variance + var_floor))
-    combined = pull if anneal == 0.0 else pull - anneal * spread_grad
-    return l2, entropy, spread_grad, combined
-
-
 class TestOneSpreadPass:
     """Every regularizer entry point is bitwise the separate passes it replaced."""
 
@@ -265,7 +248,7 @@ class TestOneSpreadPass:
         particles = rng.normal(scale=0.3, size=(m, param_count(shape)))
         particles[:, :5] = particles[0, :5]  # coordinates at the variance floor
         ens = ParticleEnsemble(shape, particles)
-        l2, entropy, spread_grad, combined = _separate_passes(
+        l2, entropy, spread_grad, combined = separate_passes(
             particles, weight_decay, anneal, var_floor
         )
         value = regularizer(ens, var_floor, weight_decay=weight_decay, anneal=anneal)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ensemble
+from oracles import out_of_place_backward
 from tailens import numcore
 from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import InputError
@@ -285,27 +286,6 @@ class TestStackedParticles:
             lp_alone, grad_alone = backward_batch(self.SHAPE, particles[j : j + 1], x, cot)
             assert np.array_equal(logprobs[j : j + 1], lp_alone)
             assert np.array_equal(grad[j : j + 1], grad_alone)
-
-
-def out_of_place_backward(shape, particles, x, cotangents):
-    """The stacked backward with every intermediate in a new array, frozen as the
-    oracle for the kernel that runs log-softmax, dz and tanh' in place."""
-    layers = unpack(shape, particles)
-    acts = [x]
-    for i, (w, b) in enumerate(layers):
-        z = acts[-1] @ w.transpose(0, 2, 1) + b[:, None, :]
-        acts.append(np.tanh(z) if i < len(layers) - 1 else z)
-    logits = acts.pop()
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logprobs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    dz = cotangents - np.exp(logprobs) * cotangents.sum(axis=1, keepdims=True)
-    grad = np.empty_like(particles)
-    for i, (gw, gb) in reversed(list(enumerate(unpack(shape, grad)))):
-        np.matmul(dz.transpose(0, 2, 1), acts[i], out=gw)
-        dz.sum(axis=1, out=gb)
-        if i > 0:
-            dz = (dz @ layers[i][0]) * (1.0 - acts[i] ** 2)
-    return logprobs, grad
 
 
 class TestInPlaceKernel:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import random_ensemble, random_utility
+from oracles import per_batch_formula
 from tailens.ensemble import ParticleEnsemble, predictive_logprobs_batch
 from tailens.errors import InputError, NumericError
-from tailens.numcore import NetShape, backward_batch, init_params, param_count
-from tailens.objective import LossBreakdown, TrainingStep, batch_loss
+from tailens.numcore import NetShape, init_params, param_count
+from tailens.objective import TrainingStep, batch_loss
 from tailens.rebalance import DiscrepancySpec, class_weights
 from tailens.utility import UtilityMatrix, one_hot, tail_sensitive
 
@@ -276,39 +277,6 @@ class TestValidation:
                 plain_weights(2), one_hot(2),
                 utility_scale=1.0, weight_decay=0.0, anneal=0.0,
             )
-
-
-def per_batch_formula(ens, x, y, weights, utility, *, utility_scale, weight_decay, anneal,
-                      var_floor):
-    """The loss as computed batch by batch before the prepared step: cotangent
-    built per batch, regularizer terms and gradient from separate passes.
-    Frozen as the bitwise oracle of TrainingStep."""
-    k = ens.shape.num_classes
-    batch, m = x.shape[0], ens.n_particles
-    scale = 1.0 / (batch * m)
-    w = weights.normalized[y]
-    u_rows = utility.values[y]
-    cotangent = np.eye(k)[y] + u_rows / utility_scale
-    cotangent *= -(w * scale)[:, None]
-    per_particle, grads = backward_batch(ens.shape, ens.particles, x, cotangent)
-    logp_true = per_particle[:, np.arange(batch), y]
-    util_dot = np.einsum("mbk,bk->mb", per_particle, u_rows)
-    nll_term = -scale * float(np.sum(w * logp_true))
-    utility_term = -(scale / utility_scale) * float(np.sum(w * util_dot))
-
-    p = ens.particles
-    l2 = float(np.mean(np.sum(p**2, axis=1)))
-    pull = (2.0 * weight_decay / m) * p
-    if m == 1:
-        entropy, reg_grad = 0.0, pull
-    else:
-        variance = np.mean(p**2, axis=0) - np.mean(p, axis=0) ** 2
-        entropy = float(0.5 * np.sum(np.log(variance + var_floor)))
-        spread_grad = (p - p.mean(axis=0)) / (m * (variance + var_floor))
-        reg_grad = pull if anneal == 0.0 else pull - anneal * spread_grad
-    total = nll_term + utility_term + weight_decay * l2 - anneal * entropy
-    grads += reg_grad
-    return LossBreakdown(nll_term, utility_term, l2, entropy, total), grads
 
 
 @pytest.mark.filterwarnings("ignore:spread term")
