@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -180,26 +181,16 @@ def _echo_config(config: dict, out_dir: str) -> None:
 
 
 def _train_config(config: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=config["epochs"],
-        batch_size=config["batch_size"],
-        learning_rate=config["learning_rate"],
-        momentum=config["momentum"],
-        weight_decay=config["weight_decay"],
-        anneal_stride=config["anneal_stride"],
-        utility_scale=config["utility_scale"],
+    """Every key that names a TrainConfig field, then the keys that differ from one."""
+    settings = {f.name: config[f.name] for f in fields(TrainConfig) if f.name in config}
+    settings.update(
         n_particles=config["particles"],
-        var_floor=config["var_floor"],
-        seed=config["seed"],
-        ratio=DiscrepancySpec(
-            form=config["ratio"], gamma=config["gamma"], beta=config["beta"]
-        ),
+        ratio=DiscrepancySpec(form=config["ratio"], gamma=config["gamma"], beta=config["beta"]),
         repulsion=config["repulsion"] == "on",
         hidden_dims=_numbers(config, "hidden"),
-        checkpoint_every=config["checkpoint_every"],
         lr_decay_epochs=_numbers(config, "lr_decay_epochs"),
-        lr_decay_factor=config["lr_decay_factor"],
     )
+    return TrainConfig(**settings)
 
 
 def _build_utility(config: dict, num_classes: int):

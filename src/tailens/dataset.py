@@ -117,8 +117,8 @@ def generate_synthetic(
             xs.append(means[k] + rng.standard_normal((n, dim)))
             ys.append(np.full(n, k, dtype=np.int64))
         return LongTailDataset(
-            features=np.concatenate(xs) if xs else np.empty((0, dim)),
-            labels=np.concatenate(ys) if ys else np.empty(0, dtype=np.int64),
+            features=np.concatenate(xs),
+            labels=np.concatenate(ys),
             num_classes=num_classes,
         )
 

@@ -8,6 +8,7 @@ half the summed log of the per-coordinate particle variance.
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +105,7 @@ def regularizer_grad(
     return regularizer(ens, var_floor, weight_decay=weight_decay, anneal=anneal).grad
 
 
-@dataclass(frozen=True)
-class DiversityDiagnostics:
+class DiversityDiagnostics(NamedTuple):
     param_distance: float  # mean pairwise Euclidean distance between particles
     disagreement: float  # mean pairwise argmax disagreement rate on the inputs
 

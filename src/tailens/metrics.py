@@ -9,18 +9,20 @@ import csv
 import json
 import warnings
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class RegionAccuracy:
-    overall: float
-    head: float | None
-    med: float | None
-    tail: float | None
+class RegionAccuracy(NamedTuple):
+    """Accuracy overall and per region; the field names are the `metrics.json` keys."""
+
+    acc_overall: float
+    acc_head: float | None
+    acc_med: float | None
+    acc_tail: float | None
 
 
 def region_accuracy(
@@ -135,13 +137,10 @@ class MetricsReport:
     disagreement: float | None = None
 
 
-def report_to_dict(report: MetricsReport) -> dict:
-    """The report's fields, with the tail ratios of `fhr` as string keys."""
-    return {**asdict(report), "fhr": {str(r): v for r, v in report.fhr.items()}}
-
-
 def report_to_json(report: MetricsReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    """The report's fields, with the tail ratios of `fhr` as string keys."""
+    fields = {**asdict(report), "fhr": {str(r): v for r, v in report.fhr.items()}}
+    return json.dumps(fields, sort_keys=True, indent=2) + "\n"
 
 
 def write_summary_csv(rows: list[dict], path) -> None:

@@ -8,7 +8,7 @@ and averaged; plus weight decay minus the annealed spread bonus.
 """
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +21,11 @@ from .utility import UtilityMatrix
 SINGLE_PARTICLE = "spread term is 0 for a single particle"
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    nll_term: float
-    utility_term: float
+class LossBreakdown(NamedTuple):
+    """The loss terms; the field names are the `trainlog.jsonl` keys."""
+
+    nll: float
+    utility: float
     reg_l2: float
     reg_entropy: float
     total: float
@@ -88,19 +89,17 @@ class TrainingStep:
         w = self.weights[y]  # (B,)
         logp_true = per_particle[:, rows, y]  # (M, B)
         util_dot = np.einsum("mbk,bk->mb", per_particle, self.utility[y])  # (M, B)
-        nll_term = -scale * float((w * logp_true).sum())
-        utility_term = -(scale / self.utility_scale) * float((w * util_dot).sum())
+        nll = -scale * float((w * logp_true).sum())
+        utility = -(scale / self.utility_scale) * float((w * util_dot).sum())
 
         reg = ensemble.regularizer(
             ens, self.var_floor, weight_decay=self.weight_decay, anneal=anneal
         )
-        total = (
-            nll_term + utility_term + self.weight_decay * reg.l2_term - anneal * reg.entropy_term
-        )
+        total = nll + utility + self.weight_decay * reg.l2_term - anneal * reg.entropy_term
         if not np.isfinite(total):
             raise NumericError("non-finite loss")
         grads += reg.grad
-        return LossBreakdown(nll_term, utility_term, reg.l2_term, reg.entropy_term, total), grads
+        return LossBreakdown(nll, utility, reg.l2_term, reg.entropy_term, total), grads
 
 
 def batch_loss(

@@ -7,6 +7,7 @@ per-particle seed streams, epoch shuffles from a stream keyed by
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +86,9 @@ class TrainConfig:
             )
 
 
-@dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(NamedTuple):
+    """One epoch; with the loss terms spread out, the fields are the trainlog keys."""
+
     epoch: int
     loss: LossBreakdown  # means over the epoch's batches
     anneal: float
@@ -149,7 +151,7 @@ def train(
         )
         perm = shuffle_rng.permutation(n)
 
-        sums = np.zeros(5)
+        sums = np.zeros(len(LossBreakdown._fields))
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
@@ -167,26 +169,14 @@ def train(
             grads *= ens.n_particles
             velocity += grads
             ens.particles -= lr * velocity
-            sums += (
-                breakdown.nll_term,
-                breakdown.utility_term,
-                breakdown.reg_l2,
-                breakdown.reg_entropy,
-                breakdown.total,
-            )
+            sums += breakdown
             n_batches += 1
 
         means = sums / n_batches
         preds = forward_logprobs_batch(shape, ens.particles, diag_x).argmax(axis=2)  # (M, n_diag)
         diag = diversity_diagnostics(ens, preds)
         records.append(
-            EpochRecord(
-                epoch=epoch,
-                loss=LossBreakdown(*means),
-                anneal=anneal,
-                param_distance=diag.param_distance,
-                disagreement=diag.disagreement,
-            )
+            EpochRecord(epoch=epoch, loss=LossBreakdown(*means), anneal=anneal, **diag._asdict())
         )
         if (
             out_dir is not None
@@ -202,23 +192,9 @@ def write_train_log(records: list[EpochRecord], path) -> None:
     """One JSON object per line, one line per epoch."""
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "epoch": rec.epoch,
-                        "nll": rec.loss.nll_term,
-                        "utility": rec.loss.utility_term,
-                        "reg_l2": rec.loss.reg_l2,
-                        "reg_entropy": rec.loss.reg_entropy,
-                        "total": rec.loss.total,
-                        "anneal": rec.anneal,
-                        "param_distance": rec.param_distance,
-                        "disagreement": rec.disagreement,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            row = rec._asdict()
+            row.update(row.pop("loss")._asdict())
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def evaluate(
@@ -244,17 +220,13 @@ def evaluate(
     confidence = batch.mixture[np.arange(len(batch)), batch.decisions]
     diag = diversity_diagnostics(ens, batch.particle_preds)
     report = MetricsReport(
-        acc_overall=acc.overall,
-        acc_head=acc.head,
-        acc_med=acc.med,
-        acc_tail=acc.tail,
+        **acc._asdict(),
         fhr=fhr,
         fhr_avg=float(np.mean(list(fhr.values()))),
         auc=auc_misclassification(batch.entropy, correct),
         ece=expected_calibration_error(confidence, correct, ece_bins),
         n_test=len(test_data),
-        param_distance=diag.param_distance,
-        disagreement=diag.disagreement,
+        **diag._asdict(),
     )
     return report, batch
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from tailens import cli
 from tailens.cli import SCHEMA, main
 from tailens.dataset import load_csv
 from tailens.ensemble import CHECKPOINT_MAGIC
+from tailens.trainer import TrainConfig, evaluate
 
 FAST = {
     "classes": "4",
@@ -269,6 +271,15 @@ class TestConfigLayering:
 
     def test_unknown_flag(self):
         assert main(["train", "--nope", "1"]) == 1
+
+    def test_defaults_are_the_library_defaults(self):
+        # training keys reach TrainConfig by name, so their defaults must agree
+        defaults = {key: default for key, (default, _) in SCHEMA.items()}
+        assert cli._train_config(defaults) == TrainConfig()
+        evaluate_params = inspect.signature(evaluate).parameters
+        ratios = cli._numbers(defaults, "tail_ratios", float)
+        assert ratios == evaluate_params["tail_ratios"].default
+        assert defaults["ece_bins"] == evaluate_params["ece_bins"].default
 
     def test_command_required(self):
         assert main([]) == 1

@@ -117,7 +117,7 @@ def regions(k):
     found = ([], [], [])
     for c in range(k):
         acc = region_accuracy(labels, np.where(labels == c, c, -1), k)
-        scored = [r for r, v in enumerate((acc.head, acc.med, acc.tail)) if v]
+        scored = [r for r, v in enumerate((acc.acc_head, acc.acc_med, acc.acc_tail)) if v]
         assert len(scored) == 1
         found[scored[0]].append(c)
     return tuple(map(tuple, found))

@@ -17,7 +17,6 @@ from tailens.metrics import (
     false_head_rate,
     predictive_entropy,
     region_accuracy,
-    report_to_dict,
     report_to_json,
     write_summary_csv,
 )
@@ -26,23 +25,25 @@ from tailens.metrics import (
 class TestRegionAccuracy:
     def test_hand_case(self):
         acc = region_accuracy(np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2]), 3)
-        assert acc.overall == 0.75
-        assert acc.head == 0.5
-        assert acc.med == 1.0
-        assert acc.tail == 1.0
+        assert acc.acc_overall == 0.75
+        assert acc.acc_head == 0.5
+        assert acc.acc_med == 1.0
+        assert acc.acc_tail == 1.0
 
     def test_empty_region_is_none(self):
         acc = region_accuracy(np.array([0, 0, 2]), np.array([0, 2, 2]), 3)
-        assert acc.med is None
-        assert acc.head == 0.5 and acc.tail == 1.0
+        assert acc.acc_med is None
+        assert acc.acc_head == 0.5 and acc.acc_tail == 1.0
 
     def test_regions_decompose_overall(self, rng):
         labels = rng.integers(0, 9, size=400)
         decisions = rng.integers(0, 9, size=400)
         acc = region_accuracy(labels, decisions, 9)
-        thirds = ((range(0, 3), acc.head), (range(3, 6), acc.med), (range(6, 9), acc.tail))
+        thirds = (
+            (range(0, 3), acc.acc_head), (range(3, 6), acc.acc_med), (range(6, 9), acc.acc_tail)
+        )
         weighted = sum(np.isin(labels, ids).sum() * value for ids, value in thirds)
-        assert acc.overall == pytest.approx(weighted / 400, rel=1e-12)
+        assert acc.acc_overall == pytest.approx(weighted / 400, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -276,7 +277,7 @@ class TestReportSerialization:
         raw = json.loads(text)
         for name in ("auc", "acc_med", "param_distance", "disagreement"):
             assert raw[name] is None
-        assert report_to_dict(report)["auc"] is None
+        assert json.loads(report_to_json(report))["auc"] is None
 
 
 class TestSummaryCsv:

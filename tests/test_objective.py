@@ -67,7 +67,7 @@ class TestReductions:
             ens, x, y, plain_weights(4), zero_u,
             utility_scale=1.0, weight_decay=0.0, anneal=0.0,
         )
-        assert loss.utility_term == 0.0
+        assert loss.utility == 0.0
         assert loss.total == pytest.approx(manual_ce(ens, x, y), rel=1e-12)
 
     def test_one_hot_unit_scale_doubles_cross_entropy(self, rng):
@@ -95,8 +95,8 @@ class TestOracle:
             ens, ORACLE_X, ORACLE_Y, weights, utility,
             utility_scale=2.0, weight_decay=0.01, anneal=0.5,
         )
-        assert loss.nll_term == pytest.approx(ORACLE_NLL, rel=0, abs=1e-12)
-        assert loss.utility_term == pytest.approx(ORACLE_UTILITY, rel=0, abs=1e-12)
+        assert loss.nll == pytest.approx(ORACLE_NLL, rel=0, abs=1e-12)
+        assert loss.utility == pytest.approx(ORACLE_UTILITY, rel=0, abs=1e-12)
         assert loss.reg_l2 == pytest.approx(ORACLE_L2, rel=0, abs=1e-12)
         assert loss.reg_entropy == pytest.approx(ORACLE_ENTROPY, rel=0, abs=1e-10)
         assert loss.total == pytest.approx(ORACLE_TOTAL, rel=0, abs=1e-10)
@@ -108,8 +108,8 @@ class TestOracle:
             utility_scale=2.0, weight_decay=0.01, anneal=0.5,
         )
         expected = (
-            loss.nll_term
-            + loss.utility_term
+            loss.nll
+            + loss.utility
             + 0.01 * loss.reg_l2
             - 0.5 * loss.reg_entropy
         )

@@ -291,11 +291,19 @@ class TestArtifacts:
         write_train_log(records, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 3
+        keys = {"epoch", "nll", "utility", "reg_l2", "reg_entropy", "total", "anneal",
+                "param_distance", "disagreement"}
         for rec, line in zip(records, lines):
             row = json.loads(line)
+            assert set(row) == keys
             assert row["epoch"] == rec.epoch
+            assert row["nll"] == rec.loss.nll
+            assert row["utility"] == rec.loss.utility
+            assert row["reg_l2"] == rec.loss.reg_l2
+            assert row["reg_entropy"] == rec.loss.reg_entropy
             assert row["total"] == rec.loss.total
             assert row["anneal"] == rec.anneal
+            assert row["param_distance"] == rec.param_distance
             assert row["disagreement"] == rec.disagreement
 
 
