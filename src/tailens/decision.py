@@ -17,6 +17,7 @@ import numpy as np
 from .ensemble import ParticleEnsemble, predictive_logprobs_batch
 from .errors import InputError
 from .metrics import predictive_entropy
+from .numcore import check_inputs, row_blocks
 from .utility import UtilityMatrix
 
 
@@ -40,34 +41,50 @@ class BatchDecisions:
 def decide_batch(
     ens: ParticleEnsemble, utility: UtilityMatrix, x: np.ndarray
 ) -> BatchDecisions:
+    """Decisions for the rows of x, made one row block at a time into (N, ...)
+    outputs, so no (M, N, K) array is ever whole."""
     if utility.num_classes != ens.shape.num_classes:
         raise InputError(
             f"utility matrix is over {utility.num_classes} classes,"
             f" model has {ens.shape.num_classes}"
         )
-    per_particle, mixture = predictive_logprobs_batch(ens, x)
-    mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
-    shifted = np.exp(mean_logp - mean_logp.max(axis=1, keepdims=True))
-    geo_pred = shifted / shifted.sum(axis=1, keepdims=True)
-    gains = geo_pred @ utility.values
-    return BatchDecisions(
-        decisions=gains.argmax(axis=1),
-        argmax_preds=mixture.argmax(axis=1),
-        expected_gains=gains,
-        mixture=mixture,
-        particle_preds=per_particle.argmax(axis=2),
+    x = check_inputs(ens.shape, x)
+    n, k = x.shape[0], utility.num_classes
+    out = BatchDecisions(
+        decisions=np.empty(n, dtype=np.intp),
+        argmax_preds=np.empty(n, dtype=np.intp),
+        expected_gains=np.empty((n, k)),
+        mixture=np.empty((n, k)),
+        particle_preds=np.empty((ens.n_particles, n), dtype=np.intp),
     )
+    for start, stop in row_blocks(n):
+        rows = slice(start, stop)
+        per_particle, mixture = predictive_logprobs_batch(ens, x[rows])
+        out.mixture[rows] = mixture
+        mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
+        mean_logp -= mean_logp.max(axis=1, keepdims=True)
+        geo_pred = np.exp(mean_logp, out=mean_logp)
+        geo_pred /= geo_pred.sum(axis=1, keepdims=True)
+        gains = np.matmul(geo_pred, utility.values, out=out.expected_gains[rows])
+        gains.argmax(axis=1, out=out.decisions[rows])
+        mixture.argmax(axis=1, out=out.argmax_preds[rows])
+        per_particle.argmax(axis=2, out=out.particle_preds[:, rows])
+    return out
 
 
 def write_predictions_csv(batch: BatchDecisions, path) -> None:
     """Per-sample decisions: index,decision,argmax_pred,entropy,maxprob. The rows
-    are the csv module's excel-dialect bytes (repr floats, CRLF), streamed."""
-    rows = zip(
-        batch.decisions.tolist(),
-        batch.argmax_preds.tolist(),
-        batch.entropy.tolist(),
-        batch.mixture.max(axis=1).tolist(),
-    )
+    are the csv module's excel-dialect bytes (repr floats, CRLF), streamed a row
+    block at a time."""
+    entropy = batch.entropy
     with open(path, "w", newline="") as fh:
         fh.write("index,decision,argmax_pred,entropy,maxprob\r\n")
-        fh.writelines(f"{i},{d},{a},{e!r},{m!r}\r\n" for i, (d, a, e, m) in enumerate(rows))
+        for start, stop in row_blocks(len(batch)):
+            rows = zip(
+                range(start, stop),
+                batch.decisions[start:stop].tolist(),
+                batch.argmax_preds[start:stop].tolist(),
+                entropy[start:stop].tolist(),
+                batch.mixture[start:stop].max(axis=1).tolist(),
+            )
+            fh.writelines(f"{i},{d},{a},{e!r},{m!r}\r\n" for i, d, a, e, m in rows)

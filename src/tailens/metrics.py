@@ -66,7 +66,10 @@ def false_head_rate(labels: np.ndarray, decisions: np.ndarray, tail_mask: np.nda
 def predictive_entropy(probs: np.ndarray) -> np.ndarray | float:
     """-sum p log p over the last axis, with 0 log 0 = 0."""
     probs = np.asarray(probs, dtype=np.float64)
-    terms = np.where(probs > 0, probs * np.log(np.where(probs > 0, probs, 1.0)), 0.0)
+    positive = probs > 0
+    terms = np.where(positive, probs, 1.0)  # the one (N, K) temporary, reused in place
+    np.log(terms, out=terms)  # 0.0 where p <= 0 or p is NaN
+    np.multiply(terms, probs, out=terms, where=positive)
     return -terms.sum(axis=-1)
 
 

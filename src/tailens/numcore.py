@@ -14,10 +14,11 @@ import numpy as np
 
 from .errors import InputError
 
-# Inference rows per stacked forward; the last block takes the remainder. BLAS
-# picks a kernel by product size (OpenBLAS 0.3.31 rounds products of <= ~1,200
-# output entries differently), so blocks of >= 1,024 rows keep each layer of 2+
-# outputs on the kernel one product over all rows uses: blocking changes no bit.
+# Inference rows per block of a forward or a decision; the last block takes the
+# remainder. BLAS picks a kernel by product size (OpenBLAS 0.3.31 rounds products
+# of <= ~1,200 output entries differently), so blocks of >= 1,024 rows keep each
+# layer of 2+ outputs, and the (rows, K) x (K, K) gains of a decision, on the
+# kernel one product over all rows uses: blocking changes no bit.
 BLOCK_ROWS = 1024
 
 
@@ -75,7 +76,15 @@ def init_params(shape: NetShape, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _inputs(shape, x):
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of the row blocks that tile [0, n) in order: BLOCK_ROWS rows
+    each, the last block taking the remainder, one block when n < 2 * BLOCK_ROWS."""
+    stops = [*range(BLOCK_ROWS, n - BLOCK_ROWS + 1, BLOCK_ROWS), n]
+    return list(zip([0, *stops], stops))
+
+
+def check_inputs(shape: NetShape, x: np.ndarray) -> np.ndarray:
+    """x as a float64 (N, input_dim) array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != shape.input_dim:
         raise InputError(f"expected (N, {shape.input_dim}) inputs, got {x.shape}")
@@ -102,12 +111,10 @@ def _log_softmax(logits):
 
 def forward_logprobs_batch(shape: NetShape, particles: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(M, N, num_classes) log-probs, computed BLOCK_ROWS rows at a time."""
-    x = _inputs(shape, x)
+    x = check_inputs(shape, x)
     layers = unpack(shape, particles)
-    n = x.shape[0]
-    out = np.empty((len(particles), n, shape.num_classes))
-    stops = [*range(BLOCK_ROWS, n - BLOCK_ROWS + 1, BLOCK_ROWS), n]
-    for start, stop in zip([0, *stops], stops):
+    out = np.empty((len(particles), x.shape[0], shape.num_classes))
+    for start, stop in row_blocks(x.shape[0]):
         out[:, start:stop] = _log_softmax(_forward(layers, x[start:stop])[1])
     return out
 
@@ -118,7 +125,7 @@ def backward_batch(
     """Log-probs (M, N, num_classes) and the (M, P) gradients of
     sum_i cotangents[i] . logprobs_m(x[i]) for every particle m, from one
     forward pass over the whole particle matrix."""
-    x = _inputs(shape, x)
+    x = check_inputs(shape, x)
     cotangents = np.asarray(cotangents, dtype=np.float64)
     want = (x.shape[0], shape.num_classes)
     if cotangents.shape != want:

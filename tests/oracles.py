@@ -10,8 +10,9 @@ import csv
 import numpy as np
 
 from tailens.dataset import LongTailDataset
+from tailens.decision import BatchDecisions
+from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import ParseError, names_file
-from tailens.metrics import predictive_entropy
 from tailens.numcore import backward_batch, unpack
 from tailens.objective import LossBreakdown
 
@@ -74,10 +75,35 @@ def csv_writer_save(data, path):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
+def where_entropy(probs):
+    """predictive_entropy as it stood at 07be541, masking with two np.where calls
+    over four (N, K) temporaries; frozen as its bitwise oracle."""
+    probs = np.asarray(probs, dtype=np.float64)
+    terms = np.where(probs > 0, probs * np.log(np.where(probs > 0, probs, 1.0)), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def whole_array_decide(ens, utility, x):
+    """decide_batch as it stood at 07be541, over the whole (M, N, K) arrays at
+    once; frozen as the bitwise oracle of the row-blocked decide."""
+    per_particle, mixture = predictive_logprobs_batch(ens, x)
+    mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
+    shifted = np.exp(mean_logp - mean_logp.max(axis=1, keepdims=True))
+    geo_pred = shifted / shifted.sum(axis=1, keepdims=True)
+    gains = geo_pred @ utility.values
+    return BatchDecisions(
+        decisions=gains.argmax(axis=1),
+        argmax_preds=mixture.argmax(axis=1),
+        expected_gains=gains,
+        mixture=mixture,
+        particle_preds=per_particle.argmax(axis=2),
+    )
+
+
 def csv_writer_predictions(batch, path):
     """The predictions writer as it stood on csv.writer at d238a22, frozen as a
-    byte oracle."""
-    entropy = predictive_entropy(batch.mixture)
+    byte oracle. Its entropy is that commit's formula, where_entropy."""
+    entropy = where_entropy(batch.mixture)
     maxprob = batch.mixture.max(axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

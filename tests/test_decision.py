@@ -1,12 +1,14 @@
 """Expected-utility decisions over the log-averaged predictive."""
 
 import csv
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import probs_ensemble, random_ensemble
-from oracles import csv_writer_predictions
+from oracles import csv_writer_predictions, whole_array_decide
 from tailens.decision import BatchDecisions, decide_batch, write_predictions_csv
 from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import InputError
@@ -115,6 +117,37 @@ class TestInterface:
     def test_len(self, rng):
         ens = random_ensemble(NetShape(3, (4,), 4), 2, seed=15)
         assert len(decide_batch(ens, one_hot(4), rng.normal(size=(7, 3)))) == 7
+
+
+class TestRowBlocks:
+    SHAPE = NetShape(16, (32,), 10)
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2047, 2048, 2049, 5000])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("utility", [one_hot(10), tail_sensitive(10, 0.5, penalty=1.0)])
+    def test_every_field_matches_the_whole_array_oracle(self, rng, n, m, utility):
+        # around one and two blocks, and a remainder short of a full block
+        ens = random_ensemble(self.SHAPE, m, seed=18)
+        x = rng.normal(size=(n, 16))
+        blocked = decide_batch(ens, utility, x)
+        whole = whole_array_decide(ens, utility, x)
+        for field in fields(BatchDecisions):
+            got, want = getattr(blocked, field.name), getattr(whole, field.name)
+            assert got.dtype == want.dtype and got.shape == want.shape, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+
+    def test_memory_holds_one_block_beyond_the_outputs(self, rng):
+        # the whole (M, N, K) log-probs and their exp would be 12 MB each here
+        ens = random_ensemble(self.SHAPE, 3, seed=19)
+        x = rng.normal(size=(50_000, 16))
+        tracemalloc.start()
+        try:
+            batch = decide_batch(ens, tail_sensitive(10, 0.5), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(getattr(batch, f.name).nbytes for f in fields(BatchDecisions))
+        assert peak < outputs + 4 * 2**20, (peak, outputs)
 
 
 class TestPredictionsCsv:

@@ -6,7 +6,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from oracles import where_entropy
 from tailens.dataset import tail_mask
 from tailens.errors import InputError
 from tailens.metrics import (
@@ -125,6 +129,32 @@ class TestPredictiveEntropy:
         assert np.allclose(
             out, [predictive_entropy(row) for row in probs], rtol=1e-12
         )
+
+    CORNERS = [0.0, -0.0, 5e-324, 1e-320, 1.0, 0.5, -1.0, np.nan, np.inf, -np.inf]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=2, max_side=12),
+            elements=st.one_of(
+                # above ~1e306 a sum of p log p overflows, with a warning either way
+                st.sampled_from(CORNERS), st.floats(0.0, 1.0), st.floats(max_value=1e300)
+            ),
+        )
+    )
+    def test_bits_match_the_where_oracle(self, probs):
+        got = predictive_entropy(probs)
+        with np.errstate(invalid="ignore"):  # the oracle forms 0 * -inf, then masks it
+            want = where_entropy(probs)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_bits_match_the_where_oracle_on_dirichlet_rows(self, rng):
+        probs = rng.dirichlet(np.full(10, 0.3), size=5000)
+        probs[::7, 3] = 0.0
+        assert predictive_entropy(probs).tobytes() == where_entropy(probs).tobytes()
+        assert type(predictive_entropy(probs[0])) is np.float64
 
 
 class TestAuc:

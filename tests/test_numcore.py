@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_ensemble
 from oracles import out_of_place_backward
@@ -14,6 +16,7 @@ from tailens.numcore import (
     forward_logprobs_batch,
     init_params,
     param_count,
+    row_blocks,
     unpack,
 )
 
@@ -173,6 +176,31 @@ class TestForward:
         # the backward pass never blocks: its forward is unblocked too
         logprobs, _ = backward_batch(ens.shape, ens.particles, x, np.zeros((n, k)))
         assert np.array_equal(blocked, logprobs)
+
+    ENSEMBLE = random_ensemble(NetShape(16, (32,), 10), 3, seed=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    @example(0)
+    @example(1023)
+    @example(1024)
+    @example(2047)
+    @example(2048)
+    @example(10_000)
+    def test_row_blocks_tile_the_rows_and_keep_the_bits(self, n):
+        blocks, rows = row_blocks(n), numcore.BLOCK_ROWS
+        assert [start for start, _ in blocks] == [0, *(stop for _, stop in blocks[:-1])]
+        assert blocks[-1][1] == n
+        if n < rows:
+            assert len(blocks) == 1
+        else:
+            assert all(rows <= stop - start < 2 * rows for start, stop in blocks)
+        ens = self.ENSEMBLE
+        x = np.random.default_rng(n).normal(size=(n, 16))
+        blocked = forward_logprobs_batch(ens.shape, ens.particles, x)
+        # the backward never blocks: its forward is one product over all rows
+        whole, _ = backward_batch(ens.shape, ens.particles, x, np.zeros((n, 10)))
+        assert blocked.tobytes() == whole.tobytes()
 
 
 def fd_gradient(shape, particles, x, cotangent, step=1e-5):
