@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import generate_synthetic, load_csv, save_csv
 from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
-from .errors import InputError, NumericError, ParseError
+from .errors import InputError, NumericError, ParseError, utf8_error
 from .metrics import report_to_json, write_summary_csv
 from .rebalance import DiscrepancySpec, class_weights, growth_rate
 from .trainer import TrainConfig, evaluate, repeat_runs, train, write_train_log
@@ -155,10 +155,12 @@ def _effective_config(args) -> dict:
     config = {key: default for key, (default, _) in SCHEMA.items()}
     if args.config is not None:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except json.JSONDecodeError as err:
             raise InputError(f"{args.config}: not valid JSON: {err}") from None
+        except UnicodeDecodeError:
+            raise InputError(f"{args.config}: {utf8_error(args.config)}") from None
         if not isinstance(loaded, dict):
             raise InputError(f"{args.config}: config file must hold a JSON object")
         for key, value in loaded.items():
@@ -387,7 +389,7 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
         # imported here: the process pool costs every other command its import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
+        with ProcessPoolExecutor(max_workers=min(config["jobs"], len(payloads))) as pool:
             rows = list(pool.map(_run_cell, payloads))
     else:
         rows = [_run_cell(p) for p in payloads]

@@ -172,7 +172,7 @@ def _parse_rows(lines, dim) -> np.ndarray:
 
 def _data_lines(path):
     """(file line number, text) of every non-blank line after the header."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno > 1 and line.strip("\r\n"):
                 yield lineno, line
@@ -218,7 +218,7 @@ def _first_rejected_line(path, dim, num_classes):
 @names_file
 def load_csv(path, num_classes=None) -> LongTailDataset:
     """Parse a feature CSV; K is num_classes, else max label + 1. Errors name file and line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:

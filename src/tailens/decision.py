@@ -10,7 +10,6 @@ the mixture distribution is reported alongside as a diagnostic.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,51 +22,49 @@ from .utility import UtilityMatrix
 
 @dataclass(frozen=True)
 class BatchDecisions:
-    decisions: np.ndarray  # (N,)
-    argmax_preds: np.ndarray  # (N,)
-    expected_gains: np.ndarray  # (N, K)
-    mixture: np.ndarray  # (N, K)
+    decisions: np.ndarray  # (N,) expected-utility decision
+    argmax_preds: np.ndarray  # (N,) argmax class of the mixture
+    entropy: np.ndarray  # (N,) predictive entropy of the mixture
+    maxprob: np.ndarray  # (N,) largest mixture probability
+    confidence: np.ndarray  # (N,) mixture probability of the decision
     particle_preds: np.ndarray  # (M, N) argmax class of each particle
 
     def __len__(self) -> int:
         return int(self.decisions.shape[0])
 
-    @cached_property
-    def entropy(self) -> np.ndarray:
-        """(N,) predictive entropy of the mixture, computed on the first read."""
-        return predictive_entropy(self.mixture)
-
 
 def decide_batch(
     ens: ParticleEnsemble, utility: UtilityMatrix, x: np.ndarray
 ) -> BatchDecisions:
-    """Decisions for the rows of x, made one row block at a time into (N, ...)
-    outputs, so no (M, N, K) array is ever whole."""
+    """Decisions for the rows of x, made one row block at a time into per-row
+    outputs, so no (M, N, K) or (N, K) array is ever whole."""
     if utility.num_classes != ens.shape.num_classes:
         raise InputError(
             f"utility matrix is over {utility.num_classes} classes,"
             f" model has {ens.shape.num_classes}"
         )
     x = check_inputs(ens.shape, x)
-    n, k = x.shape[0], utility.num_classes
+    n = x.shape[0]
     out = BatchDecisions(
         decisions=np.empty(n, dtype=np.intp),
         argmax_preds=np.empty(n, dtype=np.intp),
-        expected_gains=np.empty((n, k)),
-        mixture=np.empty((n, k)),
+        entropy=np.empty(n),
+        maxprob=np.empty(n),
+        confidence=np.empty(n),
         particle_preds=np.empty((ens.n_particles, n), dtype=np.intp),
     )
     for start, stop in row_blocks(n):
         rows = slice(start, stop)
         per_particle, mixture = predictive_logprobs_batch(ens, x[rows])
-        out.mixture[rows] = mixture
         mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
         mean_logp -= mean_logp.max(axis=1, keepdims=True)
         geo_pred = np.exp(mean_logp, out=mean_logp)
         geo_pred /= geo_pred.sum(axis=1, keepdims=True)
-        gains = np.matmul(geo_pred, utility.values, out=out.expected_gains[rows])
-        gains.argmax(axis=1, out=out.decisions[rows])
+        decisions = (geo_pred @ utility.values).argmax(axis=1, out=out.decisions[rows])
         mixture.argmax(axis=1, out=out.argmax_preds[rows])
+        out.entropy[rows] = predictive_entropy(mixture)
+        mixture.max(axis=1, out=out.maxprob[rows])
+        out.confidence[rows] = mixture[np.arange(stop - start), decisions]
         per_particle.argmax(axis=2, out=out.particle_preds[:, rows])
     return out
 
@@ -76,15 +73,9 @@ def write_predictions_csv(batch: BatchDecisions, path) -> None:
     """Per-sample decisions: index,decision,argmax_pred,entropy,maxprob. The rows
     are the csv module's excel-dialect bytes (repr floats, CRLF), streamed a row
     block at a time."""
-    entropy = batch.entropy
+    columns = (batch.decisions, batch.argmax_preds, batch.entropy, batch.maxprob)
     with open(path, "w", newline="") as fh:
         fh.write("index,decision,argmax_pred,entropy,maxprob\r\n")
         for start, stop in row_blocks(len(batch)):
-            rows = zip(
-                range(start, stop),
-                batch.decisions[start:stop].tolist(),
-                batch.argmax_preds[start:stop].tolist(),
-                entropy[start:stop].tolist(),
-                batch.mixture[start:stop].max(axis=1).tolist(),
-            )
+            rows = zip(range(start, stop), *(col[start:stop].tolist() for col in columns))
             fh.writelines(f"{i},{d},{a},{e!r},{m!r}\r\n" for i, d, a, e, m in rows)

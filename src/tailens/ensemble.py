@@ -75,10 +75,8 @@ def regularizer(
     One pass: the squares, the mean and the floored per-coordinate variance are
     each formed once. The variance is the mean of squares minus the square of
     the mean; the spread gradient is (theta - mean) / (M * (var + floor)). With
-    one particle the spread term is 0 and has no gradient.
+    one particle the spread term is 0 and has no gradient. The caller checks floor > 0.
     """
-    if var_floor <= 0:
-        raise InputError(f"variance floor must be > 0, got {var_floor}")
     # each mean is np.mean's sum then divide by M, without its per-call overhead
     particles, m = ens.particles, ens.n_particles
     squares = particles**2

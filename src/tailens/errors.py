@@ -24,13 +24,26 @@ class ParseError(ValueError):
         self.line = line
 
 
+def utf8_error(path) -> ParseError:
+    """The error naming the first line of the file at path that is not UTF-8:
+    the first line that changes when its undecodable bytes are dropped."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.decode("utf-8", "ignore").encode() != line:
+                return ParseError("not UTF-8 text", line=lineno)
+
+
 def names_file(load):
-    """Decorate a file loader so its ParseErrors begin with the path it read."""
+    """Decorate a file loader so its ParseErrors, and text that is not UTF-8,
+    are ParseErrors that begin with the path it read."""
 
     @functools.wraps(load)
     def wrapped(path, *args, **kwargs):
         try:
-            return load(path, *args, **kwargs)
+            try:
+                return load(path, *args, **kwargs)
+            except UnicodeDecodeError:
+                raise utf8_error(path) from None
         except ParseError as err:
             err.args = (f"{path}: {err}",)
             raise

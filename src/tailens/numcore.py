@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import InputError
 
-# Inference rows per block of a forward or a decision; the last block takes the
-# remainder. BLAS picks a kernel by product size (OpenBLAS 0.3.31 rounds products
-# of <= ~1,200 output entries differently), so blocks of >= 1,024 rows keep each
-# layer of 2+ outputs, and the (rows, K) x (K, K) gains of a decision, on the
-# kernel one product over all rows uses: blocking changes no bit.
+# Rows per block of a decision (decide_batch owns the inference block loop); the
+# last block takes the remainder. BLAS picks a kernel by product size (OpenBLAS
+# 0.3.31 rounds products of <= ~1,200 output entries differently), so blocks of
+# >= 1,024 rows keep each forward layer of 2+ outputs, and the (rows, K) x (K, K)
+# gains, on the kernel one product over all rows uses: blocking changes no bit.
 BLOCK_ROWS = 1024
 
 
@@ -110,13 +110,8 @@ def _log_softmax(logits):
 
 
 def forward_logprobs_batch(shape: NetShape, particles: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(M, N, num_classes) log-probs, computed BLOCK_ROWS rows at a time."""
-    x = check_inputs(shape, x)
-    layers = unpack(shape, particles)
-    out = np.empty((len(particles), x.shape[0], shape.num_classes))
-    for start, stop in row_blocks(x.shape[0]):
-        out[:, start:stop] = _log_softmax(_forward(layers, x[start:stop])[1])
-    return out
+    """(M, N, num_classes) log-probs, one product per layer over all the rows."""
+    return _log_softmax(_forward(unpack(shape, particles), check_inputs(shape, x))[1])
 
 
 def backward_batch(

@@ -217,16 +217,14 @@ def evaluate(
         float(r): false_head_rate(labels, batch.decisions, tail_mask(k, float(r)))
         for r in tail_ratios
     }
-    confidence = batch.mixture[np.arange(len(batch)), batch.decisions]
-    diag = diversity_diagnostics(ens, batch.particle_preds)
     report = MetricsReport(
         **acc._asdict(),
         fhr=fhr,
         fhr_avg=float(np.mean(list(fhr.values()))),
         auc=auc_misclassification(batch.entropy, correct),
-        ece=expected_calibration_error(confidence, correct, ece_bins),
+        ece=expected_calibration_error(batch.confidence, correct, ece_bins),
         n_test=len(test_data),
-        **diag._asdict(),
+        **diversity_diagnostics(ens, batch.particle_preds)._asdict(),
     )
     return report, batch
 

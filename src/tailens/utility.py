@@ -53,7 +53,7 @@ def tail_sensitive(num_classes: int, tail_ratio: float, penalty: float = 1.0) ->
 def load_matrix(path) -> UtilityMatrix:
     """Read a headerless K x K CSV of utilities; errors name the offending line."""
     rows, linenos = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue

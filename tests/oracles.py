@@ -83,28 +83,41 @@ def where_entropy(probs):
     return -terms.sum(axis=-1)
 
 
-def whole_array_decide(ens, utility, x):
-    """decide_batch as it stood at 07be541, over the whole (M, N, K) arrays at
-    once; frozen as the bitwise oracle of the row-blocked decide."""
+def whole_array_gains(ens, utility, x):
+    """The (M, N, K) per-particle log-probs, (N, K) mixture and (N, K) expected
+    gains of decide_batch as it stood at 07be541, over the whole arrays at once;
+    frozen as the oracle of the two (N, K) fields BatchDecisions held up to
+    c341d1e."""
     per_particle, mixture = predictive_logprobs_batch(ens, x)
     mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
     shifted = np.exp(mean_logp - mean_logp.max(axis=1, keepdims=True))
     geo_pred = shifted / shifted.sum(axis=1, keepdims=True)
-    gains = geo_pred @ utility.values
+    return per_particle, mixture, geo_pred @ utility.values
+
+
+def whole_array_decide(ens, utility, x):
+    """decide_batch from one unblocked pass: whole_array_gains, then each per-row
+    field from the whole (N, K) mixture as c341d1e's evaluate and writer read it,
+    the entropy by 07be541's where_entropy; frozen as the bitwise oracle of the
+    row-blocked decide."""
+    per_particle, mixture, gains = whole_array_gains(ens, utility, x)
+    decisions = gains.argmax(axis=1)
     return BatchDecisions(
-        decisions=gains.argmax(axis=1),
+        decisions=decisions,
         argmax_preds=mixture.argmax(axis=1),
-        expected_gains=gains,
-        mixture=mixture,
+        entropy=where_entropy(mixture),
+        maxprob=mixture.max(axis=1),
+        confidence=mixture[np.arange(len(mixture)), decisions],
         particle_preds=per_particle.argmax(axis=2),
     )
 
 
-def csv_writer_predictions(batch, path):
+def csv_writer_predictions(batch, mixture, path):
     """The predictions writer as it stood on csv.writer at d238a22, frozen as a
-    byte oracle. Its entropy is that commit's formula, where_entropy."""
-    entropy = where_entropy(batch.mixture)
-    maxprob = batch.mixture.max(axis=1)
+    byte oracle. Its entropy and maxprob are that commit's, from the (N, K)
+    mixture: entropy by where_entropy."""
+    entropy = where_entropy(mixture)
+    maxprob = mixture.max(axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "decision", "argmax_pred", "entropy", "maxprob"])

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, config layering, exit codes."""
 
+import concurrent.futures
 import csv
 import hashlib
 import inspect
@@ -147,7 +148,8 @@ class TestEvaluate:
         assert len(rows) == 41
 
     def test_entropy_is_computed_once(self, tmp_path, monkeypatch):
-        # the AUC and predictions.csv read the same cached entropy
+        # decide_batch computes it once per row block (one block here); the AUC
+        # and predictions.csv both read that (N,) result
         run = tmp_path / "run"
         assert main(["train"] + flags(run)) == 0
         calls = []
@@ -341,6 +343,27 @@ class TestSweep:
             parallel / "sweep_particles.csv"
         ).read_bytes()
 
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        # the process pool forks all its workers up front; this one forks none
+        workers = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        args = ["sweep", "--axis", "particles", "--grid", "1,2", "--jobs", "4"]
+        assert main(args + self.sweep_flags(tmp_path)) == 0
+        assert workers == [2]
+
     def test_empty_grid(self, tmp_path, capsys):
         args = ["sweep", "--axis", "ratio", "--grid", ","] + self.sweep_flags(tmp_path)
         assert main(args) == 1
@@ -532,6 +555,23 @@ MALFORMED = {
         "sweep", "gap.csv", three_features(0, 0, 1, 3),
         ["--axis", "ratio", "--test-csv", "a.csv", "--train-csv"],
         "classes without training samples: [2]",
+    ),
+    # text inputs are UTF-8 whatever the locale; a byte that does not decode names its line
+    "not-utf8-train-csv": (
+        "train", "data.csv", b"f0,label\n1.0,0\n\xff2.0,1\n", ["--train-csv"],
+        "line 3: not UTF-8 text",
+    ),
+    "not-utf8-test-csv": (
+        "evaluate", "d.csv", b"f0,f1,label\n1.0,0.5,0\n2.0,\xfe0.5,1\n",
+        ["--checkpoint", "model.ckpt", "--test-csv"], "line 3: not UTF-8 text",
+    ),
+    "not-utf8-utility": (
+        "train", "u.csv", b"1,0,0,0\n0,1,0,0\n0,0,\xff1,0\n0,0,0,1\n", ["--utility"],
+        "line 3: not UTF-8 text",
+    ),
+    "not-utf8-config": (
+        "train", "cfg.json", b'{\n"seed": 0,\n"out": "\xff"\n}\n', ["--config"],
+        "line 3: not UTF-8 text",
     ),
     "synthetic-empty-class": (
         "generate-data", None, None, ["--n-max", "100", "--imbalance", "300"],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import probs_ensemble, random_ensemble
-from oracles import csv_writer_predictions, whole_array_decide
+from oracles import csv_writer_predictions, whole_array_decide, whole_array_gains
 from tailens.decision import BatchDecisions, decide_batch, write_predictions_csv
 from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import InputError
@@ -56,7 +56,8 @@ class TestTailSensitive:
         ens = probs_ensemble([[0.55, 0.45]])
         utility = tail_sensitive(2, 0.5, penalty=1.0)
         out = decide_batch(ens, utility, np.zeros((1, 1)))
-        assert out.expected_gains[0] == pytest.approx([0.10, 0.45], rel=1e-10)
+        gains = whole_array_gains(ens, utility, np.zeros((1, 1)))[2]
+        assert gains[0] == pytest.approx([0.10, 0.45], rel=1e-10)
         assert out.decisions[0] == 1
         assert out.argmax_preds[0] == 0
 
@@ -75,12 +76,11 @@ class TestGainStructure:
     def test_constant_shift_is_inert(self, rng):
         ens = random_ensemble(NetShape(3, (4,), 4), 2, seed=14)
         x = rng.normal(size=(80, 3))
-        base = decide_batch(ens, one_hot(4), x)
-        shifted = decide_batch(ens, UtilityMatrix(4, one_hot(4).values + 2.5), x)
+        plus = UtilityMatrix(4, one_hot(4).values + 2.5)
+        base, shifted = decide_batch(ens, one_hot(4), x), decide_batch(ens, plus, x)
         assert np.array_equal(base.decisions, shifted.decisions)
-        assert np.allclose(
-            shifted.expected_gains, base.expected_gains + 2.5, rtol=0, atol=1e-12
-        )
+        gains, shifted_gains = (whole_array_gains(ens, u, x)[2] for u in (one_hot(4), plus))
+        assert np.allclose(shifted_gains, gains + 2.5, rtol=0, atol=1e-12)
 
     def test_decision_follows_log_average_not_mixture(self):
         # the particles disagree on classes 0 and 1 but both give class 2
@@ -97,11 +97,9 @@ class TestInterface:
         x = rng.normal(size=(6, 3))
         batch = decide_batch(ens, one_hot(4), x)
         out = decide_batch(ens, one_hot(4), x[2][None])
-        assert out.decisions[0] == batch.decisions[2]
-        assert out.argmax_preds[0] == batch.argmax_preds[2]
-        assert np.array_equal(out.expected_gains[0], batch.expected_gains[2])
-        assert np.array_equal(out.mixture[0], batch.mixture[2])
-        assert np.array_equal(out.particle_preds[:, 0], batch.particle_preds[:, 2])
+        for field in fields(BatchDecisions):
+            got, want = getattr(out, field.name), getattr(batch, field.name)
+            assert np.array_equal(got[..., 0], want[..., 2]), field.name
 
     def test_single_sample_needs_a_row(self, rng):
         # one sample is a batch of one: (1, D), not a bare (D,) vector
@@ -155,6 +153,7 @@ class TestPredictionsCsv:
         ens = random_ensemble(NetShape(3, (4,), 4), 2, seed=16)
         x = rng.normal(size=(9, 3))
         batch = decide_batch(ens, one_hot(4), x)
+        mixture = whole_array_gains(ens, one_hot(4), x)[1]
         path = tmp_path / "preds.csv"
         write_predictions_csv(batch, path)
         with open(path, newline="") as fh:
@@ -165,15 +164,8 @@ class TestPredictionsCsv:
             assert int(row[0]) == i
             assert int(row[1]) == batch.decisions[i]
             assert int(row[2]) == batch.argmax_preds[i]
-            assert float(row[3]) == predictive_entropy(batch.mixture[i])
-            assert float(row[4]) == batch.mixture[i].max()
-
-    def test_entropy_is_cached_bitwise(self, rng):
-        ens = random_ensemble(NetShape(3, (4,), 4), 2, seed=16)
-        batch = decide_batch(ens, one_hot(4), rng.normal(size=(9, 3)))
-        first = batch.entropy
-        assert first.tobytes() == predictive_entropy(batch.mixture).tobytes()
-        assert batch.entropy is first
+            assert float(row[3]) == predictive_entropy(mixture[i])
+            assert float(row[4]) == mixture[i].max()
 
     def test_bytes_match_the_csv_writer_oracle(self, rng, tmp_path):
         # a one-hot row (entropy -0.0), a subnormal probability and exponent
@@ -182,17 +174,18 @@ class TestPredictionsCsv:
             [[1.0, 0.0, 0.0], [1e-320, 1.0, 0.0], [1e-10, 1.0 - 1e-10, 0.0], [0.25, 0.25, 0.5]]
         )
         ens = random_ensemble(NetShape(3, (4,), 3), 2, seed=17)
-        real = decide_batch(ens, one_hot(3), rng.normal(size=(50, 3)))
-        mixture = np.vstack([corners, real.mixture])
+        real = whole_array_gains(ens, one_hot(3), rng.normal(size=(50, 3)))[1]
+        mixture = np.vstack([corners, real])
         batch = BatchDecisions(
             decisions=mixture.argmin(axis=1),
             argmax_preds=mixture.argmax(axis=1),
-            expected_gains=mixture,
-            mixture=mixture,
+            entropy=predictive_entropy(mixture),
+            maxprob=mixture.max(axis=1),
+            confidence=mixture.min(axis=1),
             particle_preds=np.zeros((2, len(mixture)), dtype=np.int64),
         )
         write_predictions_csv(batch, tmp_path / "new.csv")
-        csv_writer_predictions(batch, tmp_path / "oracle.csv")
+        csv_writer_predictions(batch, mixture, tmp_path / "oracle.csv")
         written = (tmp_path / "new.csv").read_bytes()
         assert written == (tmp_path / "oracle.csv").read_bytes()
         assert b"\r\n0,1,0,-0.0,1.0\r\n" in written and b"e-318," in written

@@ -176,11 +176,6 @@ class TestEntropy:
                 ) / (2 * step)
                 assert grad[j, k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
-    def test_floor_must_be_positive(self):
-        ens = random_ensemble(NetShape(1, (), 2), 2, seed=0)
-        with pytest.raises(InputError):
-            regularizer(ens, 0.0)
-
 
 class TestRegularizer:
     def test_zero_anneal_is_pure_weight_decay(self, rng):

@@ -1,14 +1,16 @@
 """Forward, backward, and layout checks for the stacked-particle networks."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ensemble
-from oracles import out_of_place_backward
+from oracles import out_of_place_backward, whole_array_decide
 from tailens import numcore
-from tailens.ensemble import predictive_logprobs_batch
+from tailens.decision import BatchDecisions, decide_batch
 from tailens.errors import InputError
 from tailens.numcore import (
     NetShape,
@@ -19,6 +21,7 @@ from tailens.numcore import (
     row_blocks,
     unpack,
 )
+from tailens.utility import tail_sensitive
 
 # Frozen oracle: forward pass of the seed-0 network below re-evaluated with
 # 60-digit arithmetic (mpmath), rounded back to float64.
@@ -163,19 +166,20 @@ class TestForward:
 
     @pytest.mark.parametrize("n", [2100, 3100])
     @pytest.mark.parametrize("k", [10, 2])
-    def test_row_blocks_match_one_unblocked_forward(self, rng, monkeypatch, n, k):
+    def test_row_blocks_match_one_unblocked_forward(self, rng, n, k):
         # several blocks, the remainder short of a full block
         assert n > 2 * numcore.BLOCK_ROWS and n % numcore.BLOCK_ROWS < 100
         ens = random_ensemble(NetShape(16, (32,), k), 3, seed=4)
         x = rng.normal(size=(n, 16))
-        blocked, mixture = predictive_logprobs_batch(ens, x)
-        monkeypatch.setattr(numcore, "BLOCK_ROWS", n)
         whole = forward_logprobs_batch(ens.shape, ens.particles, x)
+        blocked = np.concatenate(
+            [forward_logprobs_batch(ens.shape, ens.particles, x[a:b]) for a, b in row_blocks(n)],
+            axis=1,
+        )
         assert np.array_equal(blocked, whole)
-        assert np.array_equal(mixture, predictive_logprobs_batch(ens, x)[1])
-        # the backward pass never blocks: its forward is unblocked too
+        # the backward's forward is the same one product over all rows
         logprobs, _ = backward_batch(ens.shape, ens.particles, x, np.zeros((n, k)))
-        assert np.array_equal(blocked, logprobs)
+        assert np.array_equal(whole, logprobs)
 
     ENSEMBLE = random_ensemble(NetShape(16, (32,), 10), 3, seed=4)
 
@@ -195,12 +199,13 @@ class TestForward:
             assert len(blocks) == 1
         else:
             assert all(rows <= stop - start < 2 * rows for start, stop in blocks)
-        ens = self.ENSEMBLE
+        ens, utility = self.ENSEMBLE, tail_sensitive(10, 0.5, penalty=1.0)
         x = np.random.default_rng(n).normal(size=(n, 16))
-        blocked = forward_logprobs_batch(ens.shape, ens.particles, x)
-        # the backward never blocks: its forward is one product over all rows
-        whole, _ = backward_batch(ens.shape, ens.particles, x, np.zeros((n, 10)))
-        assert blocked.tobytes() == whole.tobytes()
+        blocked = decide_batch(ens, utility, x)
+        whole = whole_array_decide(ens, utility, x)
+        for field in fields(BatchDecisions):
+            got, want = getattr(blocked, field.name), getattr(whole, field.name)
+            assert got.tobytes() == want.tobytes(), field.name
 
 
 def fd_gradient(shape, particles, x, cotangent, step=1e-5):

@@ -2,9 +2,11 @@
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import tailens
+from tailens.decision import BatchDecisions
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -27,3 +29,15 @@ def test_library_example_imports_exactly_the_exports():
     }
     assert imported == set(tailens.__all__)
     assert all(hasattr(tailens, name) for name in tailens.__all__)
+
+
+def test_library_example_reads_only_decision_fields():
+    # evaluate's decisions and decide_batch's first are BatchDecisions
+    read = {
+        node.attr
+        for node in ast.walk(library_example())
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("decisions", "first")
+    }
+    assert read and read <= {field.name for field in fields(BatchDecisions)}, read
