@@ -16,13 +16,13 @@ from dataclasses import fields
 
 import numpy as np
 
-from .dataset import generate_synthetic, load_csv, save_csv
-from .decision import write_predictions_csv
+from .dataset import CsvRows, generate_synthetic, load_csv, save_csv
+from .decision import decide_batch, write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
 from .errors import InputError, NumericError, ParseError, utf8_error
 from .metrics import report_to_json, write_summary_csv
 from .rebalance import DiscrepancySpec, class_weights, growth_rate
-from .trainer import TrainConfig, evaluate, repeat_runs, train, write_train_log
+from .trainer import TrainConfig, evaluate, evaluation_report, repeat_runs, train, write_train_log
 from .utility import load_matrix, one_hot, tail_sensitive
 
 
@@ -260,18 +260,20 @@ def _check_regions(num_classes: int, source: str) -> None:
         raise InputError(f"{source}: evaluation needs K >= 3 classes, got {num_classes}")
 
 
-def _write_metrics(ens, test_data, utility, config: dict):
-    """Evaluate into <out>/metrics.json and print its summary line; the decisions."""
-    ratios = _numbers(config, "tail_ratios", float)
-    report, batch = evaluate(ens, test_data, utility, ratios, config["ece_bins"])
-    with open(os.path.join(config["out"], "metrics.json"), "w") as fh:
+def _scoring(config: dict) -> tuple:
+    """The (tail_ratios, ece_bins) that evaluation scores with."""
+    return _numbers(config, "tail_ratios", float), config["ece_bins"]
+
+
+def _write_metrics(report, out: str) -> None:
+    """<out>/metrics.json, and its summary line on stdout."""
+    with open(os.path.join(out, "metrics.json"), "w") as fh:
         fh.write(report_to_json(report))
     tail = "n/a" if report.acc_tail is None else f"{report.acc_tail:.4f}"
     print(
         f"acc {report.acc_overall:.4f}  tail acc {tail}"
         f"  fhr_avg {report.fhr_avg:.4f}  ece {report.ece:.4f}"
     )
-    return batch
 
 
 def cmd_train(config: dict) -> int:
@@ -285,7 +287,7 @@ def cmd_train(config: dict) -> int:
     save_checkpoint(ens, os.path.join(out, "ensemble.ckpt"))
     write_train_log(records, os.path.join(out, "trainlog.jsonl"))
     if test_data is not None:
-        _write_metrics(ens, test_data, utility, config)
+        _write_metrics(evaluate(ens, test_data, utility, *_scoring(config))[0], out)
     _echo_config(config, out)
     print(f"final loss {records[-1].loss.total:.6f}; artifacts in {out}")
     return 0
@@ -298,20 +300,25 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
     if config["train_csv"] is not None:
         raise InputError("evaluate reads --test-csv, not --train-csv")
     if config["test_csv"] is not None:
-        test_data = load_csv(config["test_csv"], num_classes=k)
+        # the header and the row count now; the rows are parsed as they are decided
+        x = CsvRows(config["test_csv"], num_classes=k)
+        dim, labels = x.dim, x.labels
     else:
         test_data = _load_data(config, config["seed"])[1]
-    if test_data.num_classes != k:
-        raise InputError(f"test data has {test_data.num_classes} classes, checkpoint {k}")
-    if test_data.dim != ens.shape.input_dim:
+        if test_data.num_classes != k:
+            raise InputError(f"test data has {test_data.num_classes} classes, checkpoint {k}")
+        x, dim, labels = test_data.features, test_data.dim, test_data.labels
+    if dim != ens.shape.input_dim:
         raise InputError(
-            f"{config['test_csv'] or 'synthetic test data'} has {test_data.dim} features,"
+            f"{config['test_csv'] or 'synthetic test data'} has {dim} features,"
             f" {checkpoint} has {ens.shape.input_dim}"
         )
     utility = _build_utility(config, k)
+    batch = decide_batch(ens, utility, x)
+    report = evaluation_report(ens, batch, labels, k, *_scoring(config))
     out = config["out"]
     os.makedirs(out, exist_ok=True)
-    batch = _write_metrics(ens, test_data, utility, config)
+    _write_metrics(report, out)
     write_predictions_csv(batch, os.path.join(out, "predictions.csv"))
     _echo_config(config, out)
     return 0
@@ -319,13 +326,7 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
 
 def _run_cell(payload):
     cell, axis, value, data, utility = payload
-    reports = repeat_runs(
-        _train_config(cell),
-        data,
-        utility,
-        _numbers(cell, "tail_ratios", float),
-        cell["ece_bins"],
-    )
+    reports = repeat_runs(_train_config(cell), data, utility, *_scoring(cell))
     row = {axis: value}
     if axis == "ratio":
         spec = DiscrepancySpec(form=value, gamma=cell["gamma"], beta=cell["beta"])

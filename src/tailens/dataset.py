@@ -6,14 +6,16 @@ n_max for class 0 down to n_max/imbalance for class K-1; test sets are uniform.
 """
 
 import csv
+import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
+from operator import methodcaller
 
 import numpy as np
 
-from .errors import InputError, ParseError, names_file
+from .errors import InputError, ParseError, naming
+from .numcore import row_blocks
 
 
 @dataclass
@@ -156,31 +158,70 @@ def save_csv(data: LongTailDataset, path) -> None:
             fh.writelines(",".join(map(repr, row + [label])) + "\r\n" for row, label in rows)
 
 
-# One parser defines what a data row is: comma-separated, optionally
-# double-quoted fields; blank lines skipped; no comment lines.
-_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1)
+# One parser defines what a data row is: one line of comma-separated, optionally
+# double-quoted fields; blank lines skipped; no comment lines. Lines are UTF-8.
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1, encoding="utf-8")
+
+
+def _lines(fh):
+    """The lines of the binary file fh from where it stands, with their ends, split
+    where text mode splits them: at LF, CRLF and a lone CR. Read 64 KiB at a time."""
+
+    def chunks():
+        tail = b""
+        for chunk in iter(functools.partial(fh.read, 1 << 16), b""):
+            lines = (tail + chunk).splitlines(keepends=True)
+            # the last line may go on in the next chunk, and its CR be half a CRLF
+            tail = b"" if chunk.endswith(b"\n") else lines.pop()
+            yield lines
+        yield [tail] if tail else []
+
+    return itertools.chain.from_iterable(chunks())
+
+
+def _count_rows(fh) -> int:
+    """How many non-blank lines _lines(fh) gives, counted without making them:
+    a non-blank line is a maximal run of bytes other than CR and LF."""
+    n, ended = 0, True  # whether the byte before the chunk ends a line
+    for chunk in iter(functools.partial(fh.read, 1 << 16), b""):
+        codes = np.frombuffer(chunk, dtype=np.uint8)
+        ends = (codes == ord("\n")) | (codes == ord("\r"))
+        n += int(np.count_nonzero(ends[:-1] > ends[1:])) + (ended and not ends[0])
+        ended = bool(ends[-1])
+    return n
+
+
+def _decode(line: bytes, lineno: int) -> str:
+    try:
+        return line.decode()
+    except UnicodeDecodeError:
+        raise ParseError("not UTF-8 text", line=lineno) from None
+
+
+def _read_header(fh) -> tuple[int, int, int]:
+    """(D, file line of the first data line, byte offset of that line) from the
+    header record at the top of the binary file fh."""
+    sizes = []
+
+    def decoded():
+        for lineno, line in enumerate(_lines(fh), start=1):
+            sizes.append(len(line))
+            yield _decode(line, lineno)
+
+    reader = csv.reader(decoded())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", line=1) from None
+    if len(header) < 2 or header[-1].strip() != "label":
+        raise ParseError("header must end with a 'label' column", line=1)
+    return len(header) - 1, reader.line_num + 1, sum(sizes)
 
 
 def _parse_rows(lines, dim) -> np.ndarray:
     """(N,) structured rows with fields x (D float64) and y (int64)."""
     row = np.dtype([("x", np.float64, (dim,)), ("y", np.int64)])
-    with warnings.catch_warnings():
-        # a file without data rows is reported by the caller, with its line
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, dtype=row, **_LOADTXT)
-
-
-def _data_lines(path):
-    """(file line number, text) of every non-blank line after the header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno > 1 and line.strip("\r\n"):
-                yield lineno, line
-
-
-def _line_of(path, row: int) -> int:
-    """File line of data row `row`, skipping blank lines as the parse does."""
-    return next(itertools.islice(_data_lines(path), row, None))[0]
+    return np.loadtxt(lines, dtype=row, **_LOADTXT)
 
 
 def _check_labels(labels, num_classes, line_of) -> None:
@@ -195,52 +236,100 @@ def _check_labels(labels, num_classes, line_of) -> None:
         raise ParseError(f"label {label} {reason}", line=line_of(i))
 
 
-def _first_rejected_line(path, dim, num_classes):
-    """Parse a malformed file line by line and raise for the first line that fails."""
-    for lineno, line in _data_lines(path):
-        try:
-            row = _parse_rows([line], dim)
-        except ValueError:
-            fields = np.loadtxt([line], dtype=str, **_LOADTXT).tolist()
-            if len(fields) != dim + 1:
-                raise ParseError(
-                    f"expected {dim + 1} columns, got {len(fields)}", line=lineno
-                ) from None
+class CsvRows:
+    """A data CSV read one row block at a time, so its (N, D) features are never
+    whole. Making one reads the header and counts the N data rows, the non-blank
+    lines after the header. Iterating parses the lines of each block of
+    numcore.row_blocks(N) and yields its (rows, D) C-contiguous float64 features,
+    filling the (N,) `labels` as it goes. Each block is checked before the next is
+    read: the first line that does not parse, or whose label is negative or (given
+    num_classes) >= K, raises. A non-finite feature ends the yielding but is raised
+    only once every row has passed those checks, so a row error anywhere beats it.
+    Every error begins with the path and names the file line."""
+
+    def __init__(self, path, num_classes=None):
+        self.path, self.num_classes = path, num_classes
+        with naming(path), open(path, "rb") as fh:
+            self.dim, self._first_line, self._offset = _read_header(fh)
+            fh.seek(self._offset)
+            n = _count_rows(fh)
+            if n == 0:
+                raise ParseError("no data rows", line=2)
+        self.labels = np.empty(n, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return int(self.labels.shape[0])
+
+    def __iter__(self):
+        with naming(self.path), open(self.path, "rb") as fh:
+            fh.seek(self._offset)
+            rows = filter(None, map(methodcaller("rstrip", b"\r\n"), _lines(fh)))
+            non_finite = None
+            for start, stop in row_blocks(len(self)):
+                try:
+                    parsed = _parse_rows(list(itertools.islice(rows, stop - start)), self.dim)
+                    if parsed.shape[0] != stop - start:
+                        raise ValueError("a quoted field spans lines")
+                except ValueError as err:
+                    self._reject_first_bad_line(start)
+                    raise ParseError(str(err)) from None
+                labels = self.labels[start:stop]
+                labels[:] = parsed["y"]
+                _check_labels(labels, self.num_classes, lambda i: self._line_of(start + i))
+                # one C-contiguous copy: the strided field view could take the
+                # forward's matmul down another BLAS kernel and change output bits
+                features = np.ascontiguousarray(parsed["x"])
+                if non_finite is None:
+                    finite = np.isfinite(features).all(axis=1)
+                    if finite.all():
+                        yield features
+                        continue
+                    i = int(np.argmin(finite))
+                    non_finite = start + i, features[i].tolist()
+            if non_finite is not None:
+                row, values = non_finite
+                raise ParseError(f"non-finite feature in {values}", line=self._line_of(row))
+
+    def _data_lines(self, start=0):
+        """(file line number, bytes) of data row `start` and every one after it."""
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset)
+            lines = enumerate(_lines(fh), start=self._first_line)
+            data = ((n, line) for n, line in lines if line.strip(b"\r\n"))
+            yield from itertools.islice(data, start, None)
+
+    def _line_of(self, row: int) -> int:
+        return next(self._data_lines(row))[0]
+
+    def _reject_first_bad_line(self, start: int) -> None:
+        """Parse the rows from row `start` on one line at a time, and raise for the
+        first line that is not UTF-8, does not parse or has a label out of range."""
+        dim = self.dim
+        for lineno, line in self._data_lines(start):
+            line = _decode(line, lineno)
             try:
-                np.loadtxt([line], dtype=np.float64, usecols=range(dim), **_LOADTXT)
+                row = _parse_rows([line], dim)
             except ValueError:
-                raise ParseError(f"non-numeric feature in {fields[:-1]}", line=lineno) from None
-            raise ParseError(f"label {fields[-1]!r} is not an integer", line=lineno) from None
-        # a label out of range before the first unparsable line is the one to report
-        _check_labels(row["y"], num_classes, lambda _: lineno)
+                fields = np.loadtxt([line], dtype=str, **_LOADTXT).tolist()
+                if len(fields) != dim + 1:
+                    raise ParseError(
+                        f"expected {dim + 1} columns, got {len(fields)}", line=lineno
+                    ) from None
+                try:
+                    np.loadtxt([line], dtype=np.float64, usecols=range(dim), **_LOADTXT)
+                except ValueError:
+                    raise ParseError(
+                        f"non-numeric feature in {fields[:-1]}", line=lineno
+                    ) from None
+                raise ParseError(f"label {fields[-1]!r} is not an integer", line=lineno) from None
+            _check_labels(row["y"], self.num_classes, lambda _: lineno)
 
 
-@names_file
 def load_csv(path, num_classes=None) -> LongTailDataset:
     """Parse a feature CSV; K is num_classes, else max label + 1. Errors name file and line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if len(header) < 2 or header[-1].strip() != "label":
-            raise ParseError("header must end with a 'label' column", line=1)
-        dim = len(header) - 1
-        try:
-            rows = _parse_rows(fh, dim)
-        except ValueError as err:
-            _first_rejected_line(path, dim, num_classes)
-            raise ParseError(str(err)) from None
-    if rows.size == 0:
-        raise ParseError("no data rows", line=2)
-    # one C-contiguous copy: the strided field view could take the forward's
-    # matmul down another BLAS kernel and change output bits
-    features = np.ascontiguousarray(rows["x"])
-    labels = np.ascontiguousarray(rows["y"])
-    _check_labels(labels, num_classes, lambda i: _line_of(path, i))
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ParseError(f"non-finite feature in {features[i].tolist()}", line=_line_of(path, i))
-    k = int(labels.max()) + 1 if num_classes is None else num_classes
-    return LongTailDataset(features=features, labels=labels, num_classes=k)
+    rows = CsvRows(path, num_classes)
+    features = np.empty((len(rows), rows.dim))
+    for (start, stop), block in zip(row_blocks(len(rows)), rows, strict=True):
+        features[start:stop] = block
+    k = int(rows.labels.max()) + 1 if num_classes is None else num_classes
+    return LongTailDataset(features=features, labels=rows.labels, num_classes=k)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import CsvRows
 from .ensemble import ParticleEnsemble, predictive_logprobs_batch
 from .errors import InputError
 from .metrics import predictive_entropy
@@ -34,17 +35,23 @@ class BatchDecisions:
 
 
 def decide_batch(
-    ens: ParticleEnsemble, utility: UtilityMatrix, x: np.ndarray
+    ens: ParticleEnsemble, utility: UtilityMatrix, x: np.ndarray | CsvRows
 ) -> BatchDecisions:
-    """Decisions for the rows of x, made one row block at a time into per-row
-    outputs, so no (M, N, K) or (N, K) array is ever whole."""
+    """Decisions for the rows of x, an (N, D) array or a data CSV's CsvRows, made
+    one row block of numcore.row_blocks(N) at a time into per-row outputs: no
+    (M, N, K) or (N, K) array is ever whole, and CsvRows are decided as they are
+    parsed, so neither are their (N, D) features."""
     if utility.num_classes != ens.shape.num_classes:
         raise InputError(
             f"utility matrix is over {utility.num_classes} classes,"
             f" model has {ens.shape.num_classes}"
         )
-    x = check_inputs(ens.shape, x)
-    n = x.shape[0]
+    if isinstance(x, CsvRows):
+        n, blocks = len(x), x
+    else:
+        x = check_inputs(ens.shape, x)
+        n = x.shape[0]
+        blocks = (x[start:stop] for start, stop in row_blocks(n))
     out = BatchDecisions(
         decisions=np.empty(n, dtype=np.intp),
         argmax_preds=np.empty(n, dtype=np.intp),
@@ -53,9 +60,9 @@ def decide_batch(
         confidence=np.empty(n),
         particle_preds=np.empty((ens.n_particles, n), dtype=np.intp),
     )
-    for start, stop in row_blocks(n):
+    for (start, stop), block in zip(row_blocks(n), blocks, strict=True):
         rows = slice(start, stop)
-        per_particle, mixture = predictive_logprobs_batch(ens, x[rows])
+        per_particle, mixture = predictive_logprobs_batch(ens, check_inputs(ens.shape, block))
         mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
         mean_logp -= mean_logp.max(axis=1, keepdims=True)
         geo_pred = np.exp(mean_logp, out=mean_logp)

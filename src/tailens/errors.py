@@ -4,6 +4,7 @@ Three kinds of failure, so callers (and the CLI exit-code mapping) can tell
 bad arguments apart from bad files apart from numerical blowups.
 """
 
+import contextlib
 import functools
 
 
@@ -33,20 +34,27 @@ def utf8_error(path) -> ParseError:
                 return ParseError("not UTF-8 text", line=lineno)
 
 
+@contextlib.contextmanager
+def naming(path):
+    """ParseErrors raised inside, and text that is not UTF-8, become ParseErrors
+    that begin with path."""
+    try:
+        try:
+            yield
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
+    except ParseError as err:
+        err.args = (f"{path}: {err}",)
+        raise
+
+
 def names_file(load):
-    """Decorate a file loader so its ParseErrors, and text that is not UTF-8,
-    are ParseErrors that begin with the path it read."""
+    """Decorate a file loader so that its errors name the file, as `naming` does."""
 
     @functools.wraps(load)
     def wrapped(path, *args, **kwargs):
-        try:
-            try:
-                return load(path, *args, **kwargs)
-            except UnicodeDecodeError:
-                raise utf8_error(path) from None
-        except ParseError as err:
-            err.args = (f"{path}: {err}",)
-            raise
+        with naming(path):
+            return load(path, *args, **kwargs)
 
     return wrapped
 

@@ -74,10 +74,19 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray | float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean rank of their group."""
+    """1-based ranks with ties assigned the mean rank of their group. The groups
+    come from the one stable sort: a group starts where the sorted value changes,
+    and every NaN (they sort last) falls in one group."""
     sorter = np.argsort(values, kind="stable")
-    _, first, counts = np.unique(values[sorter], return_index=True, return_counts=True)
-    ranks = np.empty(values.shape[0], dtype=np.float64)
+    ordered = values[sorter]
+    n = ordered.shape[0]
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    starts[n - np.count_nonzero(np.isnan(ordered)) + 1 :] = False
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=n)
+    ranks = np.empty(n, dtype=np.float64)
     ranks[sorter] = np.repeat(0.5 * (2 * first + counts - 1) + 1.0, counts)
     return ranks
 

@@ -197,6 +197,34 @@ def write_train_log(records: list[EpochRecord], path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def evaluation_report(
+    ens: ParticleEnsemble,
+    batch: BatchDecisions,
+    labels: np.ndarray,
+    num_classes: int,
+    tail_ratios: tuple[float, ...] = DEFAULT_TAIL_RATIOS,
+    ece_bins: int = 15,
+) -> MetricsReport:
+    """The metrics of the ensemble's decisions against the (N,) labels over K classes."""
+    if not tail_ratios:
+        raise InputError("need at least one tail ratio")
+    correct = batch.decisions == labels
+    acc = region_accuracy(labels, batch.decisions, num_classes)
+    fhr = {
+        float(r): false_head_rate(labels, batch.decisions, tail_mask(num_classes, float(r)))
+        for r in tail_ratios
+    }
+    return MetricsReport(
+        **acc._asdict(),
+        fhr=fhr,
+        fhr_avg=float(np.mean(list(fhr.values()))),
+        auc=auc_misclassification(batch.entropy, correct),
+        ece=expected_calibration_error(batch.confidence, correct, ece_bins),
+        n_test=len(labels),
+        **diversity_diagnostics(ens, batch.particle_preds)._asdict(),
+    )
+
+
 def evaluate(
     ens: ParticleEnsemble,
     test_data: LongTailDataset,
@@ -205,26 +233,9 @@ def evaluate(
     ece_bins: int = 15,
 ) -> tuple[MetricsReport, BatchDecisions]:
     """Decide the test set once; the metrics report and the decisions it read."""
-    if not tail_ratios:
-        raise InputError("need at least one tail ratio")
-    k = test_data.num_classes
     batch = decide_batch(ens, utility, test_data.features)
-    labels = test_data.labels
-    correct = batch.decisions == labels
-
-    acc = region_accuracy(labels, batch.decisions, k)
-    fhr = {
-        float(r): false_head_rate(labels, batch.decisions, tail_mask(k, float(r)))
-        for r in tail_ratios
-    }
-    report = MetricsReport(
-        **acc._asdict(),
-        fhr=fhr,
-        fhr_avg=float(np.mean(list(fhr.values()))),
-        auc=auc_misclassification(batch.entropy, correct),
-        ece=expected_calibration_error(batch.confidence, correct, ece_bins),
-        n_test=len(test_data),
-        **diversity_diagnostics(ens, batch.particle_preds)._asdict(),
+    report = evaluation_report(
+        ens, batch, test_data.labels, test_data.num_classes, tail_ratios, ece_bins
     )
     return report, batch
 

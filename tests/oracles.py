@@ -66,6 +66,17 @@ def row_parser(path, num_classes=None) -> LongTailDataset:
     return LongTailDataset(features=feats, labels=labels, num_classes=k)
 
 
+def unique_ranks(values):
+    """metrics._average_ranks as it stood at fbc8142, finding the tie groups with
+    np.unique, which sorts the sorted values again; frozen as its bitwise oracle.
+    np.unique puts every NaN in one group."""
+    sorter = np.argsort(values, kind="stable")
+    _, first, counts = np.unique(values[sorter], return_index=True, return_counts=True)
+    ranks = np.empty(values.shape[0], dtype=np.float64)
+    ranks[sorter] = np.repeat(0.5 * (2 * first + counts - 1) + 1.0, counts)
+    return ranks
+
+
 def csv_writer_save(data, path):
     """save_csv as it stood on csv.writer at 65d3fef, frozen as a byte oracle."""
     with open(path, "w", newline="") as fh:

@@ -1,24 +1,36 @@
 """End-to-end command-line behavior: artifacts, config layering, exit codes."""
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailens
+from conftest import random_ensemble
 from tailens import cli
 from tailens.cli import SCHEMA, main
 from tailens.dataset import load_csv
-from tailens.ensemble import CHECKPOINT_MAGIC
+from tailens.decision import write_predictions_csv
+from tailens.ensemble import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from tailens.errors import ParseError
+from tailens.metrics import report_to_json
+from tailens.numcore import NetShape
 from tailens.trainer import TrainConfig, evaluate
+from tailens.utility import tail_sensitive
+from test_dataset import K_MAX, MALFORMED_ROWS, csv_rows, write_csv
 
 FAST = {
     "classes": "4",
@@ -223,6 +235,82 @@ class TestEvaluate:
         )
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
+
+
+class TestStreamedEvaluate:
+    """evaluate --test-csv decides each row block of the CSV as it is parsed."""
+
+    SHAPE = NetShape(16, (32,), 10)
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "model.ckpt"
+        save_checkpoint(random_ensemble(self.SHAPE, 3, seed=23), path)
+        return path
+
+    def write_test_csv(self, path, n, rng):
+        """n rows of 16 features, with blank lines scattered through the file."""
+        features, labels = rng.normal(size=(n, 16)), rng.integers(0, 10, n)
+        lines = [",".join([f"f{i}" for i in range(16)] + ["label"])]
+        blanks = set(rng.integers(0, n, 1 + n // 50).tolist())
+        for i, (row, label) in enumerate(zip(features.tolist(), labels.tolist())):
+            lines += [""] * (i in blanks) + [",".join(map(repr, row)) + f",{label}"]
+        path.write_text("\r\n".join(lines) + "\r\n")
+
+    @pytest.mark.filterwarnings("ignore:no tail-labeled samples")
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2047, 2048, 2049, 5000])
+    def test_bytes_match_load_csv_and_evaluate(self, tmp_path, model, n, rng):
+        test_csv = tmp_path / "test.csv"
+        self.write_test_csv(test_csv, n, rng)
+        out = tmp_path / "eval"
+        args = ["evaluate", "--checkpoint", str(model), "--test-csv", str(test_csv)]
+        assert main(args + ["--utility", "tail-sensitive", "--out", str(out)]) == 0
+        ens, data = load_checkpoint(model), load_csv(test_csv, 10)
+        report, batch = evaluate(ens, data, tail_sensitive(10, 0.5, 1.0))
+        want = tmp_path / "want.csv"
+        write_predictions_csv(batch, want)
+        assert (out / "metrics.json").read_text() == report_to_json(report)
+        assert (out / "predictions.csv").read_bytes() == want.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(MALFORMED_ROWS)), big=st.booleans())
+    def test_errors_match_load_csv(self, tmp_path_factory, data, kind, big):
+        dim, lines = data.draw(csv_rows())
+        at = data.draw(st.integers(0, len(lines) - 1))
+        lines[at] = MALFORMED_ROWS[kind](data.draw, lines[at])
+        tmp = tmp_path_factory.mktemp("streamed")
+        ends = ("\n", "\r\n") if kind == "not-utf8" else ("\n", "\r\n", "\r")
+        write_csv(data.draw, tmp / "test.csv", dim, lines, malformed_at=at, ends=ends)
+        if big:  # 2,100 good rows first put the bad one in the second row block
+            text = (tmp / "test.csv").read_bytes()
+            head = ",".join([f"f{i}" for i in range(dim)] + ["label"]).encode()
+            rest = text[len(head) :]
+            end = rest[:2] if rest.startswith(b"\r\n") else rest[:1]
+            good = ",".join(["1.5"] * dim + ["0"]).encode() + end
+            (tmp / "test.csv").write_bytes(head + end + good * 2100 + rest[len(end) :])
+        save_checkpoint(random_ensemble(NetShape(dim, (3,), K_MAX), 1, seed=dim), tmp / "m.ckpt")
+        with pytest.raises(ParseError) as want:
+            load_csv(tmp / "test.csv", K_MAX)
+        args = ["evaluate", "--checkpoint", str(tmp / "m.ckpt")]
+        args += ["--test-csv", str(tmp / "test.csv")]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(args + ["--out", str(tmp / "out")]) == 1
+        assert err.getvalue() == f"error: {want.value}\n"
+        assert not (tmp / "out").exists()
+
+    def test_the_features_are_never_whole(self, tmp_path, model, rng):
+        # the whole 50,000 x 16 features are 6.1 MiB, and a whole-file parse
+        # held them twice; the per-row results of an op are 3.4 MiB
+        self.write_test_csv(tmp_path / "test.csv", 50_000, rng)
+        args = ["evaluate", "--checkpoint", str(model), "--test-csv", str(tmp_path / "test.csv")]
+        args += ["--utility", "tail-sensitive", "--out", str(tmp_path / "eval")]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
 
 class TestConfigLayering:

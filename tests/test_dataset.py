@@ -1,5 +1,6 @@
 """Synthetic generation, CSV round-trips, and class partition checks."""
 
+import io
 import tracemalloc
 import warnings
 
@@ -11,6 +12,9 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import csv_writer_save, row_parser
 from tailens.dataset import (
+    CsvRows,
+    _count_rows,
+    _lines,
     LongTailDataset,
     generate_synthetic,
     load_csv,
@@ -20,6 +24,7 @@ from tailens.dataset import (
 )
 from tailens.errors import InputError, ParseError
 from tailens.metrics import region_accuracy
+from tailens.numcore import row_blocks
 
 
 class TestCounts:
@@ -292,6 +297,127 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 3: label '1_0' is not an integer"):
             load_csv(path)
 
+    def test_first_bad_line_wins_over_a_later_byte_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"f0,label\n1.0,0\nabc,1\n2.0,1\n\xff3.0,1\n")
+        with pytest.raises(ParseError, match=r"bad.csv: line 3: non-numeric feature in \['abc'\]"):
+            load_csv(path)
+
+    def test_a_header_over_two_lines_keeps_the_data_line_numbers(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('"f\n0",label\n1.5,0\nabc,1\n')
+        with pytest.raises(ParseError, match=r"bad.csv: line 4: non-numeric feature in \['abc'\]"):
+            load_csv(path)
+        path.write_text('"f\n0",label\n1.5,0\n\n2,-1\n')
+        with pytest.raises(ParseError, match="bad.csv: line 5: label -1 is negative"):
+            load_csv(path)
+
+    def test_a_byte_that_is_not_utf8_in_the_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b'"f\n\xff0",label\n1.5,0\nabc,1\n')
+        with pytest.raises(ParseError, match="bad.csv: line 2: not UTF-8 text"):
+            load_csv(path)
+
+    def test_a_quoted_field_does_not_span_lines(self, tmp_path):
+        # one line is one row, so a line count gives N before any row is parsed
+        path = tmp_path / "bad.csv"
+        path.write_text('f0,label\n"1.0\n",0\n2.0,1\n')
+        with pytest.raises(ParseError, match="bad.csv: line 2: expected 2 columns, got 1"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"])
+    def test_line_ends_at_the_64_kib_reads(self, tmp_path, end):
+        # the reader takes 64 KiB at a time: end a row's line end at the last byte
+        # of each read (half a CRLF), then put a bad label a few lines further on
+        row = b"1.25,-0.5,1"
+        body, n = bytearray(b"f0,f1,label" + end), 0
+        for boundary in (65536, 2 * 65536):
+            while boundary - 1 - len(body) >= 2 * len(row) + len(end):
+                body += row + end
+                n += 1
+            zeros = boundary - 1 - len(body) - len(row)
+            body += b"1.25" + b"0" * zeros + b",-0.5,1" + end
+            n += 1
+            assert body[boundary - 1 : boundary - 1 + len(end)] == end
+        path = tmp_path / "long.csv"
+        path.write_bytes(bytes(body))
+        data = load_csv(path)
+        assert len(data) == n and np.array_equal(data.class_counts, [0, n])
+        path.write_bytes(bytes(body) + end * 2 + b"1.0,2.0,-3" + end)
+        with pytest.raises(ParseError, match=f"line {n + 4}: label -3 is negative"):
+            load_csv(path)
+
+
+class TestCsvRows:
+    """The block reader: N from a line count, blocks of numcore.row_blocks(N)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([b"a", b"1,", b" ", b"\r", b"\n", b"\r\n", b"\xff"])))
+    def test_lines_split_where_text_mode_splits_them(self, pieces):
+        body = b"".join(pieces)
+        text = io.TextIOWrapper(io.BytesIO(body), encoding="latin-1", newline="").readlines()
+        assert [line.decode("latin-1") for line in _lines(io.BytesIO(body))] == text
+        assert _count_rows(io.BytesIO(body)) == sum(1 for line in text if line.strip("\r\n"))
+
+    def write(self, path, features, labels, blank_every=0):
+        lines = ["f0,f1,label"]
+        for i, (row, label) in enumerate(zip(features.tolist(), labels.tolist())):
+            if blank_every and i % blank_every == 0:
+                lines.append("")
+            lines.append(",".join(map(repr, row)) + f",{label}")
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 2047, 2049, 5000])
+    def test_blocks_tile_the_rows(self, tmp_path, rng, n):
+        features, labels = rng.normal(size=(n, 2)), rng.integers(0, 5, n)
+        path = tmp_path / "rows.csv"
+        self.write(path, features, labels, blank_every=97)
+        rows = CsvRows(path, 5)
+        assert len(rows) == n and rows.dim == 2
+        blocks = list(rows)
+        assert [len(b) for b in blocks] == [stop - start for start, stop in row_blocks(n)]
+        assert all(b.flags.c_contiguous and b.dtype == np.float64 for b in blocks)
+        assert np.concatenate(blocks).tobytes() == features.tobytes()
+        assert np.array_equal(rows.labels, labels)
+
+    def test_header_and_count_come_before_any_row_is_parsed(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,f2,label\n\nabc\n1,2\n")
+        rows = CsvRows(path)
+        assert (rows.dim, len(rows)) == (3, 2)
+        with pytest.raises(ParseError, match="bad.csv: line 3: expected 4 columns, got 1"):
+            list(rows)
+
+    def test_a_non_finite_feature_stops_the_blocks_and_a_later_row_error_wins(
+        self, tmp_path, rng
+    ):
+        features, labels = rng.normal(size=(5000, 2)), rng.integers(0, 5, 5000)
+        features[1500, 1] = np.inf  # block 2
+        path = tmp_path / "rows.csv"
+        self.write(path, features, labels)
+        rows = iter(CsvRows(path, 5))
+        assert len(next(rows)) == 1024
+        with pytest.raises(ParseError, match="rows.csv: line 1502: non-finite feature"):
+            next(rows)
+        labels[4500] = 5  # block 4, after the non-finite row
+        self.write(path, features, labels)
+        with pytest.raises(ParseError, match="rows.csv: line 4502: label 5 is not below K=5"):
+            list(CsvRows(path, 5))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty file"),
+            ("f0,f1\n", "line 1: header must end with a 'label' column"),
+            ("f0,label\n\r\n\n", "line 2: no data rows"),
+        ],
+    )
+    def test_file_errors_on_opening(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"bad.csv: {message}"):
+            CsvRows(path)
+
 
 K_MAX = 6
 
@@ -326,14 +452,15 @@ def csv_rows(draw):
     return dim, rows
 
 
-def write_csv(draw, path, dim, rows, malformed_at=None):
-    """Header, then the rows with random blank lines between them."""
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+def write_csv(draw, path, dim, rows, malformed_at=None, ends=("\n", "\r\n", "\r")):
+    """Header, then the rows with random blank lines between them; a lone
+    surrogate in a field is written as the byte that is not UTF-8."""
+    end = draw(st.sampled_from(ends))
     lines = [",".join([f"f{i}" for i in range(dim)] + ["label"])]
     for i, row in enumerate(rows):
         blanks = draw(st.integers(1 if i == malformed_at else 0, 2))
         lines += [""] * blanks + [",".join(row)]
-    path.write_bytes((end.join(lines) + end).encode())
+    path.write_bytes((end.join(lines) + end).encode("utf-8", "surrogateescape"))
 
 
 def parse_both(path, num_classes):
@@ -349,6 +476,7 @@ def parse_both(path, num_classes):
 BAD_FEATURES = ("abc", "", "1.2.3", "--1", "0x10")
 BAD_LABELS = ("1.5", "3.0", "x", "", "1e0")
 NON_FINITE = ("nan", "-inf", "Infinity", "1e999")
+NOT_UTF8 = ("\udcff", "\udcfe", "\udc80")
 
 # kind of malformed row -> how it is made from a valid one
 MALFORMED_ROWS = {
@@ -358,6 +486,8 @@ MALFORMED_ROWS = {
     "negative": lambda draw, row: row[:-1] + [str(draw(st.integers(-9, -1)))],
     "too-large": lambda draw, row: row[:-1] + [str(draw(st.integers(K_MAX, K_MAX + 3)))],
     "non-finite": lambda draw, row: [draw(st.sampled_from(NON_FINITE))] + row[1:],
+    # a byte that is not UTF-8 (0xff, 0xfe or a lone continuation byte) in a field
+    "not-utf8": lambda draw, row: [draw(st.sampled_from(NOT_UTF8)) + row[0]] + row[1:],
 }
 
 
@@ -382,7 +512,9 @@ class TestCsvMatchesRowParser:
         at = data.draw(st.integers(0, len(rows) - 1))
         rows[at] = MALFORMED_ROWS[kind](data.draw, rows[at])
         path = tmp_path_factory.mktemp("malformed") / "data.csv"
-        write_csv(data.draw, path, dim, rows, malformed_at=at)
+        # the oracle names a line that is not UTF-8 by LF ends only
+        ends = ("\n", "\r\n") if kind == "not-utf8" else ("\n", "\r\n", "\r")
+        write_csv(data.draw, path, dim, rows, malformed_at=at, ends=ends)
         want, got = parse_both(path, K_MAX)
         assert isinstance(want, ParseError), kind
         assert isinstance(got, ParseError), kind

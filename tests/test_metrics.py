@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import where_entropy
+from oracles import unique_ranks, where_entropy
 from tailens.dataset import tail_mask
 from tailens.errors import InputError
 from tailens.metrics import (
@@ -193,6 +193,26 @@ class TestAuc:
             below = (unc[None, :] < unc[:, None]).sum(axis=1)
             tied = (unc[None, :] == unc[:, None]).sum(axis=1)
             assert np.array_equal(_average_ranks(unc), below + (tied + 1) / 2)
+
+    # ties, signed zeros, infinities and NaNs, which np.unique puts in one group
+    RANK_CORNERS = [0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan, 5e-324]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 40),
+            elements=st.one_of(st.sampled_from(RANK_CORNERS), st.floats(-3.0, 3.0)),
+        )
+    )
+    def test_ranks_match_the_unique_oracle(self, values):
+        assert _average_ranks(values).tobytes() == unique_ranks(values).tobytes()
+
+    def test_ranks_of_large_vectors_match_the_unique_oracle(self, rng):
+        values = rng.normal(size=50_000)
+        values[::3] = np.round(values[::3], 1)  # many ties among distinct values
+        values[::97] = np.nan
+        assert _average_ranks(values).tobytes() == unique_ranks(values).tobytes()
 
     def test_monotone_transform_invariance(self, rng):
         unc = rng.random(60)
