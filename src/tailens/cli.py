@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import CsvRows, generate_synthetic, load_csv, save_csv
 from .decision import decide_batch, write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
-from .errors import InputError, NumericError, ParseError, utf8_error
+from .errors import InputError, NumericError, ParseError, open_text, utf8
 from .metrics import report_to_json, write_summary_csv
 from .rebalance import DiscrepancySpec, class_weights, growth_rate
 from .trainer import TrainConfig, evaluate, evaluation_report, repeat_runs, train, write_train_log
@@ -155,12 +155,12 @@ def _effective_config(args) -> dict:
     config = {key: default for key, (default, _) in SCHEMA.items()}
     if args.config is not None:
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+            with open_text(args.config) as fh:
+                loaded = json.loads("".join(utf8(line, n) for n, line in enumerate(fh, start=1)))
         except json.JSONDecodeError as err:
             raise InputError(f"{args.config}: not valid JSON: {err}") from None
-        except UnicodeDecodeError:
-            raise InputError(f"{args.config}: {utf8_error(args.config)}") from None
+        except ParseError as err:
+            raise InputError(f"{args.config}: {err}") from None
         if not isinstance(loaded, dict):
             raise InputError(f"{args.config}: config file must hold a JSON object")
         for key, value in loaded.items():

@@ -6,15 +6,13 @@ n_max for class 0 down to n_max/imbalance for class K-1; test sets are uniform.
 """
 
 import csv
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import methodcaller
 
 import numpy as np
 
-from .errors import InputError, ParseError, naming
+from .errors import InputError, ParseError, naming, open_text, utf8
 from .numcore import row_blocks
 
 
@@ -160,62 +158,7 @@ def save_csv(data: LongTailDataset, path) -> None:
 
 # One parser defines what a data row is: one line of comma-separated, optionally
 # double-quoted fields; blank lines skipped; no comment lines. Lines are UTF-8.
-_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1, encoding="utf-8")
-
-
-def _lines(fh):
-    """The lines of the binary file fh from where it stands, with their ends, split
-    where text mode splits them: at LF, CRLF and a lone CR. Read 64 KiB at a time."""
-
-    def chunks():
-        tail = b""
-        for chunk in iter(functools.partial(fh.read, 1 << 16), b""):
-            lines = (tail + chunk).splitlines(keepends=True)
-            # the last line may go on in the next chunk, and its CR be half a CRLF
-            tail = b"" if chunk.endswith(b"\n") else lines.pop()
-            yield lines
-        yield [tail] if tail else []
-
-    return itertools.chain.from_iterable(chunks())
-
-
-def _count_rows(fh) -> int:
-    """How many non-blank lines _lines(fh) gives, counted without making them:
-    a non-blank line is a maximal run of bytes other than CR and LF."""
-    n, ended = 0, True  # whether the byte before the chunk ends a line
-    for chunk in iter(functools.partial(fh.read, 1 << 16), b""):
-        codes = np.frombuffer(chunk, dtype=np.uint8)
-        ends = (codes == ord("\n")) | (codes == ord("\r"))
-        n += int(np.count_nonzero(ends[:-1] > ends[1:])) + (ended and not ends[0])
-        ended = bool(ends[-1])
-    return n
-
-
-def _decode(line: bytes, lineno: int) -> str:
-    try:
-        return line.decode()
-    except UnicodeDecodeError:
-        raise ParseError("not UTF-8 text", line=lineno) from None
-
-
-def _read_header(fh) -> tuple[int, int, int]:
-    """(D, file line of the first data line, byte offset of that line) from the
-    header record at the top of the binary file fh."""
-    sizes = []
-
-    def decoded():
-        for lineno, line in enumerate(_lines(fh), start=1):
-            sizes.append(len(line))
-            yield _decode(line, lineno)
-
-    reader = csv.reader(decoded())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file", line=1) from None
-    if len(header) < 2 or header[-1].strip() != "label":
-        raise ParseError("header must end with a 'label' column", line=1)
-    return len(header) - 1, reader.line_num + 1, sum(sizes)
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1)
 
 
 def _parse_rows(lines, dim) -> np.ndarray:
@@ -224,8 +167,8 @@ def _parse_rows(lines, dim) -> np.ndarray:
     return np.loadtxt(lines, dtype=row, **_LOADTXT)
 
 
-def _check_labels(labels, num_classes, line_of) -> None:
-    """Reject the first negative label or label >= K; line_of maps its row to a file line."""
+def _check_labels(labels, num_classes, linenos) -> None:
+    """Reject the first negative label or label >= K, naming its file line in linenos."""
     bad = labels < 0
     if num_classes is not None:
         bad |= labels >= num_classes
@@ -233,26 +176,33 @@ def _check_labels(labels, num_classes, line_of) -> None:
         i = int(np.argmax(bad))
         label = int(labels[i])
         reason = "is negative" if label < 0 else f"is not below K={num_classes}"
-        raise ParseError(f"label {label} {reason}", line=line_of(i))
+        raise ParseError(f"label {label} {reason}", line=linenos[i])
 
 
 class CsvRows:
     """A data CSV read one row block at a time, so its (N, D) features are never
-    whole. Making one reads the header and counts the N data rows, the non-blank
-    lines after the header. Iterating parses the lines of each block of
-    numcore.row_blocks(N) and yields its (rows, D) C-contiguous float64 features,
-    filling the (N,) `labels` as it goes. Each block is checked before the next is
-    read: the first line that does not parse, or whose label is negative or (given
-    num_classes) >= K, raises. A non-finite feature ends the yielding but is raised
-    only once every row has passed those checks, so a row error anywhere beats it.
-    Every error begins with the path and names the file line."""
+    whole. Making one reads the header and, in the same pass, counts the N data
+    rows, the non-blank lines after the header. Iterating parses the lines of each
+    block of numcore.row_blocks(N) and yields its (rows, D) C-contiguous float64
+    features, filling the (N,) `labels` as it goes. Each block is checked before
+    the next is read: the first line that is not UTF-8, does not parse, or whose
+    label is negative or (given num_classes) >= K, raises. A non-finite feature
+    ends the yielding but is raised only once every row has passed those checks,
+    so a row error anywhere beats it. Every error begins with the path and names
+    the file line."""
 
     def __init__(self, path, num_classes=None):
         self.path, self.num_classes = path, num_classes
-        with naming(path), open(path, "rb") as fh:
-            self.dim, self._first_line, self._offset = _read_header(fh)
-            fh.seek(self._offset)
-            n = _count_rows(fh)
+        with naming(path), open_text(path) as fh:
+            reader = csv.reader(utf8(line, n) for n, line in enumerate(fh, start=1))
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("empty file", line=1) from None
+            if len(header) < 2 or header[-1].strip() != "label":
+                raise ParseError("header must end with a 'label' column", line=1)
+            self.dim, self._header_lines = len(header) - 1, reader.line_num
+            n = sum(line != "\n" for line in fh)
             if n == 0:
                 raise ParseError("no data rows", line=2)
         self.labels = np.empty(n, dtype=np.int64)
@@ -261,21 +211,23 @@ class CsvRows:
         return int(self.labels.shape[0])
 
     def __iter__(self):
-        with naming(self.path), open(self.path, "rb") as fh:
-            fh.seek(self._offset)
-            rows = filter(None, map(methodcaller("rstrip", b"\r\n"), _lines(fh)))
+        with naming(self.path), open_text(self.path) as fh:
+            lines = itertools.islice(enumerate(fh, start=1), self._header_lines, None)
+            rows = ((n, line) for n, line in lines if line != "\n")
             non_finite = None
             for start, stop in row_blocks(len(self)):
+                block = list(itertools.islice(rows, stop - start))
+                linenos, texts = zip(*block)
                 try:
-                    parsed = _parse_rows(list(itertools.islice(rows, stop - start)), self.dim)
+                    parsed = _parse_rows(texts, self.dim)
                     if parsed.shape[0] != stop - start:
                         raise ValueError("a quoted field spans lines")
                 except ValueError as err:
-                    self._reject_first_bad_line(start)
+                    self._reject_first_bad_line(block)
                     raise ParseError(str(err)) from None
                 labels = self.labels[start:stop]
                 labels[:] = parsed["y"]
-                _check_labels(labels, self.num_classes, lambda i: self._line_of(start + i))
+                _check_labels(labels, self.num_classes, linenos)
                 # one C-contiguous copy: the strided field view could take the
                 # forward's matmul down another BLAS kernel and change output bits
                 features = np.ascontiguousarray(parsed["x"])
@@ -285,28 +237,17 @@ class CsvRows:
                         yield features
                         continue
                     i = int(np.argmin(finite))
-                    non_finite = start + i, features[i].tolist()
+                    non_finite = linenos[i], features[i].tolist()
             if non_finite is not None:
-                row, values = non_finite
-                raise ParseError(f"non-finite feature in {values}", line=self._line_of(row))
+                lineno, values = non_finite
+                raise ParseError(f"non-finite feature in {values}", line=lineno)
 
-    def _data_lines(self, start=0):
-        """(file line number, bytes) of data row `start` and every one after it."""
-        with open(self.path, "rb") as fh:
-            fh.seek(self._offset)
-            lines = enumerate(_lines(fh), start=self._first_line)
-            data = ((n, line) for n, line in lines if line.strip(b"\r\n"))
-            yield from itertools.islice(data, start, None)
-
-    def _line_of(self, row: int) -> int:
-        return next(self._data_lines(row))[0]
-
-    def _reject_first_bad_line(self, start: int) -> None:
-        """Parse the rows from row `start` on one line at a time, and raise for the
+    def _reject_first_bad_line(self, rows) -> None:
+        """Parse the (file line number, line) rows one at a time, and raise for the
         first line that is not UTF-8, does not parse or has a label out of range."""
         dim = self.dim
-        for lineno, line in self._data_lines(start):
-            line = _decode(line, lineno)
+        for lineno, line in rows:
+            utf8(line, lineno)
             try:
                 row = _parse_rows([line], dim)
             except ValueError:
@@ -322,7 +263,7 @@ class CsvRows:
                         f"non-numeric feature in {fields[:-1]}", line=lineno
                     ) from None
                 raise ParseError(f"label {fields[-1]!r} is not an integer", line=lineno) from None
-            _check_labels(row["y"], self.num_classes, lambda _: lineno)
+            _check_labels(row["y"], self.num_classes, [lineno])
 
 
 def load_csv(path, num_classes=None) -> LongTailDataset:

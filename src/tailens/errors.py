@@ -25,24 +25,26 @@ class ParseError(ValueError):
         self.line = line
 
 
-def utf8_error(path) -> ParseError:
-    """The error naming the first line of the file at path that is not UTF-8:
-    the first line that changes when its undecodable bytes are dropped."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.decode("utf-8", "ignore").encode() != line:
-                return ParseError("not UTF-8 text", line=lineno)
+def open_text(path):
+    """The file at path as UTF-8 text. Its lines end at LF, CRLF or a lone CR, and
+    a byte that is not UTF-8 reads as a lone surrogate, which `utf8` rejects."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def utf8(line: str, lineno: int) -> str:
+    """line, unless it holds a byte that is not UTF-8: a ParseError naming lineno."""
+    try:
+        line.encode()
+    except UnicodeEncodeError:
+        raise ParseError("not UTF-8 text", line=lineno) from None
+    return line
 
 
 @contextlib.contextmanager
 def naming(path):
-    """ParseErrors raised inside, and text that is not UTF-8, become ParseErrors
-    that begin with path."""
+    """ParseErrors raised inside become ParseErrors that begin with path."""
     try:
-        try:
-            yield
-        except UnicodeDecodeError:
-            raise utf8_error(path) from None
+        yield
     except ParseError as err:
         err.args = (f"{path}: {err}",)
         raise

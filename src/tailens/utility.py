@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import tail_mask
-from .errors import InputError, ParseError, names_file
+from .errors import InputError, ParseError, names_file, open_text, utf8
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,16 @@ def tail_sensitive(num_classes: int, tail_ratio: float, penalty: float = 1.0) ->
 def load_matrix(path) -> UtilityMatrix:
     """Read a headerless K x K CSV of utilities; errors name the offending line."""
     rows, linenos = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    with open_text(path) as fh:
+        reader = csv.reader(utf8(line, n) for n, line in enumerate(fh, start=1))
+        for row in reader:
             if not row:
                 continue
             try:
                 rows.append([float(v) for v in row])
             except ValueError:
-                raise ParseError(f"non-numeric utility in {row}", line=lineno) from None
-            linenos.append(lineno)
+                raise ParseError(f"non-numeric utility in {row}", line=reader.line_num) from None
+            linenos.append(reader.line_num)
     if not rows:
         raise ParseError("empty utility file", line=1)
     k = len(rows)

@@ -5,19 +5,54 @@ Each docstring names the commit whose code it freezes. Change an oracle only
 when the behaviour it pins is changed on purpose, and say so where it changes.
 """
 
+import contextlib
 import csv
+import functools
 
 import numpy as np
 
 from tailens.dataset import LongTailDataset
 from tailens.decision import BatchDecisions
 from tailens.ensemble import predictive_logprobs_batch
-from tailens.errors import ParseError, names_file
+from tailens.errors import ParseError
 from tailens.numcore import backward_batch, unpack
 from tailens.objective import LossBreakdown
 
 
-@names_file
+def _utf8_error(path) -> ParseError:
+    """errors.utf8_error at d8dd93c: the first line, split at LF, that changes
+    when its undecodable bytes are dropped."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.decode("utf-8", "ignore").encode() != line:
+                return ParseError("not UTF-8 text", line=lineno)
+
+
+def _names_file(load):
+    """errors.names_file at d8dd93c, with the UnicodeDecodeError branch of its
+    `naming`: errors, and text that is not UTF-8, become ParseErrors that begin
+    with the path. Frozen with row_parser, which it decorates."""
+
+    @contextlib.contextmanager
+    def naming(path):
+        try:
+            try:
+                yield
+            except UnicodeDecodeError:
+                raise _utf8_error(path) from None
+        except ParseError as err:
+            err.args = (f"{path}: {err}",)
+            raise
+
+    @functools.wraps(load)
+    def wrapped(path, *args, **kwargs):
+        with naming(path):
+            return load(path, *args, **kwargs)
+
+    return wrapped
+
+
+@_names_file
 def row_parser(path, num_classes=None) -> LongTailDataset:
     """load_csv as it parsed row by row in Python at e960899, before the
     one-pass parse. Frozen as the reference of load_csv."""

@@ -1,12 +1,16 @@
 """Acceptance gate: ten criteria, one printed verdict line each.
 
 The heavyweight synthetic-task runs (5 seeds per arm) are trained once per
-session and shared across criteria through a module-scoped cache. Run with
-plain pytest; the verdict lines print straight to the terminal.
+session, on up to two worker processes, and shared across criteria through a
+module-scoped cache. Run with plain pytest; the verdict lines print straight to
+the terminal.
 """
 
+import multiprocessing
+import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -41,8 +45,13 @@ def _verdict(capsys, label, ok, detail):
     assert ok, line
 
 
+ARMS = ("linear", "sqrt", "plain", "tail", "off", "m1")
+
+
 class _RunCache:
-    """Default-task training runs, one arm at a time, five seeds each."""
+    """Default-task training runs, five seeds per arm. The first use runs every
+    (arm, seed) pair on up to two worker processes; `seconds` sums, per arm, the
+    wall time of its runs as measured inside the workers."""
 
     def __init__(self):
         self.reports = {}
@@ -50,20 +59,22 @@ class _RunCache:
         self.seconds = {}
 
     def arm(self, name):
-        if name not in self.reports:
-            start = time.perf_counter()
-            reports, records = [], []
-            for seed in SEEDS:
-                report, recs = self._run(seed, name)
-                reports.append(report)
-                records.append(recs)
-            self.seconds[name] = time.perf_counter() - start
-            self.reports[name] = reports
-            self.records[name] = records
+        if not self.reports:
+            jobs = [(seed, arm) for arm in ARMS for seed in SEEDS]
+            workers = min(2, len(os.sched_getaffinity(0)))
+            spawn = multiprocessing.get_context("spawn")  # fork is unsafe under BLAS threads
+            with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+                done = list(pool.map(self._run, *zip(*jobs)))
+            for arm in ARMS:
+                runs = [run for (_, a), run in zip(jobs, done) if a == arm]
+                self.reports[arm] = [report for report, _, _ in runs]
+                self.records[arm] = [recs for _, recs, _ in runs]
+                self.seconds[arm] = sum(seconds for _, _, seconds in runs)
         return self.reports[name]
 
     @staticmethod
     def _run(seed, arm):
+        start = time.perf_counter()
         train_data, test_data = generate_synthetic(
             num_classes=10, dim=16, n_max=1000, imbalance=100.0, separation=2.4,
             seed=seed,
@@ -85,7 +96,7 @@ class _RunCache:
             warnings.simplefilter("ignore")
             ens, recs = train(TrainConfig(**overrides), train_data, utility)
             report, _ = evaluate(ens, test_data, utility)
-        return report, recs
+        return report, recs, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")

@@ -661,6 +661,14 @@ MALFORMED = {
         "train", "cfg.json", b'{\n"seed": 0,\n"out": "\xff"\n}\n', ["--config"],
         "line 3: not UTF-8 text",
     ),
+    # a lone CR ends a line too
+    "not-utf8-utility-cr": (
+        "train", "u.csv", b"1,0,0\r0,1,0\r0,0,\xff1\r", ["--utility"], "line 3: not UTF-8 text"
+    ),
+    "not-utf8-config-cr": (
+        "train", "cfg.json", b'{\r"seed": 0,\r"out": "\xff"\r}\r', ["--config"],
+        "line 3: not UTF-8 text",
+    ),
     "synthetic-empty-class": (
         "generate-data", None, None, ["--n-max", "100", "--imbalance", "300"],
         "n_max=100 and imbalance=300.0 leave classes [3] without samples",

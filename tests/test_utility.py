@@ -99,6 +99,12 @@ class TestLoadMatrix:
         with pytest.raises(ParseError, match="line 2"):
             load_matrix(path)
 
+    def test_a_record_over_two_lines_keeps_the_later_line_numbers(self, tmp_path):
+        path = tmp_path / "util.csv"
+        path.write_text('"1\n",0,0\n0,1,0\n0,0,x\n')
+        with pytest.raises(ParseError, match="util.csv: line 4: non-numeric utility"):
+            load_matrix(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "util.csv"
         path.write_text("")
