@@ -17,12 +17,12 @@ from dataclasses import fields
 import numpy as np
 
 from .dataset import CsvRows, generate_synthetic, load_csv, save_csv
-from .decision import decide_batch, write_predictions_csv
+from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
 from .errors import InputError, NumericError, ParseError, open_text, utf8
 from .metrics import report_to_json, write_summary_csv
 from .rebalance import DiscrepancySpec, class_weights, growth_rate
-from .trainer import TrainConfig, evaluate, evaluation_report, repeat_runs, train, write_train_log
+from .trainer import TrainConfig, evaluate, repeat_runs, train, write_train_log
 from .utility import load_matrix, one_hot, tail_sensitive
 
 
@@ -301,21 +301,16 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
         raise InputError("evaluate reads --test-csv, not --train-csv")
     if config["test_csv"] is not None:
         # the header and the row count now; the rows are parsed as they are decided
-        x = CsvRows(config["test_csv"], num_classes=k)
-        dim, labels = x.dim, x.labels
+        test_data = CsvRows(config["test_csv"], num_classes=k)
     else:
         test_data = _load_data(config, config["seed"])[1]
-        if test_data.num_classes != k:
-            raise InputError(f"test data has {test_data.num_classes} classes, checkpoint {k}")
-        x, dim, labels = test_data.features, test_data.dim, test_data.labels
-    if dim != ens.shape.input_dim:
+    if test_data.dim != ens.shape.input_dim:
         raise InputError(
-            f"{config['test_csv'] or 'synthetic test data'} has {dim} features,"
+            f"{config['test_csv'] or 'synthetic test data'} has {test_data.dim} features,"
             f" {checkpoint} has {ens.shape.input_dim}"
         )
     utility = _build_utility(config, k)
-    batch = decide_batch(ens, utility, x)
-    report = evaluation_report(ens, batch, labels, k, *_scoring(config))
+    report, batch = evaluate(ens, test_data, utility, *_scoring(config))
     out = config["out"]
     os.makedirs(out, exist_ok=True)
     _write_metrics(report, out)

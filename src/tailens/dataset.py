@@ -127,32 +127,21 @@ def generate_synthetic(
     return train, test
 
 
-# save_csv turns at most this many features into Python floats at once, so
-# its memory does not grow with the row count
-_BLOCK_VALUES = 1 << 14
-
-
-def _row_blocks(data: LongTailDataset):
-    """(first row, features, labels) of consecutive row blocks of the dataset."""
-    step = max(1, _BLOCK_VALUES // max(data.dim, 1))
-    for start in range(0, len(data), step):
-        yield start, data.features[start : start + step], data.labels[start : start + step]
-
-
 def save_csv(data: LongTailDataset, path) -> None:
     """Header f0..f{D-1},label, then one row per sample: features as repr, which
     round-trips float64 exactly, and CRLF ends (the csv module's excel-dialect
-    bytes), streamed a block of rows at a time. A non-finite feature, which
-    load_csv rejects, raises InputError before the file is opened."""
-    for start, x, _ in _row_blocks(data):
-        finite = np.isfinite(x).all(axis=1)
+    bytes), streamed one block of numcore.row_blocks(N) at a time. A non-finite
+    feature, which load_csv rejects, raises InputError before the file is opened."""
+    blocks = row_blocks(len(data))
+    for start, stop in blocks:
+        finite = np.isfinite(data.features[start:stop]).all(axis=1)
         if not finite.all():
             i = start + int(np.argmin(finite))
             raise InputError(f"non-finite feature in {data.features[i].tolist()}", row=i)
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"f{i}" for i in range(data.dim)] + ["label"]) + "\r\n")
-        for _, x, y in _row_blocks(data):
-            rows = zip(x.tolist(), y.tolist())
+        for start, stop in blocks:
+            rows = zip(data.features[start:stop].tolist(), data.labels[start:stop].tolist())
             fh.writelines(",".join(map(repr, row + [label])) + "\r\n" for row, label in rows)
 
 
@@ -199,6 +188,8 @@ class CsvRows:
                 header = next(reader)
             except StopIteration:
                 raise ParseError("empty file", line=1) from None
+            except csv.Error as err:
+                raise ParseError(str(err), line=reader.line_num) from None
             if len(header) < 2 or header[-1].strip() != "label":
                 raise ParseError("header must end with a 'label' column", line=1)
             self.dim, self._header_lines = len(header) - 1, reader.line_num

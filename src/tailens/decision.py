@@ -62,7 +62,7 @@ def decide_batch(
     )
     for (start, stop), block in zip(row_blocks(n), blocks, strict=True):
         rows = slice(start, stop)
-        per_particle, mixture = predictive_logprobs_batch(ens, check_inputs(ens.shape, block))
+        per_particle, mixture = predictive_logprobs_batch(ens, block)  # checks the block
         mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
         mean_logp -= mean_logp.max(axis=1, keepdims=True)
         geo_pred = np.exp(mean_logp, out=mean_logp)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, ParseError, names_file
+from .errors import InputError, NumericError, ParseError, naming
 from .numcore import NetShape, forward_logprobs_batch, param_count
 
 CHECKPOINT_MAGIC = b"TAILENS-ENSEMBLE"
@@ -75,7 +75,7 @@ def regularizer(
     One pass: the squares, the mean and the floored per-coordinate variance are
     each formed once. The variance is the mean of squares minus the square of
     the mean; the spread gradient is (theta - mean) / (M * (var + floor)). With
-    one particle the spread term is 0 and has no gradient. The caller checks floor > 0.
+    one particle the spread term is 0 and has no gradient. TrainConfig checks floor > 0.
     """
     # each mean is np.mean's sum then divide by M, without its per-call overhead
     particles, m = ens.particles, ens.n_particles
@@ -118,11 +118,14 @@ def diversity_diagnostics(ens: ParticleEnsemble, preds: np.ndarray) -> Diversity
     dist_sum = 0.0
     disagree_sum = 0.0
     pairs = 0
-    for a in range(m):
-        for b in range(a + 1, m):
-            dist_sum += float(np.linalg.norm(ens.particles[a] - ens.particles[b]))
-            disagree_sum += float(np.mean(preds[a] != preds[b]))
-            pairs += 1
+    with np.errstate(over="ignore"):  # a norm's squares may overflow: raised below
+        for a in range(m):
+            for b in range(a + 1, m):
+                dist_sum += float(np.linalg.norm(ens.particles[a] - ens.particles[b]))
+                disagree_sum += float(np.mean(preds[a] != preds[b]))
+                pairs += 1
+    if not np.isfinite(dist_sum):
+        raise NumericError("param_distance overflows float64: the particles lie too far apart")
     return DiversityDiagnostics(dist_sum / pairs, disagree_sum / pairs)
 
 
@@ -165,9 +168,8 @@ def _header_layout(header):
     return header["n_particles"], header["param_count"], shape
 
 
-@names_file
 def load_checkpoint(path) -> ParticleEnsemble:
-    with open(path, "rb") as fh:
+    with naming(path), open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC:
             raise ParseError(f"not an ensemble checkpoint (magic {magic!r})", line=1)
@@ -177,16 +179,16 @@ def load_checkpoint(path) -> ParticleEnsemble:
             raise ParseError("corrupt checkpoint header", line=2) from None
         m, p, shape = _header_layout(header)
         payload = fh.read()
-    expected = 8 * (m + m * p)
-    if len(payload) != expected:
-        raise ParseError(
-            f"checkpoint payload has {len(payload)} bytes, expected {expected}"
+        expected = 8 * (m + m * p)
+        if len(payload) != expected:
+            raise ParseError(
+                f"checkpoint payload has {len(payload)} bytes, expected {expected}"
+            )
+        weights = np.frombuffer(payload[: 8 * m], dtype="<f8").astype(np.float64)
+        particles = (
+            np.frombuffer(payload[8 * m :], dtype="<f8").astype(np.float64).reshape(m, p)
         )
-    weights = np.frombuffer(payload[: 8 * m], dtype="<f8").astype(np.float64)
-    particles = (
-        np.frombuffer(payload[8 * m :], dtype="<f8").astype(np.float64).reshape(m, p)
-    )
-    try:
-        return ParticleEnsemble(shape=shape, particles=particles, mixture_weights=weights)
-    except InputError as err:
-        raise ParseError(f"checkpoint payload: {err}") from None
+        try:
+            return ParticleEnsemble(shape=shape, particles=particles, mixture_weights=weights)
+        except InputError as err:
+            raise ParseError(f"checkpoint payload: {err}") from None

@@ -5,7 +5,6 @@ bad arguments apart from bad files apart from numerical blowups.
 """
 
 import contextlib
-import functools
 
 
 class InputError(ValueError):
@@ -48,17 +47,6 @@ def naming(path):
     except ParseError as err:
         err.args = (f"{path}: {err}",)
         raise
-
-
-def names_file(load):
-    """Decorate a file loader so that its errors name the file, as `naming` does."""
-
-    @functools.wraps(load)
-    def wrapped(path, *args, **kwargs):
-        with naming(path):
-            return load(path, *args, **kwargs)
-
-    return wrapped
 
 
 class NumericError(ArithmeticError):

@@ -150,9 +150,10 @@ class MetricsReport:
 
 
 def report_to_json(report: MetricsReport) -> str:
-    """The report's fields, with the tail ratios of `fhr` as string keys."""
+    """The report's fields, with the tail ratios of `fhr` as string keys, as strict
+    JSON: a non-finite value raises ValueError."""
     fields = {**asdict(report), "fhr": {str(r): v for r, v in report.fhr.items()}}
-    return json.dumps(fields, sort_keys=True, indent=2) + "\n"
+    return json.dumps(fields, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_summary_csv(rows: list[dict], path) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 
-# Rows per block of a decision (decide_batch owns the inference block loop); the
+# Rows per block of every row-block loop (decisions, CSV reads and writes); the
 # last block takes the remainder. BLAS picks a kernel by product size (OpenBLAS
 # 0.3.31 rounds products of <= ~1,200 output entries differently), so blocks of
 # >= 1,024 rows keep each forward layer of 2+ outputs, and the (rows, K) x (K, K)

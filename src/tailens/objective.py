@@ -34,10 +34,11 @@ class LossBreakdown(NamedTuple):
 class TrainingStep:
     """One batch's loss breakdown and (M, P) gradients, with the per-run work done once.
 
-    Construction checks the loss settings against the ensemble and warns once
-    for a single particle, whose spread term is 0. A call only computes: its
-    labels must lie in [0, K). The particles may change in place between calls,
-    their shape may not. Every call returns a new gradient array.
+    Construction checks the utility and the class weights against the ensemble's
+    K (TrainConfig owns the settings' ranges) and warns once for a single
+    particle, whose spread term is 0. A call only computes: its labels must lie
+    in [0, K). The particles may change in place between calls, their shape may
+    not. Every call returns a new gradient array.
     """
 
     def __init__(
@@ -51,12 +52,6 @@ class TrainingStep:
             )
         if weights.normalized.shape[0] != k:
             raise InputError("class weights must cover every class")
-        if utility_scale <= 0:
-            raise InputError(f"utility scale must be > 0, got {utility_scale}")
-        if weight_decay < 0:
-            raise InputError(f"weight decay must be >= 0, got {weight_decay}")
-        if var_floor <= 0:
-            raise InputError(f"variance floor must be > 0, got {var_floor}")
         if ens.n_particles == 1:
             warnings.warn(SINGLE_PARTICLE, stacklevel=2)
         self.ens, self.weights, self.utility = ens, weights.normalized, utility.values

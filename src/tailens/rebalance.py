@@ -36,9 +36,7 @@ class ClassWeights:
 
 
 def f_value(spec: DiscrepancySpec, n: int) -> float:
-    """Size measure of a class with n >= 1 training samples."""
-    if n < 1:
-        raise InputError(f"class count must be >= 1, got {n}")
+    """Size measure of a class with n >= 1 training samples (class_weights' check)."""
     n = float(n)
     if spec.form == "linear":
         return n

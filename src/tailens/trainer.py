@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import LongTailDataset, tail_mask
+from .dataset import CsvRows, LongTailDataset, tail_mask
 from .decision import BatchDecisions, decide_batch
 from .ensemble import (
     ParticleEnsemble,
@@ -97,11 +97,7 @@ class EpochRecord(NamedTuple):
 
 
 def anneal_weight(epoch: int, stride: float) -> float:
-    """exp(-epoch/stride): 1 at epoch 0, decaying by the stride."""
-    if epoch < 0:
-        raise InputError(f"epoch must be >= 0, got {epoch}")
-    if stride <= 0:
-        raise InputError(f"stride must be > 0, got {stride}")
+    """exp(-epoch/stride): 1 at epoch 0, decaying by the stride; TrainConfig keeps it > 0."""
     return float(np.exp(-epoch / stride))
 
 
@@ -197,24 +193,31 @@ def write_train_log(records: list[EpochRecord], path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def evaluation_report(
+def evaluate(
     ens: ParticleEnsemble,
-    batch: BatchDecisions,
-    labels: np.ndarray,
-    num_classes: int,
+    test_data: LongTailDataset | CsvRows,
+    utility: UtilityMatrix,
     tail_ratios: tuple[float, ...] = DEFAULT_TAIL_RATIOS,
     ece_bins: int = 15,
-) -> MetricsReport:
-    """The metrics of the ensemble's decisions against the (N,) labels over K classes."""
+) -> tuple[MetricsReport, BatchDecisions]:
+    """Decide the test set once; the metrics report and the decisions it read. The
+    test set is a dataset or a data CSV's CsvRows, made with the model's K and
+    decided as it is parsed; the regions and tail masks are those of that K."""
+    k = ens.shape.num_classes
+    if test_data.num_classes != k:
+        raise InputError(f"test data has {test_data.num_classes} classes, model has {k}")
     if not tail_ratios:
         raise InputError("need at least one tail ratio")
+    x = test_data if isinstance(test_data, CsvRows) else test_data.features
+    batch = decide_batch(ens, utility, x)
+    labels = test_data.labels
     correct = batch.decisions == labels
-    acc = region_accuracy(labels, batch.decisions, num_classes)
+    acc = region_accuracy(labels, batch.decisions, k)
     fhr = {
-        float(r): false_head_rate(labels, batch.decisions, tail_mask(num_classes, float(r)))
+        float(r): false_head_rate(labels, batch.decisions, tail_mask(k, float(r)))
         for r in tail_ratios
     }
-    return MetricsReport(
+    report = MetricsReport(
         **acc._asdict(),
         fhr=fhr,
         fhr_avg=float(np.mean(list(fhr.values()))),
@@ -222,20 +225,6 @@ def evaluation_report(
         ece=expected_calibration_error(batch.confidence, correct, ece_bins),
         n_test=len(labels),
         **diversity_diagnostics(ens, batch.particle_preds)._asdict(),
-    )
-
-
-def evaluate(
-    ens: ParticleEnsemble,
-    test_data: LongTailDataset,
-    utility: UtilityMatrix,
-    tail_ratios: tuple[float, ...] = DEFAULT_TAIL_RATIOS,
-    ece_bins: int = 15,
-) -> tuple[MetricsReport, BatchDecisions]:
-    """Decide the test set once; the metrics report and the decisions it read."""
-    batch = decide_batch(ens, utility, test_data.features)
-    report = evaluation_report(
-        ens, batch, test_data.labels, test_data.num_classes, tail_ratios, ece_bins
     )
     return report, batch
 

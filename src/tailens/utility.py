@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import tail_mask
-from .errors import InputError, ParseError, names_file, open_text, utf8
+from .errors import InputError, ParseError, naming, open_text, utf8
 
 
 @dataclass(frozen=True)
@@ -49,29 +49,29 @@ def tail_sensitive(num_classes: int, tail_ratio: float, penalty: float = 1.0) ->
     return UtilityMatrix(num_classes, values)
 
 
-@names_file
 def load_matrix(path) -> UtilityMatrix:
-    """Read a headerless K x K CSV of utilities; errors name the offending line."""
+    """Read a headerless K x K CSV of utilities; errors name the file and the line."""
     rows, linenos = [], []
-    with open_text(path) as fh:
+    with naming(path), open_text(path) as fh:
         reader = csv.reader(utf8(line, n) for n, line in enumerate(fh, start=1))
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ParseError(f"non-numeric utility in {row}", line=reader.line_num) from None
-            linenos.append(reader.line_num)
-    if not rows:
-        raise ParseError("empty utility file", line=1)
-    k = len(rows)
-    for row, lineno in zip(rows, linenos):
-        if len(row) != k:
-            raise ParseError(
-                f"expected {k} columns for a square matrix, got {len(row)}", line=lineno
-            )
-    try:
-        return UtilityMatrix(k, np.asarray(rows, dtype=np.float64))
-    except InputError as err:
-        raise ParseError(err.reason, line=linenos[err.row]) from None
+        try:
+            for row in filter(None, reader):
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise ParseError(f"non-numeric utility in {row}", reader.line_num) from None
+                linenos.append(reader.line_num)
+        except csv.Error as err:
+            raise ParseError(str(err), line=reader.line_num) from None
+        if not rows:
+            raise ParseError("empty utility file", line=1)
+        k = len(rows)
+        for row, lineno in zip(rows, linenos):
+            if len(row) != k:
+                raise ParseError(
+                    f"expected {k} columns for a square matrix, got {len(row)}", line=lineno
+                )
+        try:
+            return UtilityMatrix(k, np.asarray(rows, dtype=np.float64))
+        except InputError as err:
+            raise ParseError(err.reason, line=linenos[err.row]) from None

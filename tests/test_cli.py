@@ -228,6 +228,19 @@ class TestEvaluate:
         assert "--test-csv" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
+    def test_overflowing_param_distance_exits_2(self, tmp_path, capsys):
+        # the squares of a weight of 3.6e155 overflow float64 in the particles' norm
+        ens = random_ensemble(NetShape(3, (4,), 4), 2, seed=3)
+        ens.particles[0, 0] = 3.6e155
+        save_checkpoint(ens, tmp_path / "far.ckpt")
+        args = ["evaluate", "--checkpoint", str(tmp_path / "far.ckpt")]
+        code = main(args + flags(tmp_path / "eval"))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1, err
+        assert "param_distance" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_missing_checkpoint_file(self, tmp_path, capsys):
         code = main(
             ["evaluate", "--checkpoint", str(tmp_path / "nope.ckpt")]
@@ -575,6 +588,15 @@ MALFORMED = {
         "line 3: label '99999999999999999999' is not an integer",
     ),
     "utility-csv": ("train", "u.csv", b"1,0,0,0\nx,1,0,0\n", ["--utility"], "line 2"),
+    # the csv module rejects a field over 128 KiB
+    "csv-oversized-header-field": (
+        "train", "data.csv", b'f0,"' + b"a" * 200_000 + b'",label\n1.0,2.0,0\n', ["--train-csv"],
+        "line 1: field larger than field limit",
+    ),
+    "utility-oversized-field": (
+        "train", "u.csv", b"1,0,0\n1,\"" + b"0" * 200_000 + b'",0\n', ["--utility"],
+        "line 2: field larger than field limit",
+    ),
     "utility-diagonal": (
         "train", "u.csv", b"1,0,0,0\n0,1,0,0\n0,0,1,0\n0,2,0,1\n", ["--utility"], "line 4"
     ),

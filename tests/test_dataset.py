@@ -558,6 +558,14 @@ class TestSaveCsv:
             assert np.array_equal(back.features.view(np.uint64), data.features.view(np.uint64))
             assert np.array_equal(back.labels, data.labels)
 
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2047, 2048, 2049, 5000])
+    def test_bytes_match_the_oracle_across_row_blocks(self, tmp_path, rng, n):
+        # the Hypothesis datasets above hold at most 50 rows: one block
+        data = LongTailDataset(rng.normal(size=(n, 3)), rng.integers(0, 5, n), 5)
+        save_csv(data, tmp_path / "new.csv")
+        csv_writer_save(data, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
     def test_corners_and_line_ends(self, tmp_path):
         features = np.array([REPR_CORNERS, [-v for v in REPR_CORNERS]])
         data = LongTailDataset(features, np.array([0, 2**62]), 2**62 + 1)

@@ -17,9 +17,6 @@ from tailens.ensemble import (
 )
 from tailens.errors import InputError, ParseError
 from tailens.numcore import NetShape, param_count
-from tailens.objective import batch_loss
-from tailens.rebalance import DiscrepancySpec, class_weights
-from tailens.utility import one_hot
 
 # Frozen oracle: mixture of the 3-particle seed-(0,1,2) ensemble below on a
 # fixed input, re-evaluated with 60-digit arithmetic (mpmath).
@@ -218,16 +215,6 @@ class TestRegularizer:
                 down[j, k] -= step
                 fd = (combined(up) - combined(down)) / (2 * step)
                 assert grad[j, k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-
-    def test_negative_weight_decay_rejected(self):
-        # the loss weighs the regularizer terms, so it owns the range check
-        ens = random_ensemble(NetShape(1, (), 2), 2, seed=1)
-        with pytest.raises(InputError, match="weight decay"):
-            batch_loss(
-                ens, np.zeros((1, 1)), np.array([0]),
-                class_weights(DiscrepancySpec("plain"), [1, 1]), one_hot(2),
-                utility_scale=1.0, weight_decay=-0.1, anneal=0.0,
-            )
 
 
 class TestOneSpreadPass:

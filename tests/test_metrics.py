@@ -329,6 +329,13 @@ class TestReportSerialization:
             assert raw[name] is None
         assert json.loads(report_to_json(report))["auc"] is None
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_are_rejected(self, bad):
+        report = self.report()
+        report.param_distance = bad
+        with pytest.raises(ValueError, match="JSON compliant"):
+            report_to_json(report)
+
 
 class TestSummaryCsv:
     def test_round_trip_with_none(self, tmp_path):

@@ -245,15 +245,6 @@ class TestValidation:
                 utility_scale=1.0, weight_decay=0.0, anneal=0.0,
             )
 
-    def test_nonpositive_scale(self, rng):
-        ens = random_ensemble(NetShape(2, (3,), 2), 1, seed=9)
-        with pytest.raises(InputError):
-            batch_loss(
-                ens, rng.normal(size=(2, 2)), np.array([0, 1]),
-                plain_weights(2), one_hot(2),
-                utility_scale=0.0, weight_decay=0.0, anneal=0.0,
-            )
-
     def test_non_finite_log_probs_name_the_batch_position(self, rng):
         ens = random_ensemble(NetShape(2, (3,), 2), 2, seed=9)
         x = rng.normal(size=(3, 2))
@@ -339,9 +330,6 @@ class TestPreparedStep:
         for bad, match in (
             (dict(utility=one_hot(3)), "utility matrix"),
             (dict(weights=plain_weights(3)), "class weights"),
-            (dict(utility_scale=0.0), "utility scale"),
-            (dict(weight_decay=-1.0), "weight decay"),
-            (dict(var_floor=0.0), "variance floor"),
         ):
             args = {"weights": weights, "utility": utility, **kwargs, **bad}
             with pytest.raises(InputError, match=match):

@@ -46,10 +46,6 @@ class TestFValue:
     def test_power_gamma(self):
         assert f_value(DiscrepancySpec("power", gamma=2.0), 5) == 25.0
 
-    def test_zero_count_rejected(self):
-        with pytest.raises(InputError):
-            f_value(DiscrepancySpec("linear"), 0)
-
 
 class TestSpecValidation:
     def test_unknown_form(self):

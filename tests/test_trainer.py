@@ -1,5 +1,6 @@
 """Training loop: determinism, reductions, particle independence, schedules."""
 
+import dataclasses
 import json
 import warnings
 from dataclasses import replace
@@ -7,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tailens.dataset import LongTailDataset, generate_synthetic
+from tailens.dataset import CsvRows, LongTailDataset, generate_synthetic, load_csv, save_csv
+from tailens.decision import BatchDecisions
 from tailens.ensemble import ParticleEnsemble, load_checkpoint
 from tailens.errors import InputError, NumericError
 from tailens.numcore import NetShape, backward_batch, init_params
@@ -54,12 +56,6 @@ class TestAnnealWeight:
     def test_strictly_decreasing(self):
         values = [anneal_weight(e, 40.0) for e in range(100)]
         assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            anneal_weight(-1, 40.0)
-        with pytest.raises(InputError):
-            anneal_weight(0, 0.0)
 
 
 class TestConfigValidation:
@@ -359,6 +355,27 @@ class TestEvaluate:
         assert report.n_test == len(test_data)
         assert report.param_distance > 0.0
         assert 0.0 <= report.ece <= 1.0
+
+    def test_csv_rows_match_the_loaded_dataset(self, tmp_path):
+        # 2,100 test rows: two row blocks
+        train_data, test_data = generate_synthetic(3, 4, 60, 4.0, 2.0, seed=5, test_per_class=700)
+        ens, _ = train(quick_config(), train_data, one_hot(3))
+        save_csv(test_data, tmp_path / "test.csv")
+        streamed, streamed_batch = evaluate(ens, CsvRows(tmp_path / "test.csv", 3), one_hot(3))
+        loaded, loaded_batch = evaluate(ens, load_csv(tmp_path / "test.csv", 3), one_hot(3))
+        assert streamed == loaded
+        for field in dataclasses.fields(BatchDecisions):
+            want = getattr(loaded_batch, field.name)
+            assert np.array_equal(getattr(streamed_batch, field.name), want), field.name
+
+    def test_test_classes_must_be_the_models(self, tmp_path):
+        train_data, test_data = small_task()
+        ens, _ = train(quick_config(), train_data, one_hot(3))
+        save_csv(test_data, tmp_path / "test.csv")
+        wider = LongTailDataset(test_data.features, test_data.labels, 4)
+        for test in (wider, CsvRows(tmp_path / "test.csv", 4), CsvRows(tmp_path / "test.csv")):
+            with pytest.raises(InputError, match="classes"):
+                evaluate(ens, test, one_hot(3))
 
     def test_needs_a_tail_ratio(self):
         train_data, test_data = small_task()
