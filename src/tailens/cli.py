@@ -266,9 +266,11 @@ def _scoring(config: dict) -> tuple:
 
 
 def _write_metrics(report, out: str) -> None:
-    """<out>/metrics.json, and its summary line on stdout."""
+    """<out>/metrics.json, rendered before the file is opened, and its summary
+    line on stdout."""
+    text = report_to_json(report)
     with open(os.path.join(out, "metrics.json"), "w") as fh:
-        fh.write(report_to_json(report))
+        fh.write(text)
     tail = "n/a" if report.acc_tail is None else f"{report.acc_tail:.4f}"
     print(
         f"acc {report.acc_overall:.4f}  tail acc {tail}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ParseError, naming, open_text, utf8
-from .numcore import row_blocks
+from .numcore import class_id_dtype, row_blocks
 
 
 @dataclass
@@ -173,12 +173,14 @@ class CsvRows:
     whole. Making one reads the header and, in the same pass, counts the N data
     rows, the non-blank lines after the header. Iterating parses the lines of each
     block of numcore.row_blocks(N) and yields its (rows, D) C-contiguous float64
-    features, filling the (N,) `labels` as it goes. Each block is checked before
-    the next is read: the first line that is not UTF-8, does not parse, or whose
-    label is negative or (given num_classes) >= K, raises. A non-finite feature
-    ends the yielding but is raised only once every row has passed those checks,
-    so a row error anywhere beats it. Every error begins with the path and names
-    the file line."""
+    features, filling the (N,) `labels` as it goes: int64, or given num_classes
+    the compact numcore.class_id_dtype. A block's lines and parse are freed
+    before its features are yielded. Each block is checked before the next is
+    read: the first line that is not UTF-8, does not parse, or whose label is
+    negative or (given num_classes) >= K, raises. A non-finite feature ends the
+    yielding but is raised only once every row has passed those checks, so a row
+    error anywhere beats it. Every error begins with the path and names the file
+    line."""
 
     def __init__(self, path, num_classes=None):
         self.path, self.num_classes = path, num_classes
@@ -196,42 +198,54 @@ class CsvRows:
             n = sum(line != "\n" for line in fh)
             if n == 0:
                 raise ParseError("no data rows", line=2)
-        self.labels = np.empty(n, dtype=np.int64)
+        ids = np.int64 if num_classes is None else class_id_dtype(num_classes)
+        self.labels = np.empty(n, dtype=ids)
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
+    def _data_lines(self, fh):
+        """(file line number, line) of each data row of the open file fh."""
+        lines = itertools.islice(enumerate(fh, start=1), self._header_lines, None)
+        return ((n, line) for n, line in lines if line != "\n")
+
+    def lineno(self, row: int) -> int:
+        """The file line of the 0-based data row `row`, read from the file again."""
+        with open_text(self.path) as fh:
+            return next(itertools.islice(self._data_lines(fh), row, None))[0]
+
     def __iter__(self):
         with naming(self.path), open_text(self.path) as fh:
-            lines = itertools.islice(enumerate(fh, start=1), self._header_lines, None)
-            rows = ((n, line) for n, line in lines if line != "\n")
+            rows = self._data_lines(fh)
             non_finite = None
             for start, stop in row_blocks(len(self)):
-                block = list(itertools.islice(rows, stop - start))
-                linenos, texts = zip(*block)
-                try:
-                    parsed = _parse_rows(texts, self.dim)
-                    if parsed.shape[0] != stop - start:
-                        raise ValueError("a quoted field spans lines")
-                except ValueError as err:
-                    self._reject_first_bad_line(block)
-                    raise ParseError(str(err)) from None
-                labels = self.labels[start:stop]
-                labels[:] = parsed["y"]
-                _check_labels(labels, self.num_classes, linenos)
-                # one C-contiguous copy: the strided field view could take the
-                # forward's matmul down another BLAS kernel and change output bits
-                features = np.ascontiguousarray(parsed["x"])
+                features, bad = self._parse_block(rows, self.labels[start:stop])
+                non_finite = non_finite or bad
                 if non_finite is None:
-                    finite = np.isfinite(features).all(axis=1)
-                    if finite.all():
-                        yield features
-                        continue
-                    i = int(np.argmin(finite))
-                    non_finite = linenos[i], features[i].tolist()
+                    yield features
             if non_finite is not None:
                 lineno, values = non_finite
                 raise ParseError(f"non-finite feature in {values}", line=lineno)
+
+    def _parse_block(self, rows, labels):
+        """Parse and check the next len(labels) (line number, line) rows, and write
+        their labels into labels: their (rows, D) features, and the (file line,
+        values) of the first row with a non-finite feature, or None."""
+        linenos, texts = zip(*itertools.islice(rows, len(labels)))
+        try:
+            parsed = _parse_rows(texts, self.dim)
+            if parsed.shape[0] != len(labels):
+                raise ValueError("a quoted field spans lines")
+        except ValueError as err:
+            self._reject_first_bad_line(zip(linenos, texts))
+            raise ParseError(str(err)) from None
+        _check_labels(parsed["y"], self.num_classes, linenos)  # before a compact cast
+        labels[:] = parsed["y"]
+        # one C-contiguous copy: the strided field view could take the
+        # forward's matmul down another BLAS kernel and change output bits
+        features = np.ascontiguousarray(parsed["x"])
+        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        return features, (linenos[bad[0]], features[bad[0]].tolist()) if bad.size else None
 
     def _reject_first_bad_line(self, rows) -> None:
         """Parse the (file line number, line) rows one at a time, and raise for the

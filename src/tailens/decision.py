@@ -15,14 +15,17 @@ import numpy as np
 
 from .dataset import CsvRows
 from .ensemble import ParticleEnsemble, predictive_logprobs_batch
-from .errors import InputError
+from .errors import InputError, NumericError
 from .metrics import predictive_entropy
-from .numcore import check_inputs, row_blocks
+from .numcore import check_finite_logprobs, check_inputs, class_id_dtype, row_blocks
 from .utility import UtilityMatrix
 
 
 @dataclass(frozen=True)
 class BatchDecisions:
+    """Per-row results. The class ids are numcore.class_id_dtype(K): one byte up
+    to 256 classes, so a row takes 24 + 2 + M bytes."""
+
     decisions: np.ndarray  # (N,) expected-utility decision
     argmax_preds: np.ndarray  # (N,) argmax class of the mixture
     entropy: np.ndarray  # (N,) predictive entropy of the mixture
@@ -40,7 +43,9 @@ def decide_batch(
     """Decisions for the rows of x, an (N, D) array or a data CSV's CsvRows, made
     one row block of numcore.row_blocks(N) at a time into per-row outputs: no
     (M, N, K) or (N, K) array is ever whole, and CsvRows are decided as they are
-    parsed, so neither are their (N, D) features."""
+    parsed, so neither are their (N, D) features. A row whose log-probs are not
+    finite raises a NumericError naming it, and its file line for CsvRows; the
+    overflows that lead there raise no warning."""
     if utility.num_classes != ens.shape.num_classes:
         raise InputError(
             f"utility matrix is over {utility.num_classes} classes,"
@@ -52,27 +57,38 @@ def decide_batch(
         x = check_inputs(ens.shape, x)
         n = x.shape[0]
         blocks = (x[start:stop] for start, stop in row_blocks(n))
+    ids = class_id_dtype(ens.shape.num_classes)
     out = BatchDecisions(
-        decisions=np.empty(n, dtype=np.intp),
-        argmax_preds=np.empty(n, dtype=np.intp),
+        decisions=np.empty(n, dtype=ids),
+        argmax_preds=np.empty(n, dtype=ids),
         entropy=np.empty(n),
         maxprob=np.empty(n),
         confidence=np.empty(n),
-        particle_preds=np.empty((ens.n_particles, n), dtype=np.intp),
+        particle_preds=np.empty((ens.n_particles, n), dtype=ids),
     )
-    for (start, stop), block in zip(row_blocks(n), blocks, strict=True):
-        rows = slice(start, stop)
-        per_particle, mixture = predictive_logprobs_batch(ens, block)  # checks the block
-        mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
-        mean_logp -= mean_logp.max(axis=1, keepdims=True)
-        geo_pred = np.exp(mean_logp, out=mean_logp)
-        geo_pred /= geo_pred.sum(axis=1, keepdims=True)
-        decisions = (geo_pred @ utility.values).argmax(axis=1, out=out.decisions[rows])
-        mixture.argmax(axis=1, out=out.argmax_preds[rows])
-        out.entropy[rows] = predictive_entropy(mixture)
-        mixture.max(axis=1, out=out.maxprob[rows])
-        out.confidence[rows] = mixture[np.arange(stop - start), decisions]
-        per_particle.argmax(axis=2, out=out.particle_preds[:, rows])
+    # entered once per call: every non-finite value is caught at the log-probs
+    with np.errstate(all="ignore"):
+        for (start, stop), block in zip(row_blocks(n), blocks, strict=True):
+            rows = slice(start, stop)
+            per_particle, mixture = predictive_logprobs_batch(ens, block)  # checks the block
+            try:
+                check_finite_logprobs(per_particle)
+            except NumericError as err:
+                row = start + err.sample
+                where = f" ({x.path}: line {x.lineno(row)})" if isinstance(x, CsvRows) else ""
+                raise NumericError(f"{err.reason} at test row {row}{where}") from None
+            mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)
+            mean_logp -= mean_logp.max(axis=1, keepdims=True)
+            geo_pred = np.exp(mean_logp, out=mean_logp)
+            geo_pred /= geo_pred.sum(axis=1, keepdims=True)
+            # argmax writes only intp: a block temporary, then stored as compact ids
+            decisions = (geo_pred @ utility.values).argmax(axis=1)
+            out.decisions[rows] = decisions
+            out.argmax_preds[rows] = mixture.argmax(axis=1)
+            out.entropy[rows] = predictive_entropy(mixture)
+            mixture.max(axis=1, out=out.maxprob[rows])
+            out.confidence[rows] = mixture[np.arange(stop - start), decisions]
+            out.particle_preds[:, rows] = per_particle.argmax(axis=2)
     return out
 
 

@@ -120,7 +120,8 @@ def expected_calibration_error(
         raise InputError("confidence and correctness must be aligned non-empty vectors")
     if bins < 1:
         raise InputError(f"need at least one bin, got {bins}")
-    if confidence.min() < 0.0 or confidence.max() > 1.0:
+    # stated as what must hold, so NaN confidences fail it
+    if not np.all((confidence >= 0.0) & (confidence <= 1.0)):
         raise InputError("confidences must lie in [0, 1]")
     idx = np.clip(np.ceil(confidence * bins).astype(np.int64) - 1, 0, bins - 1)
     total = confidence.shape[0]

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 
 # Rows per block of every row-block loop (decisions, CSV reads and writes); the
 # last block takes the remainder. BLAS picks a kernel by product size (OpenBLAS
@@ -66,7 +66,8 @@ def unpack(shape: NetShape, particles: np.ndarray) -> list[tuple[np.ndarray, np.
     ]
 
 
-def init_params(shape: NetShape, rng: np.random.Generator) -> np.ndarray:
+# a string annotation: importing numcore must not import numpy.random
+def init_params(shape: NetShape, rng: "np.random.Generator") -> np.ndarray:
     """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, flattened."""
     chunks = []
     for _, _, _, fan_out, fan_in in shape.layout:
@@ -81,6 +82,12 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     each, the last block taking the remainder, one block when n < 2 * BLOCK_ROWS."""
     stops = [*range(BLOCK_ROWS, n - BLOCK_ROWS + 1, BLOCK_ROWS), n]
     return list(zip([0, *stops], stops))
+
+
+def class_id_dtype(num_classes: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every class id below num_classes:
+    uint8 up to 256 classes, uint16 up to 65,536."""
+    return np.min_scalar_type(num_classes - 1)
 
 
 def check_inputs(shape: NetShape, x: np.ndarray) -> np.ndarray:
@@ -107,6 +114,14 @@ def _log_softmax(logits):
     norm = np.exp(logits).sum(axis=-1, keepdims=True)
     logits -= np.log(norm, out=norm)
     return logits
+
+
+def check_finite_logprobs(logprobs: np.ndarray) -> None:
+    """A NumericError whose sample is the first row (axis 1) of the (M, N, K)
+    log-probs that holds a non-finite value, if one does."""
+    if not np.isfinite(logprobs).all():
+        bad = int(np.argmax(~np.isfinite(logprobs).all(axis=(0, 2))))
+        raise NumericError("non-finite log-probabilities", sample=bad)
 
 
 def forward_logprobs_batch(shape: NetShape, particles: np.ndarray, x: np.ndarray) -> np.ndarray:

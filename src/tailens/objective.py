@@ -77,9 +77,7 @@ class TrainingStep:
         per_particle, grads = numcore.backward_batch(
             ens.shape, ens.particles, x, cotangents[y]
         )  # (M, B, K)
-        if not np.isfinite(per_particle).all():
-            bad = int(np.argmax(~np.isfinite(per_particle).all(axis=(0, 2))))
-            raise NumericError("non-finite log-probabilities", sample=bad)
+        numcore.check_finite_logprobs(per_particle)
 
         w = self.weights[y]  # (B,)
         logp_true = per_particle[:, rows, y]  # (M, B)

@@ -1,10 +1,13 @@
-"""Shared builders for the test suite."""
+"""Shared builders and checks for the test suite."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from tailens.decision import BatchDecisions
 from tailens.ensemble import ParticleEnsemble
-from tailens.numcore import NetShape, init_params
+from tailens.numcore import NetShape, class_id_dtype, init_params
 from tailens.utility import UtilityMatrix
 
 
@@ -41,6 +44,22 @@ def random_utility(k: int, rng: np.random.Generator) -> UtilityMatrix:
     values = rng.normal(size=(k, k))
     values[np.arange(k), np.arange(k)] = values.max(axis=1) + rng.uniform(0.1, 1.0, k)
     return UtilityMatrix(k, values)
+
+
+CLASS_ID_FIELDS = ("decisions", "argmax_preds", "particle_preds")
+
+
+def assert_same_decisions(got: BatchDecisions, want: BatchDecisions, num_classes: int):
+    """Every field of got equals want's: the class ids by value and stored in
+    class_id_dtype(num_classes), the floats by dtype and bytes."""
+    for field in fields(BatchDecisions):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.shape == b.shape, field.name
+        if field.name in CLASS_ID_FIELDS:
+            assert a.dtype == class_id_dtype(num_classes), field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from tailens.dataset import load_csv
 from tailens.decision import write_predictions_csv
 from tailens.ensemble import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from tailens.errors import ParseError
-from tailens.metrics import report_to_json
+from tailens.metrics import MetricsReport, report_to_json
 from tailens.numcore import NetShape
 from tailens.trainer import TrainConfig, evaluate
 from tailens.utility import tail_sensitive
@@ -240,6 +240,15 @@ class TestEvaluate:
         assert err.startswith("numeric error: ") and err.count("\n") == 1, err
         assert "param_distance" in err
         assert not (tmp_path / "eval").exists()
+
+    def test_a_report_that_does_not_render_leaves_no_metrics_file(self, tmp_path):
+        report = MetricsReport(
+            acc_overall=float("nan"), acc_head=None, acc_med=None, acc_tail=None,
+            fhr={0.5: 0.0}, fhr_avg=0.0, auc=None, ece=0.0, n_test=1,
+        )
+        with pytest.raises(ValueError, match="JSON"):
+            cli._write_metrics(report, str(tmp_path))
+        assert not (tmp_path / "metrics.json").exists()
 
     def test_missing_checkpoint_file(self, tmp_path, capsys):
         code = main(
@@ -697,33 +706,70 @@ MALFORMED = {
     ),
 }
 
-# good inputs beside every family's file, for the families that need two files:
-# a 4-class training CSV with 3 features, a 3-class checkpoint of a 2-input network
-# and a test CSV that fits it
+# a checkpoint of two identical particles (param_distance 0) of the 2-3-3 network:
+# input weights 1, output weights 1e308, biases 0. The logits of an input (i, 0.5)
+# are 3e308 * tanh(i + 0.5), which overflows from i = 1 on, and inf - inf in the
+# log-softmax makes the row's log-probs NaN
+OVERFLOWING_LOGITS = (
+    CHECKPOINT_MAGIC + b"\n" + THREE_CLASS_HEADER.replace(b'"n_particles": 1', b'"n_particles": 2')
+    + b"\n" + np.array([0.5, 0.5] + 2 * ([1.0] * 6 + [0.0] * 3 + [1e308] * 9 + [0.0] * 3),
+                       dtype="<f8").tobytes()
+)
+
+# family -> (command, file name, file bytes, extra flags naming the file, stderr line
+# with {path} for the file's path): inputs that parse but whose numbers overflow
+NUMERIC = {
+    "evaluate-overflowing-logits": (
+        "evaluate", "d.csv", b"f0,f1,label\n0.0,0.5,0\n\n1.0,0.5,1\n2.0,0.5,2\n",
+        ["--checkpoint", "huge.ckpt", "--test-csv"],
+        "numeric error: non-finite log-probabilities at test row 1 ({path}: line 4)",
+    ),
+}
+
+# inputs beside every family's file, for the families that need two files: a
+# 4-class training CSV with 3 features, a 3-class checkpoint of a 2-input network
+# and a test CSV that fits it, and a checkpoint of that network that overflows
 HELPERS = {
     "a.csv": b"f0,f1,f2,label\n" + b"".join(b"%d.0,0.5,-1.0,%d\n" % (i, i % 4) for i in range(8)),
     "c.csv": b"f0,f1,label\n" + b"".join(b"%d.0,0.5,%d\n" % (i, i % 3) for i in range(6)),
     "model.ckpt": CHECKPOINT_MAGIC + b"\n" + THREE_CLASS_HEADER + b"\n"
     + np.array([1.0] + [0.0] * 21, dtype="<f8").tobytes(),
+    "huge.ckpt": OVERFLOWING_LOGITS,
 }
 
 
-@pytest.mark.parametrize("family", sorted(MALFORMED))
-def test_malformed_inputs_exit_1_without_traceback(tmp_path, family):
-    command, name, blob, extra, needle = MALFORMED[family]
+def run_family(tmp_path, command, name, blob, extra):
+    """The CLI run of one family in a fresh interpreter, in tmp_path beside the
+    helpers, with the path of the family's file (if any) as the last flag value."""
     for helper, content in HELPERS.items():
         (tmp_path / helper).write_bytes(content)
     if name is not None:
         (tmp_path / name).write_bytes(blob)
         extra = extra + [str(tmp_path / name)]
     env = dict(os.environ, PYTHONPATH=str(Path(tailens.__file__).parents[1]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "tailens.cli", command, *flags(tmp_path / "out"), *extra],
         capture_output=True,
         text=True,
         env=env,
         cwd=tmp_path,
     )
+
+
+@pytest.mark.parametrize("family", sorted(NUMERIC))
+def test_numeric_failures_exit_2_with_one_line(tmp_path, family):
+    command, name, blob, extra, line = NUMERIC[family]
+    result = run_family(tmp_path, command, name, blob, extra)
+    assert result.returncode == 2, result.stderr
+    # no traceback and no RuntimeWarning: the one line alone
+    assert result.stderr == line.format(path=tmp_path / name) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("family", sorted(MALFORMED))
+def test_malformed_inputs_exit_1_without_traceback(tmp_path, family):
+    command, name, blob, extra, needle = MALFORMED[family]
+    result = run_family(tmp_path, command, name, blob, extra)
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr
     assert needle in result.stderr

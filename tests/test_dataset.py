@@ -382,7 +382,26 @@ class TestCsvRows:
         assert [len(b) for b in blocks] == [stop - start for start, stop in row_blocks(n)]
         assert all(b.flags.c_contiguous and b.dtype == np.float64 for b in blocks)
         assert np.concatenate(blocks).tobytes() == features.tobytes()
-        assert np.array_equal(rows.labels, labels)
+        assert rows.labels.dtype == np.uint8 and np.array_equal(rows.labels, labels)
+
+    def test_labels_take_the_class_id_dtype_of_k(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("f0,label\n1.0,0\n2.0,299\n")
+        assert CsvRows(path).labels.dtype == np.int64
+        rows = CsvRows(path, 300)
+        list(rows)
+        assert rows.labels.dtype == np.uint16 and rows.labels.tolist() == [0, 299]
+        # checked as int64, before a uint8 cast could wrap 299 to 43
+        with pytest.raises(ParseError, match="line 3: label 299 is not below K=256"):
+            list(CsvRows(path, 256))
+
+    def test_lineno_names_the_file_line_of_a_row(self, tmp_path, rng):
+        features, labels = rng.normal(size=(300, 2)), rng.integers(0, 5, 300)
+        path = tmp_path / "rows.csv"
+        self.write(path, features, labels, blank_every=97)
+        rows = CsvRows(path, 5)
+        # the header is line 1, and blank lines stand before rows 0, 97, 194 and 291
+        assert [rows.lineno(r) for r in (0, 96, 97, 299)] == [3, 99, 101, 305]
 
     def test_header_and_count_come_before_any_row_is_parsed(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -7,13 +7,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import probs_ensemble, random_ensemble
+from conftest import assert_same_decisions, probs_ensemble, random_ensemble
 from oracles import csv_writer_predictions, whole_array_decide, whole_array_gains
 from tailens.decision import BatchDecisions, decide_batch, write_predictions_csv
 from tailens.ensemble import predictive_logprobs_batch
-from tailens.errors import InputError
+from tailens.errors import InputError, NumericError
 from tailens.metrics import predictive_entropy
-from tailens.numcore import NetShape
+from tailens.numcore import NetShape, unpack
 from tailens.utility import UtilityMatrix, one_hot, tail_sensitive
 
 
@@ -117,6 +117,24 @@ class TestInterface:
         assert len(decide_batch(ens, one_hot(4), rng.normal(size=(7, 3)))) == 7
 
 
+class TestNonFiniteLogProbs:
+    def test_the_first_non_finite_row_is_named_across_blocks(self, rng):
+        ens = random_ensemble(NetShape(3, (4,), 4), 2, seed=21)
+        x = rng.normal(size=(2100, 3))
+        x[[1500, 2000], 1] = np.nan  # the second block starts at row 1024
+        with pytest.raises(NumericError, match=r"^non-finite log-probabilities at test row 1500$"):
+            decide_batch(ens, one_hot(4), x)
+
+    def test_overflowing_logits_raise_no_warning(self):
+        # every hidden unit near tanh(30) = 1, so the logits are 4e308 = inf, and
+        # inf - inf makes NaN log-probs; the suite turns any warning into an error
+        ens = random_ensemble(NetShape(3, (4,), 4), 1, seed=21)
+        (w_in, b_in), (w_out, b_out) = unpack(ens.shape, ens.particles)
+        w_in[:], b_in[:], w_out[:], b_out[:] = 1.0, 0.0, 1e308, 0.0
+        with pytest.raises(NumericError, match="at test row 0$"):
+            decide_batch(ens, one_hot(4), np.full((5, 3), 10.0))
+
+
 class TestRowBlocks:
     SHAPE = NetShape(16, (32,), 10)
 
@@ -128,11 +146,17 @@ class TestRowBlocks:
         ens = random_ensemble(self.SHAPE, m, seed=18)
         x = rng.normal(size=(n, 16))
         blocked = decide_batch(ens, utility, x)
-        whole = whole_array_decide(ens, utility, x)
-        for field in fields(BatchDecisions):
-            got, want = getattr(blocked, field.name), getattr(whole, field.name)
-            assert got.dtype == want.dtype and got.shape == want.shape, field.name
-            assert got.tobytes() == want.tobytes(), field.name
+        assert_same_decisions(blocked, whole_array_decide(ens, utility, x), 10)
+
+    @pytest.mark.parametrize("k, ids", [(256, np.uint8), (257, np.uint16)])
+    def test_class_ids_take_the_smallest_dtype_that_holds_k(self, rng, k, ids):
+        ens = random_ensemble(NetShape(4, (8,), k), 2, seed=20)
+        # a bias per class that makes the top class ids win some rows
+        ens.particles[:, -k:] = np.linspace(0.0, 3.0, k)
+        x = rng.normal(size=(2100, 4))
+        blocked = decide_batch(ens, one_hot(k), x)
+        assert blocked.decisions.dtype == ids and blocked.decisions.max() >= 250
+        assert_same_decisions(blocked, whole_array_decide(ens, one_hot(k), x), k)
 
     def test_memory_holds_one_block_beyond_the_outputs(self, rng):
         # the whole (M, N, K) log-probs and their exp would be 12 MB each here
@@ -145,6 +169,8 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         outputs = sum(getattr(batch, f.name).nbytes for f in fields(BatchDecisions))
+        # three float64 columns and one byte per class id: K <= 256, M = 3
+        assert outputs == (24 + 2 + 3) * 50_000
         assert peak < outputs + 4 * 2**20, (peak, outputs)
 
 

@@ -281,8 +281,10 @@ class TestEce:
     def test_validation(self):
         with pytest.raises(InputError):
             expected_calibration_error(np.array([0.5]), np.array([True]), bins=0)
-        with pytest.raises(InputError):
-            expected_calibration_error(np.array([1.2]), np.array([True]))
+        # the range is what must hold, so NaN fails it too
+        for bad in (1.2, -1e-12, np.nan):
+            with pytest.raises(InputError, match=r"confidences must lie in \[0, 1\]"):
+                expected_calibration_error(np.array([0.5, bad]), np.array([True, False]))
         with pytest.raises(InputError):
             expected_calibration_error(np.array([]), np.array([]), bins=5)
 
