@@ -111,16 +111,10 @@ def generate_synthetic(
     means = _class_means(num_classes, dim, separation, rng)
 
     def draw(per_class):
-        xs, ys = [], []
-        for k in range(num_classes):
-            n = int(per_class[k])
-            xs.append(means[k] + rng.standard_normal((n, dim)))
-            ys.append(np.full(n, k, dtype=np.int64))
-        return LongTailDataset(
-            features=np.concatenate(xs),
-            labels=np.concatenate(ys),
-            num_classes=num_classes,
-        )
+        labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+        features = rng.standard_normal((len(labels), dim))
+        features += means[labels]
+        return LongTailDataset(features=features, labels=labels, num_classes=num_classes)
 
     train = draw(counts)
     test = draw(np.full(num_classes, test_per_class, dtype=np.int64))

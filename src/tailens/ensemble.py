@@ -59,8 +59,7 @@ def predictive_logprobs_batch(ens: ParticleEnsemble, x: np.ndarray):
     return per_particle, mixture
 
 
-@dataclass(frozen=True)
-class RegularizerValue:
+class RegularizerValue(NamedTuple):
     l2_term: float
     entropy_term: float
     grad: np.ndarray  # (M, P) gradient of weight_decay * l2_term - anneal * entropy_term

@@ -32,13 +32,12 @@ class LossBreakdown(NamedTuple):
 
 
 class TrainingStep:
-    """One batch's loss breakdown and (M, P) gradients, with the per-run work done once.
+    """The per-run state of the training loss: checks and tables done once.
 
     Construction checks the utility and the class weights against the ensemble's
     K (TrainConfig owns the settings' ranges) and warns once for a single
-    particle, whose spread term is 0. A call only computes: its labels must lie
-    in [0, K). The particles may change in place between calls, their shape may
-    not. Every call returns a new gradient array.
+    particle, whose spread term is 0. `batch_loss` runs one batch on it. The
+    particles may change in place between batches, their shape may not.
     """
 
     def __init__(
@@ -55,6 +54,7 @@ class TrainingStep:
         if ens.n_particles == 1:
             warnings.warn(SINGLE_PARTICLE, stacklevel=2)
         self.ens, self.weights, self.utility = ens, weights.normalized, utility.values
+        self.n_particles = ens.n_particles
         self.utility_scale, self.weight_decay = utility_scale, weight_decay
         self.var_floor = var_floor
         # d total / d logp_j(class k | x_i) is row y_i of I + U / s times
@@ -65,60 +65,33 @@ class TrainingStep:
 
     def _table(self, batch: int):
         if batch not in self._tables:
-            scale = 1.0 / (batch * self.ens.n_particles)
+            scale = 1.0 / (batch * self.n_particles)
             cotangents = self._unscaled * -(self.weights * scale)[:, None]
             self._tables[batch] = scale, cotangents, np.arange(batch)
         return self._tables[batch]
 
-    def __call__(self, x: np.ndarray, y: np.ndarray, anneal: float):
-        """(LossBreakdown, (M, P) gradients) of one batch at this spread weight."""
-        ens = self.ens
-        scale, cotangents, rows = self._table(len(y))
-        per_particle, grads = numcore.backward_batch(
-            ens.shape, ens.particles, x, cotangents[y]
-        )  # (M, B, K)
-        numcore.check_finite_logprobs(per_particle)
 
-        w = self.weights[y]  # (B,)
-        logp_true = per_particle[:, rows, y]  # (M, B)
-        util_dot = np.einsum("mbk,bk->mb", per_particle, self.utility[y])  # (M, B)
-        nll = -scale * float((w * logp_true).sum())
-        utility = -(scale / self.utility_scale) * float((w * util_dot).sum())
+def batch_loss(step: TrainingStep, x: np.ndarray, y: np.ndarray, anneal: float):
+    """(LossBreakdown, (M, P) gradients) of one batch at this spread weight. The
+    labels must lie in [0, K), unchecked; every call returns a new gradient array."""
+    ens = step.ens
+    scale, cotangents, rows = step._table(len(y))
+    per_particle, grads = numcore.backward_batch(
+        ens.shape, ens.particles, x, cotangents[y]
+    )  # (M, B, K)
+    numcore.check_finite_logprobs(per_particle)
 
-        reg = ensemble.regularizer(
-            ens, self.var_floor, weight_decay=self.weight_decay, anneal=anneal
-        )
-        total = nll + utility + self.weight_decay * reg.l2_term - anneal * reg.entropy_term
-        if not np.isfinite(total):
-            raise NumericError("non-finite loss")
-        grads += reg.grad
-        return LossBreakdown(nll, utility, reg.l2_term, reg.entropy_term, total), grads
+    w = step.weights[y]  # (B,)
+    logp_true = per_particle[:, rows, y]  # (M, B)
+    util_dot = np.einsum("mbk,bk->mb", per_particle, step.utility[y])  # (M, B)
+    nll = -scale * float((w * logp_true).sum())
+    utility = -(scale / step.utility_scale) * float((w * util_dot).sum())
 
-
-def batch_loss(
-    ens: ParticleEnsemble,
-    x: np.ndarray,
-    y: np.ndarray,
-    weights: ClassWeights,
-    utility: UtilityMatrix,
-    *,
-    utility_scale: float,
-    weight_decay: float,
-    anneal: float,
-    var_floor: float = 1e-8,
-) -> tuple[LossBreakdown, np.ndarray]:
-    """Loss breakdown and per-particle gradients (M, P) for one checked batch."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    k = ens.shape.num_classes
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise InputError("batch features and labels must align")
-    if x.shape[0] < 1:
-        raise InputError("batch must be non-empty")
-    if y.min() < 0 or y.max() >= k:
-        raise InputError(f"labels must lie in [0, {k})")
-    step = TrainingStep(
-        ens, weights, utility,
-        utility_scale=utility_scale, weight_decay=weight_decay, var_floor=var_floor,
+    reg = ensemble.regularizer(
+        ens, step.var_floor, weight_decay=step.weight_decay, anneal=anneal
     )
-    return step(x, y, anneal)
+    total = nll + utility + step.weight_decay * reg.l2_term - anneal * reg.entropy_term
+    if not np.isfinite(total):
+        raise NumericError("non-finite loss")
+    grads += reg.grad
+    return LossBreakdown(nll, utility, reg.l2_term, reg.entropy_term, total), grads

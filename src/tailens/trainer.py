@@ -27,7 +27,7 @@ from .metrics import (
     region_accuracy,
 )
 from .numcore import NetShape, forward_logprobs_batch, init_params
-from .objective import LossBreakdown, TrainingStep
+from .objective import LossBreakdown, TrainingStep, batch_loss
 from .rebalance import DiscrepancySpec, class_weights
 from .utility import UtilityMatrix
 
@@ -138,48 +138,53 @@ def train(
 
     records = []
     lr = config.learning_rate
-    for epoch in range(config.epochs):
-        if epoch in config.lr_decay_epochs:
-            lr *= config.lr_decay_factor
-        anneal = anneal_weight(epoch, config.anneal_stride) if config.repulsion else 0.0
-        shuffle_rng = np.random.default_rng(
-            np.random.SeedSequence((config.seed, _SHUFFLE_STREAM, epoch))
-        )
-        perm = shuffle_rng.permutation(n)
+    # entered once per run, as decide_batch does: overflow inside the network is
+    # not an error, non-finite log-probs and a non-finite loss raise NumericError
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            if epoch in config.lr_decay_epochs:
+                lr *= config.lr_decay_factor
+            anneal = anneal_weight(epoch, config.anneal_stride) if config.repulsion else 0.0
+            shuffle_rng = np.random.default_rng(
+                np.random.SeedSequence((config.seed, _SHUFFLE_STREAM, epoch))
+            )
+            perm = shuffle_rng.permutation(n)
 
-        sums = np.zeros(len(LossBreakdown._fields))
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            try:
-                breakdown, grads = step(features[idx], labels[idx], anneal)
-            except NumericError as err:
-                what = str(err)
-                if err.sample is not None:  # the dataset row, not the batch position
-                    what = f"{err.reason} at dataset row {idx[err.sample]}"
-                raise NumericError(f"epoch {epoch}, batch {n_batches}: {what}") from err
-            velocity *= config.momentum
-            # the loss averages over particles; stepping on M*grad gives each
-            # particle the full-strength gradient of its own loss, so particles
-            # never interact unless the spread bonus couples them
-            grads *= ens.n_particles
-            velocity += grads
-            ens.particles -= lr * velocity
-            sums += breakdown
-            n_batches += 1
+            sums = np.zeros(len(LossBreakdown._fields))
+            n_batches = 0
+            for start in range(0, n, config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                try:
+                    breakdown, grads = batch_loss(step, features[idx], labels[idx], anneal)
+                except NumericError as err:
+                    what = str(err)
+                    if err.sample is not None:  # the dataset row, not the batch position
+                        what = f"{err.reason} at dataset row {idx[err.sample]}"
+                    raise NumericError(f"epoch {epoch}, batch {n_batches}: {what}") from err
+                velocity *= config.momentum
+                # the loss averages over particles; stepping on M*grad gives each
+                # particle the full-strength gradient of its own loss, so particles
+                # never interact unless the spread bonus couples them
+                grads *= ens.n_particles
+                velocity += grads
+                ens.particles -= lr * velocity
+                sums += breakdown
+                n_batches += 1
 
-        means = sums / n_batches
-        preds = forward_logprobs_batch(shape, ens.particles, diag_x).argmax(axis=2)  # (M, n_diag)
-        diag = diversity_diagnostics(ens, preds)
-        records.append(
-            EpochRecord(epoch=epoch, loss=LossBreakdown(*means), anneal=anneal, **diag._asdict())
-        )
-        if (
-            out_dir is not None
-            and config.checkpoint_every
-            and (epoch + 1) % config.checkpoint_every == 0
-        ):
-            save_checkpoint(ens, f"{out_dir}/checkpoint_epoch{epoch:04d}.ckpt")
+            if not np.isfinite(ens.particles).all():  # no later batch would see them
+                raise NumericError(f"epoch {epoch}: the steps left non-finite parameters")
+            means = sums / n_batches
+            preds = forward_logprobs_batch(shape, ens.particles, diag_x).argmax(axis=2)
+            diag = diversity_diagnostics(ens, preds)  # preds: (M, n_diag)
+            records.append(EpochRecord(
+                epoch=epoch, loss=LossBreakdown(*means), anneal=anneal, **diag._asdict()
+            ))
+            if (
+                out_dir is not None
+                and config.checkpoint_every
+                and (epoch + 1) % config.checkpoint_every == 0
+            ):
+                save_checkpoint(ens, f"{out_dir}/checkpoint_epoch{epoch:04d}.ckpt")
 
     return ens, records
 

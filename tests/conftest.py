@@ -8,6 +8,7 @@ import pytest
 from tailens.decision import BatchDecisions
 from tailens.ensemble import ParticleEnsemble
 from tailens.numcore import NetShape, class_id_dtype, init_params
+from tailens.objective import TrainingStep, batch_loss
 from tailens.utility import UtilityMatrix
 
 
@@ -37,6 +38,12 @@ def probs_ensemble(probs_rows) -> ParticleEnsemble:
         assert abs(row.sum() - 1.0) < 1e-9
         particles.append(np.concatenate([np.zeros(k), np.log(row)]))
     return ParticleEnsemble(shape=shape, particles=np.stack(particles))
+
+
+def one_batch_loss(ens, x, y, weights, utility, *, anneal, **settings):
+    """batch_loss of one batch on a TrainingStep built for it; settings are the
+    step's keywords (utility_scale, weight_decay, var_floor)."""
+    return batch_loss(TrainingStep(ens, weights, utility, **settings), x, y, anneal)
 
 
 def random_utility(k: int, rng: np.random.Generator) -> UtilityMatrix:

@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-from tailens.dataset import LongTailDataset
+from tailens.dataset import LongTailDataset, _class_means, train_class_counts
 from tailens.decision import BatchDecisions
 from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import ParseError
@@ -200,7 +200,7 @@ def per_batch_formula(ens, x, y, weights, utility, *, utility_scale, weight_deca
                       var_floor):
     """The loss as computed batch by batch at 8fd0c11, before the prepared step:
     cotangent built per batch, regularizer terms and gradient from separate
-    passes. Frozen as the bitwise oracle of TrainingStep."""
+    passes. Frozen as the bitwise oracle of batch_loss."""
     k = ens.shape.num_classes
     batch, m = x.shape[0], ens.n_particles
     scale = 1.0 / (batch * m)
@@ -249,3 +249,23 @@ def out_of_place_backward(shape, particles, x, cotangents):
         if i > 0:
             dz = (dz @ layers[i][0]) * (1.0 - acts[i] ** 2)
     return logprobs, grad
+
+
+def per_class_synthetic(num_classes, dim, n_max, imbalance, separation, seed,
+                        test_per_class):
+    """generate_synthetic's draws at 0cd4024, one standard_normal call and one
+    label vector per class, concatenated. Frozen as the reference of the
+    one-call draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    means = _class_means(num_classes, dim, separation, rng)
+
+    def draw(per_class):
+        xs, ys = [], []
+        for k in range(num_classes):
+            n = int(per_class[k])
+            xs.append(means[k] + rng.standard_normal((n, dim)))
+            ys.append(np.full(n, k, dtype=np.int64))
+        return LongTailDataset(np.concatenate(xs), np.concatenate(ys), num_classes)
+
+    train = draw(train_class_counts(num_classes, n_max, imbalance))
+    return train, draw(np.full(num_classes, test_per_class, dtype=np.int64))

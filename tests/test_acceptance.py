@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_ensemble, random_utility
+from conftest import one_batch_loss, random_ensemble, random_utility
 from tailens.dataset import generate_synthetic, tail_mask
 from tailens.decision import decide_batch
 from tailens.ensemble import (
@@ -30,7 +30,6 @@ from tailens.metrics import (
     report_to_json,
 )
 from tailens.numcore import NetShape, param_count
-from tailens.objective import batch_loss
 from tailens.rebalance import FORMS, DiscrepancySpec, class_weights
 from tailens.trainer import TrainConfig, anneal_weight, evaluate, train
 from tailens.utility import UtilityMatrix, one_hot, tail_sensitive
@@ -137,12 +136,12 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
             weight_decay=float(rng.uniform(0.0, 0.2)),
             anneal=float(rng.uniform(0.0, 1.0)),
         )
-        _, grads = batch_loss(
+        _, grads = one_batch_loss(
             ParticleEnsemble(shape, particles.copy()), x, y, weights, utility, **kwargs
         )
 
         def total_at(theta):
-            loss, _ = batch_loss(
+            loss, _ = one_batch_loss(
                 ParticleEnsemble(shape, theta), x, y, weights, utility, **kwargs
             )
             return loss.total
@@ -184,10 +183,10 @@ def test_criterion_02_analytic_reductions(capsys):
         y = rng.integers(0, 4, size=batch)
         per_particle, _ = predictive_logprobs_batch(ens, x)
         ce = -float(per_particle[:, np.arange(batch), y].mean())
-        loss_zero, _ = batch_loss(
+        loss_zero, _ = one_batch_loss(
             ens, x, y, plain, zero_u, utility_scale=1.0, weight_decay=0.0, anneal=0.0
         )
-        loss_hot, _ = batch_loss(
+        loss_hot, _ = one_batch_loss(
             ens, x, y, plain, one_hot(4), utility_scale=1.0, weight_decay=0.0,
             anneal=0.0,
         )

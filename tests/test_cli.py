@@ -137,6 +137,19 @@ class TestTrain:
         path.write_text("\n".join(",".join(str(v) for v in row) for row in rows) + "\n")
         assert main(["train"] + flags(tmp_path / "out", utility=str(path))) == 0
 
+    def test_overflowing_features_train_silently(self, tmp_path, capsys):
+        # 1e308 overflows the first layer's products, the tanh saturates and the
+        # log-probs stay finite: as in evaluate, that trains, with no warning
+        rows = ["1e308,0.5,0", "0.1,0.2,1", "-0.3,0.4,0", "0.5,-0.6,1", "0.7,0.8,0",
+                "-0.9,1.0,1"]
+        (tmp_path / "t.csv").write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        args = ["train", "--train-csv", str(tmp_path / "t.csv"), "--epochs", "3",
+                "--hidden", "4", "--batch-size", "4", "--out", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        last = json.loads((tmp_path / "out" / "trainlog.jsonl").read_text().splitlines()[-1])
+        assert np.isfinite(last["total"])
+
     def test_utility_csv_class_mismatch(self, tmp_path, capsys):
         path = tmp_path / "utility.csv"
         path.write_text("1,0\n0,1\n")

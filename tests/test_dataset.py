@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import csv_writer_save, row_parser
+from oracles import csv_writer_save, per_class_synthetic, row_parser
 from tailens.dataset import (
     CsvRows,
     LongTailDataset,
@@ -68,6 +68,20 @@ class TestGenerate:
         assert np.array_equal(a_train.features, b_train.features)
         assert np.array_equal(a_train.labels, b_train.labels)
         assert np.array_equal(a_test.features, b_test.features)
+
+    @pytest.mark.parametrize("k, dim, n_max, imbalance, separation, seed, test_per_class", [
+        (2, 1, 10, 1.0, 0.0, 0, 1),
+        (3, 16, 200, 5.0, 2.0, 7, 100),
+        (5, 2, 40, 2.5, 1.5, 11, 17),
+        (10, 4, 60, 10.0, 4.0, 3, 3),
+    ])
+    def test_matches_the_per_class_draws(self, k, dim, n_max, imbalance, separation, seed,
+                                         test_per_class):
+        args = (k, dim, n_max, imbalance, separation, seed)
+        got = generate_synthetic(*args, test_per_class=test_per_class)
+        for a, b in zip(got, per_class_synthetic(*args, test_per_class), strict=True):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
 
     def test_different_seeds_differ(self):
         a, _ = generate_synthetic(5, 4, 60, 10.0, 2.0, seed=3)

@@ -342,6 +342,18 @@ class TestTrainValidation:
         assert str(info.value).endswith("non-finite log-probabilities at dataset row 5")
         assert str(info.value).startswith("epoch 0, batch ")
 
+    @pytest.mark.filterwarnings("ignore:spread term")
+    def test_non_finite_parameters_after_the_last_step_raise(self, tmp_path):
+        # one step, so no later batch reads what the overflowing update left
+        train_data, _ = small_task()
+        config = quick_config(
+            epochs=1, batch_size=len(train_data), n_particles=1, learning_rate=1.79e308,
+            weight_decay=1.0, checkpoint_every=1,
+        )
+        with pytest.raises(NumericError, match="^epoch 0: the steps left non-finite"):
+            train(config, train_data, one_hot(3), out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
 
 class TestEvaluate:
     def test_report_fields(self):
