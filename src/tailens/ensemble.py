@@ -108,10 +108,9 @@ class DiversityDiagnostics(NamedTuple):
 
 
 def diversity_diagnostics(ens: ParticleEnsemble, preds: np.ndarray) -> DiversityDiagnostics:
-    """Spread of the particles and of their argmax predictions preds (M, N)."""
+    """Spread of the particles and of their argmax predictions preds (M, N), one
+    row per particle, unchecked."""
     m = ens.n_particles
-    if preds.shape[0] != m:
-        raise InputError(f"expected predictions of {m} particles, got {preds.shape[0]}")
     if m == 1:
         return DiversityDiagnostics(0.0, 0.0)
     dist_sum = 0.0

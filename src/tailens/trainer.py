@@ -54,7 +54,6 @@ class TrainConfig:
     ratio: DiscrepancySpec = field(default_factory=DiscrepancySpec)
     repulsion: bool = True
     hidden_dims: tuple[int, ...] = (32,)
-    particle_seeds: tuple[int, ...] | None = None
     checkpoint_every: int = 0
     lr_decay_epochs: tuple[int, ...] = ()
     lr_decay_factor: float = 0.1
@@ -79,11 +78,6 @@ class TrainConfig:
         for name, (ok, rule) in rules.items():
             if not ok:
                 raise InputError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
-        if self.particle_seeds is not None and len(self.particle_seeds) != self.n_particles:
-            raise InputError(
-                f"got {len(self.particle_seeds)} particle seeds for"
-                f" {self.n_particles} particles"
-            )
 
 
 class EpochRecord(NamedTuple):
@@ -107,10 +101,9 @@ def default_particle_seeds(seed: int, n_particles: int) -> tuple[int, ...]:
 
 
 def _init_particles(config: TrainConfig, shape: NetShape) -> np.ndarray:
-    seeds = config.particle_seeds or default_particle_seeds(config.seed, config.n_particles)
     particles = [
         init_params(shape, np.random.default_rng(np.random.SeedSequence((s, _INIT_STREAM))))
-        for s in seeds
+        for s in default_particle_seeds(config.seed, config.n_particles)
     ]
     return np.stack(particles)
 
@@ -158,7 +151,9 @@ def train(
                     breakdown, grads = batch_loss(step, features[idx], labels[idx], anneal)
                 except NumericError as err:
                     what = str(err)
-                    if err.sample is not None:  # the dataset row, not the batch position
+                    if not np.isfinite(ens.particles).all():  # no row is to blame
+                        what = "the steps left non-finite parameters"
+                    elif err.sample is not None:  # the dataset row, not the batch position
                         what = f"{err.reason} at dataset row {idx[err.sample]}"
                     raise NumericError(f"epoch {epoch}, batch {n_batches}: {what}") from err
                 velocity *= config.momentum
@@ -248,7 +243,7 @@ def repeat_runs(
         raise InputError("need the data of at least one run")
     reports = []
     for r, (train_data, test_data) in enumerate(data):
-        run_config = replace(config, seed=config.seed + r, particle_seeds=None)
+        run_config = replace(config, seed=config.seed + r)
         ens, _ = train(run_config, train_data, utility)
         reports.append(evaluate(ens, test_data, utility, tail_ratios, ece_bins)[0])
     return reports

@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -405,6 +406,20 @@ class TestConfigLayering:
         ratios = cli._numbers(defaults, "tail_ratios", float)
         assert ratios == evaluate_params["tail_ratios"].default
         assert defaults["ece_bins"] == evaluate_params["ece_bins"].default
+
+    def test_every_train_config_field_is_a_setting(self, monkeypatch):
+        # a field that no key sets is a knob that only tests can reach
+        names = set()
+
+        class Recording(TrainConfig):
+            def __init__(self, **settings):
+                names.update(settings)
+                super().__init__(**settings)
+
+        monkeypatch.setattr(cli, "TrainConfig", Recording)
+        cli._train_config({key: default for key, (default, _) in SCHEMA.items()})
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert sorted(fields - names) == []
 
     def test_command_required(self):
         assert main([]) == 1

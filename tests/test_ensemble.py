@@ -274,8 +274,6 @@ class TestDiversity:
         diag = diversity_diagnostics(ens, particle_preds(ens, np.zeros((5, 1))))
         assert diag.disagreement == 1.0
         assert diag.param_distance > 0.0
-        with pytest.raises(InputError):
-            diversity_diagnostics(ens, np.zeros((3, 5), dtype=np.int64))
 
 
 class TestCheckpoint:

@@ -257,16 +257,6 @@ class TestBackward:
         )
         assert np.allclose(whole, parts, rtol=1e-12, atol=1e-14)
 
-    def test_shape_validation(self, rng):
-        shape = NetShape(2, (4,), 3)
-        particles = np.zeros((1, param_count(shape)))
-        with pytest.raises(InputError):
-            backward_batch(shape, particles, np.zeros(2), np.zeros((1, 3)))
-        with pytest.raises(InputError):
-            backward_batch(shape, particles, np.zeros((1, 2)), np.zeros((1, 4)))
-        with pytest.raises(InputError):
-            backward_batch(shape, particles, np.zeros((2, 2)), np.zeros((3, 3)))
-
 
 def reference_logprobs(shape, theta, x):
     """One particle's forward in plain 2-D matmuls: the per-particle loop body

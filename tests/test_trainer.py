@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tailens import trainer
 from tailens.dataset import CsvRows, LongTailDataset, generate_synthetic, load_csv, save_csv
 from tailens.decision import BatchDecisions
 from tailens.ensemble import ParticleEnsemble, load_checkpoint
@@ -46,6 +47,11 @@ def quick_config(**overrides):
     return TrainConfig(**base)
 
 
+def use_particle_seeds(monkeypatch, *seeds):
+    """Train each particle m from seeds[m] in place of the seeds --seed derives."""
+    monkeypatch.setattr(trainer, "default_particle_seeds", lambda seed, m: seeds[:m])
+
+
 class TestAnnealWeight:
     def test_starts_at_one(self):
         assert anneal_weight(0, 40.0) == 1.0
@@ -73,7 +79,6 @@ class TestConfigValidation:
             {"n_particles": 0},
             {"var_floor": 0.0},
             {"seed": -1},
-            {"particle_seeds": (1, 2, 3), "n_particles": 2},
             {"checkpoint_every": -1},
             {"lr_decay_epochs": (0,)},
             {"lr_decay_factor": 0.0},
@@ -107,9 +112,10 @@ class TestDeterminism:
         assert np.array_equal(ens_a.particles, ens_b.particles)
         assert [r.loss.total for r in recs_a] == [r.loss.total for r in recs_b]
 
-    def test_zero_learning_rate_is_identity(self):
+    def test_zero_learning_rate_is_identity(self, monkeypatch):
         train_data, _ = small_task()
-        config = quick_config(learning_rate=0.0, particle_seeds=(7, 8))
+        use_particle_seeds(monkeypatch, 7, 8)
+        config = quick_config(learning_rate=0.0)
         ens, _ = train(config, train_data, one_hot(3))
         shape = NetShape(4, (8,), 3)
         expected = np.stack(
@@ -123,14 +129,14 @@ class TestDeterminism:
 
 @pytest.mark.filterwarnings("ignore:spread term")
 class TestReductionToCrossEntropySgd:
-    def test_matches_manual_sgd_loop(self):
+    def test_matches_manual_sgd_loop(self, monkeypatch):
         # zero utility, plain weighting, one particle, no regularizers: the
         # trainer must walk the exact same path as plain mini-batch SGD with
         # momentum on the cross-entropy
         train_data, _ = small_task()
+        use_particle_seeds(monkeypatch, 4242)
         config = quick_config(
             n_particles=1,
-            particle_seeds=(4242,),
             ratio=DiscrepancySpec(form="plain"),
             repulsion=False,
             weight_decay=0.0,
@@ -175,10 +181,10 @@ def test_single_particle_run_warns_once():
 
 @pytest.mark.filterwarnings("ignore:spread term")
 class TestParticleIndependence:
-    def solo(self, train_data, particle_seed, **overrides):
+    def solo(self, monkeypatch, train_data, particle_seed, **overrides):
+        use_particle_seeds(monkeypatch, particle_seed)
         config = quick_config(
             n_particles=1,
-            particle_seeds=(particle_seed,),
             repulsion=False,
             weight_decay=0.0,
             **overrides,
@@ -186,45 +192,47 @@ class TestParticleIndependence:
         ens, _ = train(config, train_data, one_hot(3))
         return ens.particles[0]
 
-    def test_uncoupled_pair_matches_solo_runs_exactly(self):
+    def test_uncoupled_pair_matches_solo_runs_exactly(self, monkeypatch):
         # without the spread bonus nothing ties particles together, and for
         # two particles the ensemble averaging rescales by exact powers of
         # two, so the trajectories agree bit for bit
         train_data, _ = small_task()
+        use_particle_seeds(monkeypatch, 101, 202)
         config = quick_config(
             n_particles=2,
-            particle_seeds=(101, 202),
             repulsion=False,
             weight_decay=0.0,
         )
         ens, _ = train(config, train_data, one_hot(3))
-        assert np.array_equal(ens.particles[0], self.solo(train_data, 101))
-        assert np.array_equal(ens.particles[1], self.solo(train_data, 202))
+        assert np.array_equal(ens.particles[0], self.solo(monkeypatch, train_data, 101))
+        assert np.array_equal(ens.particles[1], self.solo(monkeypatch, train_data, 202))
 
-    def test_uncoupled_triple_matches_solo_runs(self):
+    def test_uncoupled_triple_matches_solo_runs(self, monkeypatch):
         train_data, _ = small_task()
+        use_particle_seeds(monkeypatch, 101, 202, 303)
         config = quick_config(
             n_particles=3,
-            particle_seeds=(101, 202, 303),
             repulsion=False,
             weight_decay=0.0,
         )
         ens, _ = train(config, train_data, one_hot(3))
         for row, seed in enumerate((101, 202, 303)):
             assert np.allclose(
-                ens.particles[row], self.solo(train_data, seed), rtol=1e-9, atol=1e-12
+                ens.particles[row], self.solo(monkeypatch, train_data, seed),
+                rtol=1e-9, atol=1e-12,
             )
 
-    def test_repulsion_couples_particles(self):
+    def test_repulsion_couples_particles(self, monkeypatch):
         train_data, _ = small_task()
+        use_particle_seeds(monkeypatch, 101, 202)
         config = quick_config(
             n_particles=2,
-            particle_seeds=(101, 202),
             repulsion=True,
             weight_decay=0.0,
         )
         ens, _ = train(config, train_data, one_hot(3))
-        assert not np.allclose(ens.particles[0], self.solo(train_data, 101), rtol=1e-5)
+        solo = self.solo(monkeypatch, train_data, 101)
+        assert not np.allclose(ens.particles[0], solo, rtol=1e-5)
 
 
 class TestSchedules:
@@ -353,6 +361,19 @@ class TestTrainValidation:
         with pytest.raises(NumericError, match="^epoch 0: the steps left non-finite"):
             train(config, train_data, one_hot(3), out_dir=tmp_path)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("ignore:spread term")
+    def test_non_finite_parameters_are_named_not_the_next_row(self):
+        # the first step overflows the particles; the second batch's forward then
+        # fails on parameters, not on any row of that batch
+        train_data, _ = small_task()
+        config = quick_config(
+            epochs=1, batch_size=len(train_data) // 2, n_particles=1,
+            learning_rate=1.79e308, weight_decay=1.0,
+        )
+        with pytest.raises(NumericError) as info:
+            train(config, train_data, one_hot(3))
+        assert str(info.value) == "epoch 0, batch 1: the steps left non-finite parameters"
 
 
 class TestEvaluate:
