@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -176,10 +177,20 @@ def _effective_config(args) -> dict:
     return config
 
 
-def _echo_config(config: dict, out_dir: str) -> None:
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(config, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _write_text(text: str, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _publish(config: dict, files: dict) -> None:
+    """The one place a command writes, called once it has computed all it writes:
+    make --out, write each name -> writer(path) entry in it, then config.json."""
+    out = config["out"]
+    os.makedirs(out, exist_ok=True)
+    for name, write in files.items():
+        write(os.path.join(out, name))
+    echo = json.dumps(config, sort_keys=True, indent=2) + "\n"
+    _write_text(echo, os.path.join(out, "config.json"))
 
 
 def _train_config(config: dict) -> TrainConfig:
@@ -211,7 +222,7 @@ def _load_data(config: dict, seed: int):
     """(train, test) from CSVs when configured, else synthetic at this seed."""
     if config["train_csv"] is not None:
         train_data = load_csv(config["train_csv"])
-        # what training would reject after --out exists, said with the file's name
+        # what training would reject too, said here with the file's name
         missing = np.flatnonzero(train_data.class_counts == 0).tolist()
         if missing:
             raise InputError(f"{config['train_csv']}: classes without training samples: {missing}")
@@ -243,14 +254,10 @@ def cmd_generate_data(config: dict) -> int:
     if config["train_csv"] is not None or config["test_csv"] is not None:
         raise InputError("generate-data needs synthetic settings, not CSVs")
     train_data, test_data = _load_data(config, config["seed"])
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
-    save_csv(train_data, os.path.join(out, "train.csv"))
-    save_csv(test_data, os.path.join(out, "test.csv"))
-    _echo_config(config, out)
-    counts = train_data.class_counts
-    print(f"wrote {len(train_data)} train / {len(test_data)} test samples to {out}")
-    print(f"class counts: {counts.tolist()}")
+    _publish(config, {"train.csv": partial(save_csv, train_data),
+                      "test.csv": partial(save_csv, test_data)})
+    print(f"wrote {len(train_data)} train / {len(test_data)} test samples to {config['out']}")
+    print(f"class counts: {train_data.class_counts.tolist()}")
     return 0
 
 
@@ -265,14 +272,10 @@ def _scoring(config: dict) -> tuple:
     return _numbers(config, "tail_ratios", float), config["ece_bins"]
 
 
-def _write_metrics(report, out: str) -> None:
-    """<out>/metrics.json, rendered before the file is opened, and its summary
-    line on stdout."""
-    text = report_to_json(report)
-    with open(os.path.join(out, "metrics.json"), "w") as fh:
-        fh.write(text)
+def _summary(report) -> str:
+    """The stdout line of a metrics report."""
     tail = "n/a" if report.acc_tail is None else f"{report.acc_tail:.4f}"
-    print(
+    return (
         f"acc {report.acc_overall:.4f}  tail acc {tail}"
         f"  fhr_avg {report.fhr_avg:.4f}  ece {report.ece:.4f}"
     )
@@ -284,13 +287,15 @@ def cmd_train(config: dict) -> int:
         _check_regions(train_data.num_classes, config["train_csv"] or "classes")
     utility = _build_utility(config, train_data.num_classes)
     out = config["out"]
-    os.makedirs(out, exist_ok=True)
     ens, records = train(_train_config(config), train_data, utility, out_dir=out)
-    save_checkpoint(ens, os.path.join(out, "ensemble.ckpt"))
-    write_train_log(records, os.path.join(out, "trainlog.jsonl"))
+    files = {"ensemble.ckpt": partial(save_checkpoint, ens),
+             "trainlog.jsonl": partial(write_train_log, records)}
     if test_data is not None:
-        _write_metrics(evaluate(ens, test_data, utility, *_scoring(config))[0], out)
-    _echo_config(config, out)
+        report = evaluate(ens, test_data, utility, *_scoring(config))[0]
+        files["metrics.json"] = partial(_write_text, report_to_json(report))
+    _publish(config, files)
+    if test_data is not None:
+        print(_summary(report))
     print(f"final loss {records[-1].loss.total:.6f}; artifacts in {out}")
     return 0
 
@@ -313,11 +318,9 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
         )
     utility = _build_utility(config, k)
     report, batch = evaluate(ens, test_data, utility, *_scoring(config))
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
-    _write_metrics(report, out)
-    write_predictions_csv(batch, os.path.join(out, "predictions.csv"))
-    _echo_config(config, out)
+    _publish(config, {"metrics.json": partial(_write_text, report_to_json(report)),
+                      "predictions.csv": partial(write_predictions_csv, batch)})
+    print(_summary(report))
     return 0
 
 
@@ -380,8 +383,6 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
         _check(cell)
         utility = _build_utility(cell, train_data.num_classes)
         payloads.append((cell, axis, value, data, utility))
-    out = config["out"]
-    os.makedirs(out, exist_ok=True)
 
     if config["jobs"] > 1:
         # imported here: the process pool costs every other command its import time
@@ -392,12 +393,11 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
     else:
         rows = [_run_cell(p) for p in payloads]
 
-    path = os.path.join(out, f"sweep_{axis}.csv")
-    write_summary_csv(rows, path)
-    _echo_config(config, out)
+    name = f"sweep_{axis}.csv"
+    _publish(config, {name: partial(write_summary_csv, rows)})
     for row in rows:
         print(f"{axis}={row[axis]}: acc {row['acc_mean']:.4f} +/- {row['acc_std']:.4f}")
-    print(f"wrote {path}")
+    print(f"wrote {os.path.join(config['out'], name)}")
     return 0
 
 

@@ -6,6 +6,7 @@ per-particle seed streams, epoch shuffles from a stream keyed by
 """
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -131,6 +132,7 @@ def train(
 
     records = []
     lr = config.learning_rate
+    checkpoint_every = config.checkpoint_every if out_dir is not None else 0
     # entered once per run, as decide_batch does: overflow inside the network is
     # not an error, non-finite log-probs and a non-finite loss raise NumericError
     with np.errstate(all="ignore"):
@@ -155,6 +157,12 @@ def train(
                         what = "the steps left non-finite parameters"
                     elif err.sample is not None:  # the dataset row, not the batch position
                         what = f"{err.reason} at dataset row {idx[err.sample]}"
+                        logprobs = forward_logprobs_batch(shape, ens.particles, features[idx])
+                        if not np.isfinite(logprobs).all(axis=(0, 2)).any():  # no row is finite
+                            what = (
+                                f"{err.reason} at every row of the batch; largest"
+                                f" |parameter| {np.abs(ens.particles).max():.2e}"
+                            )
                     raise NumericError(f"epoch {epoch}, batch {n_batches}: {what}") from err
                 velocity *= config.momentum
                 # the loss averages over particles; stepping on M*grad gives each
@@ -174,11 +182,8 @@ def train(
             records.append(EpochRecord(
                 epoch=epoch, loss=LossBreakdown(*means), anneal=anneal, **diag._asdict()
             ))
-            if (
-                out_dir is not None
-                and config.checkpoint_every
-                and (epoch + 1) % config.checkpoint_every == 0
-            ):
+            if checkpoint_every and (epoch + 1) % checkpoint_every == 0:
+                os.makedirs(out_dir, exist_ok=True)  # so a run that fails first makes none
                 save_checkpoint(ens, f"{out_dir}/checkpoint_epoch{epoch:04d}.ckpt")
 
     return ens, records

@@ -37,6 +37,9 @@ def callers(name: str) -> list[str]:
         ("backward_batch", ["objective.batch_loss"]),
         # preds hold one row per particle: the trainer's forward, evaluate's decisions
         ("diversity_diagnostics", ["trainer.train", "trainer.evaluate"]),
+        # a command computes all it writes before one step makes --out and writes;
+        # a run makes its directory at its first periodic checkpoint
+        ("makedirs", ["cli._publish", "trainer.train"]),
     ],
 )
 def test_unchecked_function_has_only_its_callers(name, expected):

@@ -151,6 +151,15 @@ class TestTrain:
         last = json.loads((tmp_path / "out" / "trainlog.jsonl").read_text().splitlines()[-1])
         assert np.isfinite(last["total"])
 
+    @pytest.mark.filterwarnings("ignore:spread term")
+    def test_a_failed_evaluation_leaves_no_out(self, tmp_path, capsys):
+        # the one step trains to finite parameters whose test log-probs are not
+        args = ["train"] + flags(tmp_path / "out", particles="1", epochs="1")
+        args += ["--batch-size", "100000", "--learning-rate", "5e307", "--weight-decay", "1"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("numeric error: non-finite log-probabilities")
+        assert not (tmp_path / "out").exists()
+
     def test_utility_csv_class_mismatch(self, tmp_path, capsys):
         path = tmp_path / "utility.csv"
         path.write_text("1,0\n0,1\n")
@@ -255,14 +264,18 @@ class TestEvaluate:
         assert "param_distance" in err
         assert not (tmp_path / "eval").exists()
 
-    def test_a_report_that_does_not_render_leaves_no_metrics_file(self, tmp_path):
+    def test_a_report_that_does_not_render_leaves_no_metrics_file(self, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        assert main(["train"] + flags(run)) == 0
         report = MetricsReport(
             acc_overall=float("nan"), acc_head=None, acc_med=None, acc_tail=None,
             fhr={0.5: 0.0}, fhr_avg=0.0, auc=None, ece=0.0, n_test=1,
         )
+        monkeypatch.setattr(cli, "evaluate", lambda *args: (report, None))
+        args = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
         with pytest.raises(ValueError, match="JSON"):
-            cli._write_metrics(report, str(tmp_path))
-        assert not (tmp_path / "metrics.json").exists()
+            main(args + flags(tmp_path / "eval"))
+        assert not (tmp_path / "eval").exists()
 
     def test_missing_checkpoint_file(self, tmp_path, capsys):
         code = main(
@@ -689,7 +702,7 @@ MALFORMED = {
         "generate-data", None, None, ["--train-csv", "a.csv", "--test-csv", "a.csv"],
         "generate-data needs synthetic settings, not CSVs",
     ),
-    # training would reject these CSVs after --out exists; the CLI names the file first
+    # training would reject these CSVs without naming the file; the CLI names it first
     "train-csv-empty-class": (
         "train", "gap.csv", three_features(0, 0, 2), ["--train-csv"],
         "classes without training samples: [1]",
@@ -752,6 +765,17 @@ NUMERIC = {
         ["--checkpoint", "huge.ckpt", "--test-csv"],
         "numeric error: non-finite log-probabilities at test row 1 ({path}: line 4)",
     ),
+    # the first step overflows the parameters; the run fails before it writes
+    "train-overflowing-step": (
+        "train", None, None, ["--learning-rate", "1e308", "--weight-decay", "1"],
+        "numeric error: epoch 0, batch 1: the steps left non-finite parameters",
+    ),
+    "sweep-overflowing-step": (
+        "sweep", None, None,
+        ["--axis", "particles", "--grid", "2", "--runs", "1", "--learning-rate", "1e308",
+         "--weight-decay", "1"],
+        "numeric error: epoch 0, batch 1: the steps left non-finite parameters",
+    ),
 }
 
 # inputs beside every family's file, for the families that need two files: a
@@ -790,7 +814,7 @@ def test_numeric_failures_exit_2_with_one_line(tmp_path, family):
     result = run_family(tmp_path, command, name, blob, extra)
     assert result.returncode == 2, result.stderr
     # no traceback and no RuntimeWarning: the one line alone
-    assert result.stderr == line.format(path=tmp_path / name) + "\n"
+    assert result.stderr == (line if name is None else line.format(path=tmp_path / name)) + "\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -828,6 +852,55 @@ def test_default_run_matches_golden_hashes(tmp_path, monkeypatch):
     assert main(["evaluate", "--checkpoint", checkpoint, "--out", "eval"]) == 0
     for name, digest in GOLDEN.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# --out -> (command, sha256 of every file it writes): the training paths the
+# default goldens leave out. A utility that is not one-hot, lr decay, periodic
+# checkpoints and two hidden layers; the effective, sqrt, log and power forms.
+FEATURE_GOLDEN = {
+    "features": (
+        ["train", "--epochs", "12", "--utility", "tail-sensitive", "--utility-scale", "32",
+         "--ratio", "effective", "--lr-decay-epochs", "6", "--checkpoint-every", "4",
+         "--hidden", "16,8", "--particles", "2"],
+        {
+            "checkpoint_epoch0003.ckpt":
+                "bd4468f608dbfa74fa70bad07f1f530ba7c15daa9ff7ba540fc8fd01df59954e",
+            "checkpoint_epoch0007.ckpt":
+                "d89b4ed7b2b6ab0499124a424c9c0f938f43d7b9151d02b22494cd499d360ec8",
+            "checkpoint_epoch0011.ckpt":
+                "0796a6d57ba74a811bb1569b65702db8bb8d015804f2ff6d7e97f188f884722a",
+            "config.json": "e5b31b1041236a4d8bd76434b0d000eb60ff6ca9693b8b31e01c2ef76a36f0a8",
+            "ensemble.ckpt": "0796a6d57ba74a811bb1569b65702db8bb8d015804f2ff6d7e97f188f884722a",
+            "metrics.json": "82da8e46a071dacf8a52e965005aefe4ea2407d161825d7ea7b94db88209785a",
+            "trainlog.jsonl": "86f484f03fa2378dd49d37dc7b67466e22f1bb3968d7792904df2e03149c06e0",
+        },
+    ),
+    "ratios": (
+        ["sweep", "--axis", "ratio", "--grid", "effective,sqrt,log", "--epochs", "2"],
+        {
+            "config.json": "547fba84f2d2cf5692aa4dfee3b37ea09b7eced8f7f21bf46e9d08b17b651f1b",
+            "sweep_ratio.csv": "c6016280f0a3faa81722227ac4f35a948e349bf73e34dc715828bf8d090de782",
+        },
+    ),
+    "power": (
+        ["train", "--ratio", "power", "--gamma", "0.5", "--epochs", "4"],
+        {
+            "config.json": "849fe5b1d8f988c08089f8cfadbe2bf55e43f7b0a596686705ff0a671efcfe5a",
+            "ensemble.ckpt": "f6898d79abe6a454adb7645d6417f08148288adc07e57e3879e92835f032f1c6",
+            "metrics.json": "2229453ac6314c52fca7ed02f1fd86a53b83b8ee9e5dca212ab619f5fe17feb6",
+            "trainlog.jsonl": "1e893b8ae7fabc35a7d6bda7cc564a97ece965159632ab87e752e932d0da8269",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("out", sorted(FEATURE_GOLDEN))
+def test_training_features_match_golden_hashes(tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    argv, digests = FEATURE_GOLDEN[out]
+    assert main(argv + ["--out", out]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path(out).iterdir()}
+    assert written == digests
 
 
 # sha256 of the artifacts of `tailens generate-data --seed 0`, then `train

@@ -275,12 +275,13 @@ class TestSchedules:
 
 class TestArtifacts:
     def test_checkpoints_written_on_stride(self, tmp_path):
+        # train makes the directory at its first checkpoint
         train_data, _ = small_task()
         config = quick_config(epochs=4, checkpoint_every=2)
-        ens, _ = train(config, train_data, one_hot(3), out_dir=tmp_path)
-        files = sorted(p.name for p in tmp_path.iterdir())
+        ens, _ = train(config, train_data, one_hot(3), out_dir=tmp_path / "run")
+        files = sorted(p.name for p in (tmp_path / "run").iterdir())
         assert files == ["checkpoint_epoch0001.ckpt", "checkpoint_epoch0003.ckpt"]
-        final = load_checkpoint(tmp_path / "checkpoint_epoch0003.ckpt")
+        final = load_checkpoint(tmp_path / "run" / "checkpoint_epoch0003.ckpt")
         assert np.array_equal(final.particles, ens.particles)
 
     def test_no_out_dir_no_checkpoints(self, tmp_path):
@@ -374,6 +375,23 @@ class TestTrainValidation:
         with pytest.raises(NumericError) as info:
             train(config, train_data, one_hot(3))
         assert str(info.value) == "epoch 0, batch 1: the steps left non-finite parameters"
+
+    @pytest.mark.filterwarnings("ignore:spread term")
+    def test_a_batch_without_one_finite_row_names_the_parameters(self):
+        # the first step leaves finite parameters near 1e308; the second batch's
+        # log-probs are then non-finite at all 16 rows, so no row is to blame
+        train_data, _ = small_task()
+        config = quick_config(
+            epochs=1, batch_size=16, hidden_dims=(32,), n_particles=1, learning_rate=1e308,
+            weight_decay=1.0,
+        )
+        with pytest.raises(NumericError) as info:
+            train(config, train_data, one_hot(3))
+        assert info.value.__cause__.sample is not None
+        assert str(info.value) == (
+            "epoch 0, batch 1: non-finite log-probabilities at every row of the batch;"
+            " largest |parameter| 1.04e+308"
+        )
 
 
 class TestEvaluate:
