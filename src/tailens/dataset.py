@@ -108,7 +108,10 @@ def generate_synthetic(
     counts = train_class_counts(num_classes, n_max, imbalance)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    means = _class_means(num_classes, dim, separation, rng)
+    with np.errstate(over="ignore"):
+        means = _class_means(num_classes, dim, separation, rng)
+    if not np.isfinite(means).all():
+        raise InputError(f"separation {separation} overflows the class means")
 
     def draw(per_class):
         labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
@@ -168,13 +171,13 @@ class CsvRows:
     rows, the non-blank lines after the header. Iterating parses the lines of each
     block of numcore.row_blocks(N) and yields its (rows, D) C-contiguous float64
     features, filling the (N,) `labels` as it goes: int64, or given num_classes
-    the compact numcore.class_id_dtype. A block's lines and parse are freed
-    before its features are yielded. Each block is checked before the next is
-    read: the first line that is not UTF-8, does not parse, or whose label is
-    negative or (given num_classes) >= K, raises. A non-finite feature ends the
-    yielding but is raised only once every row has passed those checks, so a row
-    error anywhere beats it. Every error begins with the path and names the file
-    line."""
+    the compact numcore.class_id_dtype; `labels` is None until iterating starts.
+    A block's lines and parse are freed before its features are yielded. Each
+    block is checked before the next is read: the first line that is not UTF-8,
+    does not parse, or whose label is negative or (given num_classes) >= K,
+    raises. A non-finite feature ends the yielding but is raised only once every
+    row has passed those checks, so a row error anywhere beats it. Every error
+    begins with the path and names the file line."""
 
     def __init__(self, path, num_classes=None):
         self.path, self.num_classes = path, num_classes
@@ -189,14 +192,12 @@ class CsvRows:
             if len(header) < 2 or header[-1].strip() != "label":
                 raise ParseError("header must end with a 'label' column", line=1)
             self.dim, self._header_lines = len(header) - 1, reader.line_num
-            n = sum(line != "\n" for line in fh)
-            if n == 0:
+            self._n, self.labels = sum(line != "\n" for line in fh), None
+            if self._n == 0:
                 raise ParseError("no data rows", line=2)
-        ids = np.int64 if num_classes is None else class_id_dtype(num_classes)
-        self.labels = np.empty(n, dtype=ids)
 
     def __len__(self) -> int:
-        return int(self.labels.shape[0])
+        return self._n
 
     def _data_lines(self, fh):
         """(file line number, line) of each data row of the open file fh."""
@@ -209,6 +210,8 @@ class CsvRows:
             return next(itertools.islice(self._data_lines(fh), row, None))[0]
 
     def __iter__(self):
+        ids = np.int64 if self.num_classes is None else class_id_dtype(self.num_classes)
+        self.labels = np.empty(len(self), dtype=ids)
         with naming(self.path), open_text(self.path) as fh:
             rows = self._data_lines(fh)
             non_finite = None

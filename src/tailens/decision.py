@@ -74,7 +74,7 @@ def decide_batch(
             try:
                 check_finite_logprobs(per_particle)
             except NumericError as err:
-                row = start + err.sample
+                row = start + (err.sample or 0)  # the block's first row when none is finite
                 where = f" ({x.path}: line {x.lineno(row)})" if isinstance(x, CsvRows) else ""
                 raise NumericError(f"{err.reason} at test row {row}{where}") from None
             mean_logp = np.einsum("m,mnk->nk", ens.mixture_weights, per_particle)

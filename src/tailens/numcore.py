@@ -117,10 +117,11 @@ def _log_softmax(logits):
 
 
 def check_finite_logprobs(logprobs: np.ndarray) -> None:
-    """A NumericError whose sample is the first row (axis 1) of the (M, N, K)
-    log-probs that holds a non-finite value, if one does."""
+    """A NumericError if the (M, N, K) log-probs hold a non-finite value: its sample
+    is the first row (axis 1) that does, or None when no row is finite."""
     if not np.isfinite(logprobs).all():
-        bad = int(np.argmax(~np.isfinite(logprobs).all(axis=(0, 2))))
+        finite = np.isfinite(logprobs).all(axis=(0, 2))
+        bad = int(np.argmin(finite)) if finite.any() else None
         raise NumericError("non-finite log-probabilities", sample=bad)
 
 

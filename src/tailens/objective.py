@@ -7,7 +7,6 @@ utility row of the label weighting every class log-likelihood), class-weighted
 and averaged; plus weight decay minus the annealed spread bonus.
 """
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -17,8 +16,6 @@ from .ensemble import ParticleEnsemble
 from .errors import InputError, NumericError
 from .rebalance import ClassWeights
 from .utility import UtilityMatrix
-
-SINGLE_PARTICLE = "spread term is 0 for a single particle"
 
 
 class LossBreakdown(NamedTuple):
@@ -35,9 +32,8 @@ class TrainingStep:
     """The per-run state of the training loss: checks and tables done once.
 
     Construction checks the utility and the class weights against the ensemble's
-    K (TrainConfig owns the settings' ranges) and warns once for a single
-    particle, whose spread term is 0. `batch_loss` runs one batch on it. The
-    particles may change in place between batches, their shape may not.
+    K (TrainConfig owns the settings' ranges). `batch_loss` runs one batch on it.
+    The particles may change in place between batches, their shape may not.
     """
 
     def __init__(
@@ -51,8 +47,6 @@ class TrainingStep:
             )
         if weights.normalized.shape[0] != k:
             raise InputError("class weights must cover every class")
-        if ens.n_particles == 1:
-            warnings.warn(SINGLE_PARTICLE, stacklevel=2)
         self.ens, self.weights, self.utility = ens, weights.normalized, utility.values
         self.n_particles = ens.n_particles
         self.utility_scale, self.weight_decay = utility_scale, weight_decay
@@ -72,14 +66,13 @@ class TrainingStep:
 
 
 def batch_loss(step: TrainingStep, x: np.ndarray, y: np.ndarray, anneal: float):
-    """(LossBreakdown, (M, P) gradients) of one batch at this spread weight. The
-    labels must lie in [0, K), unchecked; every call returns a new gradient array."""
+    """(LossBreakdown, new (M, P) gradients) of one batch at this spread weight, under
+    the caller's np.errstate (train's one per run); labels in [0, K), unchecked."""
     ens = step.ens
     scale, cotangents, rows = step._table(len(y))
     per_particle, grads = numcore.backward_batch(
         ens.shape, ens.particles, x, cotangents[y]
     )  # (M, B, K)
-    numcore.check_finite_logprobs(per_particle)
 
     w = step.weights[y]  # (B,)
     logp_true = per_particle[:, rows, y]  # (M, B)
@@ -92,6 +85,7 @@ def batch_loss(step: TrainingStep, x: np.ndarray, y: np.ndarray, anneal: float):
     )
     total = nll + utility + step.weight_decay * reg.l2_term - anneal * reg.entropy_term
     if not np.isfinite(total):
+        numcore.check_finite_logprobs(per_particle)  # a bad log-prob's first row
         raise NumericError("non-finite loss")
     grads += reg.grad
     return LossBreakdown(nll, utility, reg.l2_term, reg.entropy_term, total), grads

@@ -157,12 +157,11 @@ def train(
                         what = "the steps left non-finite parameters"
                     elif err.sample is not None:  # the dataset row, not the batch position
                         what = f"{err.reason} at dataset row {idx[err.sample]}"
-                        logprobs = forward_logprobs_batch(shape, ens.particles, features[idx])
-                        if not np.isfinite(logprobs).all(axis=(0, 2)).any():  # no row is finite
-                            what = (
-                                f"{err.reason} at every row of the batch; largest"
-                                f" |parameter| {np.abs(ens.particles).max():.2e}"
-                            )
+                    elif err.reason != "non-finite loss":  # no row's log-probs are finite
+                        what = (
+                            f"{err.reason} at every row of the batch; largest"
+                            f" |parameter| {np.abs(ens.particles).max():.2e}"
+                        )
                     raise NumericError(f"epoch {epoch}, batch {n_batches}: {what}") from err
                 velocity *= config.momentum
                 # the loss averages over particles; stepping on M*grad gives each

@@ -40,6 +40,9 @@ def callers(name: str) -> list[str]:
         # a command computes all it writes before one step makes --out and writes;
         # a run makes its directory at its first periodic checkpoint
         ("makedirs", ["cli._publish", "trainer.train"]),
+        # a training run's one forward is its diagnostics: a failed step's log-probs
+        # tell whether any row is finite, with no second forward
+        ("forward_logprobs_batch", ["ensemble.predictive_logprobs_batch", "trainer.train"]),
     ],
 )
 def test_unchecked_function_has_only_its_callers(name, expected):

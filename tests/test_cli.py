@@ -118,7 +118,6 @@ class TestTrain:
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["test_csv"] == str(data_dir / "test.csv")
 
-    @pytest.mark.filterwarnings("ignore:spread term")
     def test_checkpoint_stride_writes_epoch_files(self, tmp_path):
         assert main(["train"] + flags(tmp_path, checkpoint_every="1")) == 0
         names = {p.name for p in tmp_path.iterdir()}
@@ -151,7 +150,6 @@ class TestTrain:
         last = json.loads((tmp_path / "out" / "trainlog.jsonl").read_text().splitlines()[-1])
         assert np.isfinite(last["total"])
 
-    @pytest.mark.filterwarnings("ignore:spread term")
     def test_a_failed_evaluation_leaves_no_out(self, tmp_path, capsys):
         # the one step trains to finite parameters whose test log-probs are not
         args = ["train"] + flags(tmp_path / "out", particles="1", epochs="1")
@@ -438,7 +436,6 @@ class TestConfigLayering:
         assert main([]) == 1
 
 
-@pytest.mark.filterwarnings("ignore:spread term")
 class TestSweep:
     def sweep_flags(self, out):
         return flags(out, epochs="1", runs="1", repulsion="off")
@@ -745,6 +742,15 @@ MALFORMED = {
         "generate-data", None, None, ["--n-max", "100", "--imbalance", "300"],
         "n_max=100 and imbalance=300.0 leave classes [3] without samples",
     ),
+    # separation * v overflows a 16-d class mean: rejected while the data is made
+    "generate-data-overflowing-separation": (
+        "generate-data", None, None, ["--dim", "16", "--separation", "1e308"],
+        "error: separation 1e+308 overflows the class means\n",
+    ),
+    "train-overflowing-separation": (
+        "train", None, None, ["--dim", "16", "--separation", "1e308"],
+        "error: separation 1e+308 overflows the class means\n",
+    ),
 }
 
 # a checkpoint of two identical particles (param_distance 0) of the 2-3-3 network:
@@ -775,6 +781,12 @@ NUMERIC = {
         ["--axis", "particles", "--grid", "2", "--runs", "1", "--learning-rate", "1e308",
          "--weight-decay", "1"],
         "numeric error: epoch 0, batch 1: the steps left non-finite parameters",
+    ),
+    # one particle fails with the same one line: nothing warns of its 0 spread term
+    "train-overflowing-step-one-particle": (
+        "train", None, None,
+        ["--particles", "1", "--learning-rate", "1e308", "--weight-decay", "1"],
+        "numeric error: epoch 0, batch 1: non-finite log-probabilities at dataset row 38",
     ),
 }
 
@@ -955,7 +967,6 @@ def test_import_leaves_the_process_pool_out():
 SWEEP_GOLDEN = "4a176523cfcb0da08d44f8d7994c877f4f8646405398313b345cdd1ffc6959b4"
 
 
-@pytest.mark.filterwarnings("ignore:spread term")
 def test_particle_sweep_matches_golden_hash(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ["sweep", "--axis", "particles", "--grid", "1,8", "--epochs", "5"]

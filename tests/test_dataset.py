@@ -101,6 +101,14 @@ class TestGenerate:
         mean0 = train.features[train.labels == 0].mean(axis=0)
         assert abs(np.linalg.norm(mean0) - 3.0) < 0.2
 
+    def test_an_overflowing_separation_is_an_input_error(self):
+        # separation * v overflows before the division by |v|; the suite turns a
+        # RuntimeWarning into an error, so passing also shows that none is printed
+        with pytest.raises(InputError, match=r"^separation 1e\+308 overflows the class means$"):
+            generate_synthetic(10, 16, 60, 10.0, 1e308, seed=0)
+        train, _ = generate_synthetic(10, 16, 60, 10.0, 1e300, seed=0)
+        assert np.isfinite(train.features).all()
+
     def test_argument_validation(self):
         with pytest.raises(InputError):
             generate_synthetic(5, 0, 60, 10.0, 2.0, seed=0)
@@ -401,13 +409,25 @@ class TestCsvRows:
     def test_labels_take_the_class_id_dtype_of_k(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("f0,label\n1.0,0\n2.0,299\n")
-        assert CsvRows(path).labels.dtype == np.int64
+        rows = CsvRows(path)
+        list(rows)
+        assert rows.labels.dtype == np.int64 and rows.labels.tolist() == [0, 299]
         rows = CsvRows(path, 300)
         list(rows)
         assert rows.labels.dtype == np.uint16 and rows.labels.tolist() == [0, 299]
         # checked as int64, before a uint8 cast could wrap 299 to 43
         with pytest.raises(ParseError, match="line 3: label 299 is not below K=256"):
             list(CsvRows(path, 256))
+
+    def test_labels_are_none_until_iterating_fills_them(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("f0,label\n1.0,3\n2.0,1\n")
+        rows = CsvRows(path, 10)
+        assert len(rows) == 2 and rows.labels is None
+        blocks = iter(rows)
+        assert rows.labels is None  # a generator: nothing runs before the first block
+        next(blocks)
+        assert rows.labels.dtype == np.uint8 and rows.labels.tolist() == [3, 1]
 
     def test_lineno_names_the_file_line_of_a_row(self, tmp_path, rng):
         features, labels = rng.normal(size=(300, 2)), rng.integers(0, 5, 300)

@@ -220,7 +220,6 @@ class TestRegularizer:
 class TestOneSpreadPass:
     """Every regularizer entry point is bitwise the separate passes it replaced."""
 
-    @pytest.mark.filterwarnings("ignore:spread term")
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
     @pytest.mark.parametrize(
         "weight_decay, anneal, var_floor", [(0.0, 0.0, 1e-8), (1e-2, 1.0, 1e-8), (0.3, 0.25, 1e-3)]

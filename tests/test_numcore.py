@@ -9,10 +9,11 @@ from conftest import assert_same_decisions, random_ensemble
 from oracles import out_of_place_backward, whole_array_decide
 from tailens import numcore
 from tailens.decision import decide_batch
-from tailens.errors import InputError
+from tailens.errors import InputError, NumericError
 from tailens.numcore import (
     NetShape,
     backward_batch,
+    check_finite_logprobs,
     forward_logprobs_batch,
     init_params,
     param_count,
@@ -201,6 +202,26 @@ class TestForward:
         x = np.random.default_rng(n).normal(size=(n, 16))
         blocked = decide_batch(ens, utility, x)
         assert_same_decisions(blocked, whole_array_decide(ens, utility, x), 10)
+
+
+class TestCheckFiniteLogprobs:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_bad_row_of_any_particle(self, value):
+        logprobs = np.full((2, 5, 4), -1.0)
+        logprobs[1, 3, 0] = logprobs[0, 4, 2] = value
+        with pytest.raises(NumericError) as info:
+            check_finite_logprobs(logprobs)
+        assert str(info.value) == "non-finite log-probabilities at sample index 3"
+        assert info.value.sample == 3
+
+    def test_no_finite_row_names_none(self):
+        logprobs = np.full((2, 5, 4), -1.0)
+        logprobs[0, :, 1] = np.nan
+        logprobs[1, 0, 0] = -np.inf
+        with pytest.raises(NumericError) as info:
+            check_finite_logprobs(logprobs)
+        assert str(info.value) == "non-finite log-probabilities"
+        assert info.value.sample is None
 
 
 def fd_gradient(shape, particles, x, cotangent, step=1e-5):

@@ -1,7 +1,5 @@
 """Batch loss breakdown: reductions, a frozen oracle, and gradient checks."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -230,7 +228,6 @@ class TestValidation:
             )
         assert info.value.sample == 1
 
-    @pytest.mark.filterwarnings("ignore:spread term")
     def test_non_finite_parameters_raise(self, rng):
         shape = NetShape(2, (3,), 2)
         ens = ParticleEnsemble(shape, rng.normal(size=(1, param_count(shape))))
@@ -243,7 +240,6 @@ class TestValidation:
             )
 
 
-@pytest.mark.filterwarnings("ignore:spread term")
 class TestPreparedStep:
     SHAPE = NetShape(16, (32,), 10)
 
@@ -303,12 +299,3 @@ class TestPreparedStep:
             args = {"weights": weights, "utility": utility, **kwargs, **bad}
             with pytest.raises(InputError, match=match):
                 TrainingStep(ens, args.pop("weights"), args.pop("utility"), **args)
-
-    def test_single_particle_warns_once_per_step_object(self):
-        _, ens, weights, utility = self.setup(1, "one-hot")
-        with pytest.warns(UserWarning, match="spread term is 0") as caught:
-            step = TrainingStep(ens, weights, utility, utility_scale=1.0, weight_decay=0.0)
-        assert len(caught) == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            batch_loss(step, np.zeros((4, 16)), np.arange(4), 1.0)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -127,7 +126,6 @@ class TestDeterminism:
         assert np.array_equal(ens.particles, expected)
 
 
-@pytest.mark.filterwarnings("ignore:spread term")
 class TestReductionToCrossEntropySgd:
     def test_matches_manual_sgd_loop(self, monkeypatch):
         # zero utility, plain weighting, one particle, no regularizers: the
@@ -168,18 +166,6 @@ class TestReductionToCrossEntropySgd:
         assert np.array_equal(ens.particles, theta)
 
 
-def test_single_particle_run_warns_once():
-    # the spread term is 0 for one particle: said once per run, not once per step
-    train_data, _ = small_task()
-    config = quick_config(n_particles=1, epochs=3)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        train(config, train_data, one_hot(3))
-    spread = [w for w in caught if "spread term" in str(w.message)]
-    assert [str(w.message) for w in spread] == ["spread term is 0 for a single particle"]
-
-
-@pytest.mark.filterwarnings("ignore:spread term")
 class TestParticleIndependence:
     def solo(self, monkeypatch, train_data, particle_seed, **overrides):
         use_particle_seeds(monkeypatch, particle_seed)
@@ -351,7 +337,6 @@ class TestTrainValidation:
         assert str(info.value).endswith("non-finite log-probabilities at dataset row 5")
         assert str(info.value).startswith("epoch 0, batch ")
 
-    @pytest.mark.filterwarnings("ignore:spread term")
     def test_non_finite_parameters_after_the_last_step_raise(self, tmp_path):
         # one step, so no later batch reads what the overflowing update left
         train_data, _ = small_task()
@@ -363,7 +348,6 @@ class TestTrainValidation:
             train(config, train_data, one_hot(3), out_dir=tmp_path)
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.filterwarnings("ignore:spread term")
     def test_non_finite_parameters_are_named_not_the_next_row(self):
         # the first step overflows the particles; the second batch's forward then
         # fails on parameters, not on any row of that batch
@@ -376,7 +360,6 @@ class TestTrainValidation:
             train(config, train_data, one_hot(3))
         assert str(info.value) == "epoch 0, batch 1: the steps left non-finite parameters"
 
-    @pytest.mark.filterwarnings("ignore:spread term")
     def test_a_batch_without_one_finite_row_names_the_parameters(self):
         # the first step leaves finite parameters near 1e308; the second batch's
         # log-probs are then non-finite at all 16 rows, so no row is to blame
@@ -387,7 +370,7 @@ class TestTrainValidation:
         )
         with pytest.raises(NumericError) as info:
             train(config, train_data, one_hot(3))
-        assert info.value.__cause__.sample is not None
+        assert info.value.__cause__.sample is None  # told by the step, with no second forward
         assert str(info.value) == (
             "epoch 0, batch 1: non-finite log-probabilities at every row of the batch;"
             " largest |parameter| 1.04e+308"
