@@ -386,9 +386,12 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
 
     if config["jobs"] > 1:
         # imported here: the process pool costs every other command its import time
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(config["jobs"], len(payloads))) as pool:
+        spawn = multiprocessing.get_context("spawn")  # fork is unsafe under BLAS threads
+        workers = min(config["jobs"], len(payloads))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             rows = list(pool.map(_run_cell, payloads))
     else:
         rows = [_run_cell(p) for p in payloads]

@@ -167,17 +167,17 @@ def _check_labels(labels, num_classes, linenos) -> None:
 
 class CsvRows:
     """A data CSV read one row block at a time, so its (N, D) features are never
-    whole. Making one reads the header and, in the same pass, counts the N data
-    rows, the non-blank lines after the header. Iterating parses the lines of each
-    block of numcore.row_blocks(N) and yields its (rows, D) C-contiguous float64
-    features, filling the (N,) `labels` as it goes: int64, or given num_classes
-    the compact numcore.class_id_dtype; `labels` is None until iterating starts.
-    A block's lines and parse are freed before its features are yielded. Each
-    block is checked before the next is read: the first line that is not UTF-8,
-    does not parse, or whose label is negative or (given num_classes) >= K,
-    raises. A non-finite feature ends the yielding but is raised only once every
-    row has passed those checks, so a row error anywhere beats it. Every error
-    begins with the path and names the file line."""
+    whole. Making one reads the header and, in the same pass, counts the N data rows,
+    the non-blank lines after the header. Iterating parses the lines of each block of
+    numcore.row_blocks(N) and yields its (rows, D) C-contiguous float64 features,
+    filling the (N,) `labels` as it goes: int64, or given num_classes the compact
+    numcore.class_id_dtype; `labels` is None until iterating starts. A block's text
+    and parse are freed before its features are yielded; the file lines of its rows
+    stay, as the tuple `block_lines`. Each block is checked before the next is read:
+    the first line that is not UTF-8, does not parse, or whose label is negative or
+    (given num_classes) >= K, raises. A non-finite feature ends the yielding but is
+    raised only once every row has passed those checks, so a row error anywhere beats
+    it. Every error begins with the path and names the file line."""
 
     def __init__(self, path, num_classes=None):
         self.path, self.num_classes = path, num_classes
@@ -199,21 +199,12 @@ class CsvRows:
     def __len__(self) -> int:
         return self._n
 
-    def _data_lines(self, fh):
-        """(file line number, line) of each data row of the open file fh."""
-        lines = itertools.islice(enumerate(fh, start=1), self._header_lines, None)
-        return ((n, line) for n, line in lines if line != "\n")
-
-    def lineno(self, row: int) -> int:
-        """The file line of the 0-based data row `row`, read from the file again."""
-        with open_text(self.path) as fh:
-            return next(itertools.islice(self._data_lines(fh), row, None))[0]
-
     def __iter__(self):
         ids = np.int64 if self.num_classes is None else class_id_dtype(self.num_classes)
         self.labels = np.empty(len(self), dtype=ids)
         with naming(self.path), open_text(self.path) as fh:
-            rows = self._data_lines(fh)
+            lines = itertools.islice(enumerate(fh, start=1), self._header_lines, None)
+            rows = ((n, line) for n, line in lines if line != "\n")
             non_finite = None
             for start, stop in row_blocks(len(self)):
                 features, bad = self._parse_block(rows, self.labels[start:stop])
@@ -229,6 +220,7 @@ class CsvRows:
         their labels into labels: their (rows, D) features, and the (file line,
         values) of the first row with a non-finite feature, or None."""
         linenos, texts = zip(*itertools.islice(rows, len(labels)))
+        self.block_lines = linenos
         try:
             parsed = _parse_rows(texts, self.dim)
             if parsed.shape[0] != len(labels):

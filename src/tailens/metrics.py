@@ -7,7 +7,6 @@ against misclassification, and binned expected calibration error.
 
 import csv
 import json
-import warnings
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -46,7 +45,7 @@ def region_accuracy(
 
 
 def false_head_rate(labels: np.ndarray, decisions: np.ndarray, tail_mask: np.ndarray) -> float:
-    """Share of tail-labeled samples whose decision landed in the head of the (K,) mask."""
+    """Share of tail-labeled samples decided as head under the (K,) mask; 0.0 without any."""
     labels = np.asarray(labels)
     decisions = np.asarray(decisions)
     if labels.shape != decisions.shape or labels.ndim != 1:
@@ -57,7 +56,6 @@ def false_head_rate(labels: np.ndarray, decisions: np.ndarray, tail_mask: np.nda
             raise InputError(f"{name} must lie in [0, {k})")
     is_tail_label = tail_mask[labels]
     if not is_tail_label.any():
-        warnings.warn("no tail-labeled samples; false head rate is 0", stacklevel=2)
         return 0.0
     decided_head = ~tail_mask[decisions]
     return float(np.mean(decided_head[is_tail_label]))
@@ -126,12 +124,12 @@ def expected_calibration_error(
     idx = np.clip(np.ceil(confidence * bins).astype(np.int64) - 1, 0, bins - 1)
     total = confidence.shape[0]
     ece = 0.0
-    for b in range(bins):
+    b = int(idx.min())
+    while b < bins:  # the occupied bins, ascending
         mask = idx == b
-        if not mask.any():
-            continue
         gap = abs(float(correct[mask].mean()) - float(confidence[mask].mean()))
         ece += (mask.sum() / total) * gap
+        b = int(idx.min(where=idx > b, initial=bins))
     return float(ece)
 
 

@@ -32,8 +32,9 @@ class TrainingStep:
     """The per-run state of the training loss: checks and tables done once.
 
     Construction checks the utility and the class weights against the ensemble's
-    K (TrainConfig owns the settings' ranges). `batch_loss` runs one batch on it.
-    The particles may change in place between batches, their shape may not.
+    K, and that utility / utility_scale is finite (TrainConfig owns the settings'
+    ranges). `batch_loss` runs one batch on it. The particles may change in place
+    between batches, their shape may not.
     """
 
     def __init__(
@@ -54,7 +55,10 @@ class TrainingStep:
         # d total / d logp_j(class k | x_i) is row y_i of I + U / s times
         # -w[y_i] / (B * M): the utility row of the truth weighs every class,
         # the model's predictive mass acting as the decision policy
-        self._unscaled = np.eye(k) + utility.values / utility_scale
+        with np.errstate(over="ignore"):
+            self._unscaled = np.eye(k) + utility.values / utility_scale
+        if not np.isfinite(self._unscaled).all():
+            raise InputError(f"utility_scale {utility_scale} overflows the utility term")
         self._tables = {}  # batch size B -> (1 / (B * M), cotangent of each label, arange(B))
 
     def _table(self, batch: int):

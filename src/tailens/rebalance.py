@@ -65,7 +65,10 @@ def class_weights(spec: DiscrepancySpec, counts) -> ClassWeights:
     missing = np.flatnonzero(counts < 1)
     if missing.size:
         raise InputError(f"classes without training samples: {missing.tolist()}")
-    raw = np.array([1.0 / f_value(spec, int(n)) for n in counts])
+    try:
+        raw = np.array([1.0 / f_value(spec, int(n)) for n in counts])
+    except OverflowError:  # n**gamma past float64
+        raise InputError(f"gamma {spec.gamma} overflows the power form") from None
     return ClassWeights(raw=raw, normalized=normalize_raw(raw, counts))
 
 

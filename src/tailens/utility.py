@@ -57,6 +57,8 @@ def load_matrix(path) -> UtilityMatrix:
         try:
             for row in filter(None, reader):
                 try:
+                    if any("_" in v for v in row):  # float() reads 1_0 as 10
+                        raise ValueError
                     rows.append([float(v) for v in row])
                 except ValueError:
                     raise ParseError(f"non-numeric utility in {row}", reader.line_num) from None

@@ -212,7 +212,6 @@ class TestEvaluate:
     def test_checkpoint_flag_required(self):
         assert main(["evaluate"]) == 1
 
-    @pytest.mark.filterwarnings("ignore:no tail-labeled samples")
     def test_k_comes_from_the_checkpoint(self, tmp_path):
         data, run = tmp_path / "data", tmp_path / "run"
         assert main(["generate-data"] + flags(data)) == 0
@@ -223,7 +222,6 @@ class TestEvaluate:
         checkpoint = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
         assert main(checkpoint + flags(tmp_path / "eval", test_csv=str(short))) == 0
 
-    @pytest.mark.filterwarnings("ignore:no tail-labeled samples")
     def test_no_tail_labels_print_no_tail_accuracy(self, tmp_path, capsys):
         data, run = tmp_path / "data", tmp_path / "run"
         assert main(["generate-data"] + flags(data)) == 0
@@ -234,7 +232,8 @@ class TestEvaluate:
         capsys.readouterr()
         checkpoint = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
         assert main(checkpoint + flags(tmp_path / "eval", test_csv=str(head))) == 0
-        assert "tail acc n/a" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "tail acc n/a" in out and err == ""
         assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["acc_tail"] is None
 
     def test_train_csv_alone_is_rejected(self, tmp_path, capsys):
@@ -304,7 +303,6 @@ class TestStreamedEvaluate:
             lines += [""] * (i in blanks) + [",".join(map(repr, row)) + f",{label}"]
         path.write_text("\r\n".join(lines) + "\r\n")
 
-    @pytest.mark.filterwarnings("ignore:no tail-labeled samples")
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2047, 2048, 2049, 5000])
     def test_bytes_match_load_csv_and_evaluate(self, tmp_path, model, n, rng):
         test_csv = tmp_path / "test.csv"
@@ -467,7 +465,6 @@ class TestSweep:
         growth = float(rows[1][header.index("growth_pct")])
         assert growth > 0.0  # linear form grows toward the tail
 
-    @pytest.mark.filterwarnings("ignore:no tail-labeled samples")
     def test_no_tail_labels_leave_tail_columns_empty(self, tmp_path):
         data = tmp_path / "data"
         assert main(["generate-data"] + flags(data)) == 0
@@ -492,11 +489,13 @@ class TestSweep:
         ).read_bytes()
 
     def test_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch):
-        # the process pool forks all its workers up front; this one forks none
+        # the process pool starts all its workers up front, spawned, not forked
+        # under BLAS threads; this one starts none
         workers = []
 
         class Recording:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() == "spawn"
                 workers.append(max_workers)
 
             def __enter__(self):
@@ -635,6 +634,11 @@ MALFORMED = {
         "line 3: label '99999999999999999999' is not an integer",
     ),
     "utility-csv": ("train", "u.csv", b"1,0,0,0\nx,1,0,0\n", ["--utility"], "line 2"),
+    # as in a data CSV, float() reading 1_0 as 10 does not make it a number
+    "utility-digit-separator": (
+        "train", "u.csv", b"1,0,0,0\n0,1_0,0,0\n0,0,1,0\n0,0,0,1\n", ["--utility"],
+        "line 2: non-numeric utility in ['0', '1_0', '0', '0']\n",
+    ),
     # the csv module rejects a field over 128 KiB
     "csv-oversized-header-field": (
         "train", "data.csv", b'f0,"' + b"a" * 200_000 + b'",label\n1.0,2.0,0\n', ["--train-csv"],
@@ -751,6 +755,16 @@ MALFORMED = {
         "train", None, None, ["--dim", "16", "--separation", "1e308"],
         "error: separation 1e+308 overflows the class means\n",
     ),
+    # 1000**103 is past float64: rejected while the class weights are made
+    "train-overflowing-gamma": (
+        "train", None, None, ["--n-max", "1000", "--ratio", "power", "--gamma", "103"],
+        "error: gamma 103.0 overflows the power form\n",
+    ),
+    # 1 / utility_scale overflows the loss's utility term before the first step
+    "train-overflowing-utility-scale": (
+        "train", None, None, ["--utility-scale", "5e-324"],
+        "error: utility_scale 5e-324 overflows the utility term\n",
+    ),
 }
 
 # a checkpoint of two identical particles (param_distance 0) of the 2-3-3 network:
@@ -770,6 +784,13 @@ NUMERIC = {
         "evaluate", "d.csv", b"f0,f1,label\n0.0,0.5,0\n\n1.0,0.5,1\n2.0,0.5,2\n",
         ["--checkpoint", "huge.ckpt", "--test-csv"],
         "numeric error: non-finite log-probabilities at test row 1 ({path}: line 4)",
+    ),
+    # the row is named by its index within its block: here the second of two
+    "evaluate-overflowing-logits-second-block": (
+        "evaluate", "d.csv", b"f0,f1,label\n" + b"0.0,0.5,0\n" * 1500 + b"\n1.0,0.5,1\n"
+        + b"0.0,0.5,2\n" * 599,
+        ["--checkpoint", "huge.ckpt", "--test-csv"],
+        "numeric error: non-finite log-probabilities at test row 1500 ({path}: line 1503)",
     ),
     # the first step overflows the parameters; the run fails before it writes
     "train-overflowing-step": (

@@ -429,13 +429,15 @@ class TestCsvRows:
         next(blocks)
         assert rows.labels.dtype == np.uint8 and rows.labels.tolist() == [3, 1]
 
-    def test_lineno_names_the_file_line_of_a_row(self, tmp_path, rng):
+    def test_block_lines_name_the_file_line_of_each_row(self, tmp_path, rng):
         features, labels = rng.normal(size=(300, 2)), rng.integers(0, 5, 300)
         path = tmp_path / "rows.csv"
         self.write(path, features, labels, blank_every=97)
         rows = CsvRows(path, 5)
+        [block] = rows  # 300 rows are one block
+        assert len(rows.block_lines) == len(block)
         # the header is line 1, and blank lines stand before rows 0, 97, 194 and 291
-        assert [rows.lineno(r) for r in (0, 96, 97, 299)] == [3, 99, 101, 305]
+        assert [rows.block_lines[r] for r in (0, 96, 97, 299)] == [3, 99, 101, 305]
 
     def test_header_and_count_come_before_any_row_is_parsed(self, tmp_path):
         path = tmp_path / "bad.csv"

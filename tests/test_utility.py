@@ -99,6 +99,14 @@ class TestLoadMatrix:
         with pytest.raises(ParseError, match="line 2"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("field", ["1_0", "1_000.5", "1e1_0"])
+    def test_digit_separators_are_non_numeric(self, tmp_path, field):
+        # float() reads 1_0 as 10; a utility CSV, like a data CSV, has no separators
+        path = tmp_path / "util.csv"
+        path.write_text(f"1,0\n0,{field}\n")
+        with pytest.raises(ParseError, match=r"util.csv: line 2: non-numeric utility in \["):
+            load_matrix(path)
+
     def test_a_record_over_two_lines_keeps_the_later_line_numbers(self, tmp_path):
         path = tmp_path / "util.csv"
         path.write_text('"1\n",0,0\n0,1,0\n0,0,x\n')
