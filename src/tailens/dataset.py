@@ -172,12 +172,12 @@ class CsvRows:
     numcore.row_blocks(N) and yields its (rows, D) C-contiguous float64 features,
     filling the (N,) `labels` as it goes: int64, or given num_classes the compact
     numcore.class_id_dtype; `labels` is None until iterating starts. A block's text
-    and parse are freed before its features are yielded; the file lines of its rows
-    stay, as the tuple `block_lines`. Each block is checked before the next is read:
-    the first line that is not UTF-8, does not parse, or whose label is negative or
-    (given num_classes) >= K, raises. A non-finite feature ends the yielding but is
-    raised only once every row has passed those checks, so a row error anywhere beats
-    it. Every error begins with the path and names the file line."""
+    and parse are freed before it is yielded; `block_lines`, () before iterating, holds
+    the file line of each row of the block just yielded: the one way to name a row's
+    line. Each block is checked before the next is read: the first line that is not
+    UTF-8, does not parse, or whose label is negative or (given num_classes) >= K,
+    raises. A non-finite feature ends the yielding but is raised only once every row
+    has passed those checks. Every error begins with the path and names the file line."""
 
     def __init__(self, path, num_classes=None):
         self.path, self.num_classes = path, num_classes
@@ -192,7 +192,7 @@ class CsvRows:
             if len(header) < 2 or header[-1].strip() != "label":
                 raise ParseError("header must end with a 'label' column", line=1)
             self.dim, self._header_lines = len(header) - 1, reader.line_num
-            self._n, self.labels = sum(line != "\n" for line in fh), None
+            self._n, self.labels, self.block_lines = sum(line != "\n" for line in fh), None, ()
             if self._n == 0:
                 raise ParseError("no data rows", line=2)
 

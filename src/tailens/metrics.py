@@ -124,12 +124,12 @@ def expected_calibration_error(
     idx = np.clip(np.ceil(confidence * bins).astype(np.int64) - 1, 0, bins - 1)
     total = confidence.shape[0]
     ece = 0.0
-    b = int(idx.min())
-    while b < bins:  # the occupied bins, ascending
+    for b in range(bins):
         mask = idx == b
+        if not mask.any():
+            continue
         gap = abs(float(correct[mask].mean()) - float(confidence[mask].mean()))
         ece += (mask.sum() / total) * gap
-        b = int(idx.min(where=idx > b, initial=bins))
     return float(ece)
 
 

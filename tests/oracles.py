@@ -129,21 +129,6 @@ def where_entropy(probs):
     return -terms.sum(axis=-1)
 
 
-def every_bin_ece(confidence, correct, bins):
-    """expected_calibration_error as it stood at 1ed94b5, visiting every one of the
-    bins, occupied or not; frozen as its bitwise oracle. Inputs are unchecked."""
-    idx = np.clip(np.ceil(confidence * bins).astype(np.int64) - 1, 0, bins - 1)
-    total = confidence.shape[0]
-    ece = 0.0
-    for b in range(bins):
-        mask = idx == b
-        if not mask.any():
-            continue
-        gap = abs(float(correct[mask].mean()) - float(confidence[mask].mean()))
-        ece += (mask.sum() / total) * gap
-    return float(ece)
-
-
 def whole_array_gains(ens, utility, x):
     """The (M, N, K) per-particle log-probs, (N, K) mixture and (N, K) expected
     gains of decide_batch as it stood at 07be541, over the whole arrays at once;

@@ -434,6 +434,7 @@ class TestCsvRows:
         path = tmp_path / "rows.csv"
         self.write(path, features, labels, blank_every=97)
         rows = CsvRows(path, 5)
+        assert rows.block_lines == ()  # like labels, empty until iterating starts
         [block] = rows  # 300 rows are one block
         assert len(rows.block_lines) == len(block)
         # the header is line 1, and blank lines stand before rows 0, 97, 194 and 291

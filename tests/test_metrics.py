@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import every_bin_ece, unique_ranks, where_entropy
+from oracles import unique_ranks, where_entropy
 from tailens.dataset import tail_mask
 from tailens.errors import InputError
 from tailens.metrics import (
@@ -276,21 +276,6 @@ class TestEce:
             assert expected_calibration_error(conf, correct, bins) == pytest.approx(
                 expected, rel=1e-12, abs=1e-15
             )
-
-    def test_occupied_bins_match_every_bin_bitwise(self, rng):
-        # the loop visits only the bins that hold rows; many bins on few rows
-        # leave most of them empty
-        cases = [(20, 100_000), (1, 1), (1, 7), (5, 1)]
-        cases += [(int(rng.integers(1, 200)), int(rng.integers(1, 1000))) for _ in range(200)]
-        for n, bins in cases:
-            conf = rng.random(n)
-            conf[rng.random(n) < 0.1] = 0.0
-            conf[rng.random(n) < 0.1] = 1.0
-            conf[rng.random(n) < 0.2] = rng.integers(0, bins + 1) / bins  # on a bin edge
-            correct = rng.random(n) < conf
-            want = every_bin_ece(conf, correct, bins)
-            got = expected_calibration_error(conf, correct, bins)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, bins)
 
     def test_validation(self):
         with pytest.raises(InputError):
