@@ -145,6 +145,7 @@ def _check(config: dict) -> None:
         "ece_bins": (config["ece_bins"] >= 1, ">= 1"),
         "runs": (config["runs"] >= 1, ">= 1"),
         "jobs": (config["jobs"] >= 1, ">= 1"),
+        "out": (config["out"] != "", "non-empty"),
         "repulsion": (config["repulsion"] in ("on", "off"), "'on' or 'off'"),
     }
     for key, (ok, rule) in rules.items():
@@ -326,11 +327,11 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
 
 def _run_cell(payload):
     cell, axis, value, data, utility = payload
-    reports = repeat_runs(_train_config(cell), data, utility, *_scoring(cell))
+    config = _train_config(cell)
+    reports = repeat_runs(config, data, utility, *_scoring(cell))
     row = {axis: value}
     if axis == "ratio":
-        spec = DiscrepancySpec(form=value, gamma=cell["gamma"], beta=cell["beta"])
-        weights = class_weights(spec, data[0][0].class_counts)
+        weights = class_weights(config.ratio, data[0][0].class_counts)
         row["weight_first"] = round(float(weights.raw[0]), 6)
         row["weight_last"] = round(float(weights.raw[-1]), 6)
         row["growth_pct"] = round(growth_rate(weights), 2)
@@ -374,23 +375,18 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
     _check_regions(train_data.num_classes, config["train_csv"] or "classes")
     payloads = []
     for value in values:
-        # particles takes any count the config accepts, other axes their listed values
-        if axis != "particles" and value not in SWEEP_GRIDS[axis]:
-            raise InputError(
-                f"{axis} grid accepts {SWEEP_GRIDS[axis]}, got {value!r}"
-            )
         cell = {**config, axis: _coerce(axis, value)}
         _check(cell)
         utility = _build_utility(cell, train_data.num_classes)
         payloads.append((cell, axis, value, data, utility))
 
-    if config["jobs"] > 1:
+    workers = min(config["jobs"], len(payloads))
+    if workers > 1:
         # imported here: the process pool costs every other command its import time
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         spawn = multiprocessing.get_context("spawn")  # fork is unsafe under BLAS threads
-        workers = min(config["jobs"], len(payloads))
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             rows = list(pool.map(_run_cell, payloads))
     else:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import tail_mask
+from .dataset import _LOADTXT, tail_mask
 from .errors import InputError, ParseError, naming, open_text, utf8
 
 
@@ -56,12 +56,13 @@ def load_matrix(path) -> UtilityMatrix:
         reader = csv.reader(utf8(line, n) for n, line in enumerate(fh, start=1))
         try:
             for row in filter(None, reader):
-                try:
-                    if any("_" in v for v in row):  # float() reads 1_0 as 10
+                try:  # each field as a line in the data CSV's grammar, which rejects 1_0
+                    values = np.loadtxt(row, dtype=np.float64, **_LOADTXT)
+                    if values.shape != (len(row),):  # an empty field, or one with a comma
                         raise ValueError
-                    rows.append([float(v) for v in row])
                 except ValueError:
                     raise ParseError(f"non-numeric utility in {row}", reader.line_num) from None
+                rows.append(values)
                 linenos.append(reader.line_num)
         except csv.Error as err:
             raise ParseError(str(err), line=reader.line_num) from None

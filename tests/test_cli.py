@@ -510,18 +510,65 @@ class TestSweep:
         args = ["sweep", "--axis", "particles", "--grid", "1,2", "--jobs", "4"]
         assert main(args + self.sweep_flags(tmp_path)) == 0
         assert workers == [2]
+        # one cell runs in this process: no pool is made
+        args = ["sweep", "--axis", "particles", "--grid", "2", "--jobs", "4"]
+        assert main(args + self.sweep_flags(tmp_path / "one")) == 0
+        assert workers == [2]
 
     def test_empty_grid(self, tmp_path, capsys):
         args = ["sweep", "--axis", "ratio", "--grid", ","] + self.sweep_flags(tmp_path)
         assert main(args) == 1
         assert "empty" in capsys.readouterr().err
 
-    def test_bad_grid_value(self, tmp_path):
+    def test_bad_grid_value(self, tmp_path, capsys):
         args = (
             ["sweep", "--axis", "ratio", "--grid", "bogus"]
             + self.sweep_flags(tmp_path)
         )
         assert main(args) == 1
+        assert "error: unknown ratio form 'bogus', pick one of (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis,value,code,start", [
+        ("ratio", "bogus", 1, "error: unknown ratio form 'bogus'"),
+        ("repulsion", "maybe", 1, "error: repulsion: must be 'on' or 'off', got 'maybe'"),
+        ("particles", "0", 1, "error: n_particles: must be >= 1, got 0"),
+        ("utility", "missing.csv", 2, "runtime error: "),
+    ])
+    def test_bad_grid_value_fails_as_its_flag(
+        self, tmp_path, monkeypatch, capsys, axis, value, code, start
+    ):
+        # a grid value is checked by its flag's owner: the same line, the same exit code
+        monkeypatch.chdir(tmp_path)
+        flag = ["--" + axis, value]
+        assert main(["train"] + self.sweep_flags(tmp_path / "t") + flag) == code
+        flag_err = capsys.readouterr().err
+        args = ["sweep", "--axis", axis, "--grid", value] + self.sweep_flags(tmp_path / "s")
+        assert main(args) == code
+        assert capsys.readouterr().err == flag_err
+        assert flag_err.startswith(start) and flag_err.count("\n") == 1
+        assert not (tmp_path / "t").exists() and not (tmp_path / "s").exists()
+
+    def test_ratio_axis_takes_every_form(self, tmp_path):
+        # power is swept as --ratio power runs, with --gamma
+        args = ["sweep", "--axis", "ratio", "--grid", "power,linear", "--gamma", "0.5"]
+        assert main(args + self.sweep_flags(tmp_path)) == 0
+        with open(tmp_path / "sweep_ratio.csv", newline="") as fh:
+            power, linear = csv.DictReader(fh)
+        assert (power["ratio"], linear["ratio"]) == ("power", "linear")
+        assert 0.0 < float(power["growth_pct"]) < float(linear["growth_pct"])
+        assert float(power["weight_first"]) > 0.0 and float(power["weight_last"]) > 0.0
+
+    def test_utility_axis_takes_a_csv(self, tmp_path):
+        # the identity CSV is the one-hot utility, so its cell scores as one-hot's does
+        utility = tmp_path / "u4.csv"
+        utility.write_text("1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n")
+        args = ["sweep", "--axis", "utility", "--grid", f"{utility},one-hot"]
+        assert main(args + self.sweep_flags(tmp_path / "s")) == 0
+        with open(tmp_path / "s" / "sweep_utility.csv", newline="") as fh:
+            from_csv, built = csv.DictReader(fh)
+        assert from_csv.pop("utility") == from_csv.pop("utility_kind") == str(utility)
+        assert built.pop("utility") == built.pop("utility_kind") == "one-hot"
+        assert from_csv == built
 
     @pytest.mark.parametrize("grid", ["0", "x", "1.5", "2,-1"])
     def test_bad_particles_grid(self, tmp_path, grid, capsys):
@@ -1051,6 +1098,7 @@ BOUNDARIES = [
     ("seed", "0", "-1"),
     ("jobs", "1", "0"),
     ("out", "out", 1),
+    ("out", "out", ""),
 ]
 
 FLOAT_KEYS = (

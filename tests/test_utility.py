@@ -99,13 +99,28 @@ class TestLoadMatrix:
         with pytest.raises(ParseError, match="line 2"):
             load_matrix(path)
 
-    @pytest.mark.parametrize("field", ["1_0", "1_000.5", "1e1_0"])
+    @pytest.mark.parametrize("field", ["1_0", "1_000.5", "1e1_0", "\u0661", "\uff11"])
     def test_digit_separators_are_non_numeric(self, tmp_path, field):
-        # float() reads 1_0 as 10; a utility CSV, like a data CSV, has no separators
+        # float() reads 1_0 as 10 and the Arabic-Indic and fullwidth digit one as 1;
+        # a utility CSV, like a data CSV, has ASCII digits and no separators
         path = tmp_path / "util.csv"
-        path.write_text(f"1,0\n0,{field}\n")
+        path.write_text(f"1,0\n0,{field}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"util.csv: line 2: non-numeric utility in \["):
             load_matrix(path)
+
+    @pytest.mark.parametrize("line", ["0,", '"0,1"', "0, "])
+    def test_a_field_is_one_number(self, tmp_path, line):
+        # an empty field, or a quoted one that holds two numbers, is no utility
+        path = tmp_path / "util.csv"
+        path.write_text(f"1,0\n{line}\n")
+        with pytest.raises(ParseError, match=r"util.csv: line 2: non-numeric utility in \["):
+            load_matrix(path)
+
+    def test_spaces_around_a_field_are_ignored(self, tmp_path):
+        # as in a data CSV, a no-break space included
+        path = tmp_path / "util.csv"
+        path.write_text('1, 0\n\u00a0-0.5\u00a0,"1 "\n', encoding="utf-8")
+        assert np.array_equal(load_matrix(path).values, [[1.0, 0.0], [-0.5, 1.0]])
 
     def test_a_record_over_two_lines_keeps_the_later_line_numbers(self, tmp_path):
         path = tmp_path / "util.csv"
