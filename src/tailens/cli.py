@@ -198,10 +198,9 @@ def _train_config(config: dict) -> TrainConfig:
     """Every key that names a TrainConfig field, then the keys that differ from one."""
     settings = {f.name: config[f.name] for f in fields(TrainConfig) if f.name in config}
     settings.update(
-        n_particles=config["particles"],
         ratio=DiscrepancySpec(form=config["ratio"], gamma=config["gamma"], beta=config["beta"]),
         repulsion=config["repulsion"] == "on",
-        hidden_dims=_numbers(config, "hidden"),
+        hidden=_numbers(config, "hidden"),
         lr_decay_epochs=_numbers(config, "lr_decay_epochs"),
     )
     return TrainConfig(**settings)
@@ -287,17 +286,18 @@ def cmd_train(config: dict) -> int:
     if test_data is not None:
         _check_regions(train_data.num_classes, config["train_csv"] or "classes")
     utility = _build_utility(config, train_data.num_classes)
-    out = config["out"]
-    ens, records = train(_train_config(config), train_data, utility, out_dir=out)
+    ens, records, checkpoints = train(_train_config(config), train_data, utility)
     files = {"ensemble.ckpt": partial(save_checkpoint, ens),
              "trainlog.jsonl": partial(write_train_log, records)}
+    for epoch, snapshot in checkpoints:
+        files[f"checkpoint_epoch{epoch:04d}.ckpt"] = partial(save_checkpoint, snapshot)
     if test_data is not None:
         report = evaluate(ens, test_data, utility, *_scoring(config))[0]
         files["metrics.json"] = partial(_write_text, report_to_json(report))
     _publish(config, files)
     if test_data is not None:
         print(_summary(report))
-    print(f"final loss {records[-1].loss.total:.6f}; artifacts in {out}")
+    print(f"final loss {records[-1].loss.total:.6f}; artifacts in {config['out']}")
     return 0
 
 
@@ -335,8 +335,6 @@ def _run_cell(payload):
         row["weight_first"] = round(float(weights.raw[0]), 6)
         row["weight_last"] = round(float(weights.raw[-1]), 6)
         row["growth_pct"] = round(growth_rate(weights), 2)
-    if axis == "utility":
-        row["utility_kind"] = cell["utility"]
 
     def stat(name, reduce=np.mean):
         """Mean (or std) of a report field over the runs that have it, to 6 places."""

@@ -22,7 +22,7 @@ class DiscrepancySpec:
 
     def __post_init__(self):
         if self.form not in FORMS:
-            raise InputError(f"unknown ratio form {self.form!r}, pick one of {FORMS}")
+            raise InputError(f"ratio: unknown form {self.form!r}, pick one of {FORMS}")
         if not self.gamma >= 0:
             raise InputError(f"gamma (power exponent) must be >= 0, got {self.gamma}")
         if not 0.0 < self.beta < 1.0:

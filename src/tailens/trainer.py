@@ -6,7 +6,6 @@ per-particle seed streams, epoch shuffles from a stream keyed by
 """
 
 import json
-import os
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -14,11 +13,7 @@ import numpy as np
 
 from .dataset import CsvRows, LongTailDataset, tail_mask
 from .decision import BatchDecisions, decide_batch
-from .ensemble import (
-    ParticleEnsemble,
-    diversity_diagnostics,
-    save_checkpoint,
-)
+from .ensemble import ParticleEnsemble, diversity_diagnostics
 from .errors import InputError, NumericError
 from .metrics import (
     MetricsReport,
@@ -49,12 +44,12 @@ class TrainConfig:
     weight_decay: float = 1e-2
     anneal_stride: float = 40.0
     utility_scale: float = 1.0
-    n_particles: int = 3
+    particles: int = 3
     var_floor: float = 1e-8
     seed: int = 0
     ratio: DiscrepancySpec = field(default_factory=DiscrepancySpec)
     repulsion: bool = True
-    hidden_dims: tuple[int, ...] = (32,)
+    hidden: tuple[int, ...] = (32,)
     checkpoint_every: int = 0
     lr_decay_epochs: tuple[int, ...] = ()
     lr_decay_factor: float = 0.1
@@ -68,10 +63,10 @@ class TrainConfig:
             "weight_decay": (self.weight_decay >= 0, ">= 0"),
             "anneal_stride": (self.anneal_stride > 0, "> 0"),
             "utility_scale": (self.utility_scale > 0, "> 0"),
-            "n_particles": (self.n_particles >= 1, ">= 1"),
+            "particles": (self.particles >= 1, ">= 1"),
             "var_floor": (self.var_floor > 0, "> 0"),
             "seed": (self.seed >= 0, ">= 0"),
-            "hidden_dims": (bool(self.hidden_dims) and min(self.hidden_dims) >= 1, "sizes >= 1"),
+            "hidden": (bool(self.hidden) and min(self.hidden) >= 1, "sizes >= 1"),
             "checkpoint_every": (self.checkpoint_every >= 0, ">= 0"),
             "lr_decay_epochs": (all(e >= 1 for e in self.lr_decay_epochs), "all >= 1"),
             "lr_decay_factor": (0.0 < self.lr_decay_factor <= 1.0, "in (0, 1]"),
@@ -104,7 +99,7 @@ def default_particle_seeds(seed: int, n_particles: int) -> tuple[int, ...]:
 def _init_particles(config: TrainConfig, shape: NetShape) -> np.ndarray:
     particles = [
         init_params(shape, np.random.default_rng(np.random.SeedSequence((s, _INIT_STREAM))))
-        for s in default_particle_seeds(config.seed, config.n_particles)
+        for s in default_particle_seeds(config.seed, config.particles)
     ]
     return np.stack(particles)
 
@@ -113,11 +108,11 @@ def train(
     config: TrainConfig,
     train_data: LongTailDataset,
     utility: UtilityMatrix,
-    out_dir=None,
-) -> tuple[ParticleEnsemble, list[EpochRecord]]:
-    """Train an ensemble; returns it with one record per epoch."""
+) -> tuple[ParticleEnsemble, list[EpochRecord], list[tuple[int, ParticleEnsemble]]]:
+    """Train an ensemble; returns it with one record per epoch and an
+    (epoch, snapshot) pair every config.checkpoint_every epochs (none at 0)."""
     weights = class_weights(config.ratio, train_data.class_counts)
-    shape = NetShape(train_data.dim, config.hidden_dims, train_data.num_classes)
+    shape = NetShape(train_data.dim, config.hidden, train_data.num_classes)
     ens = ParticleEnsemble(shape=shape, particles=_init_particles(config, shape))
     velocity = np.zeros_like(ens.particles)
     step = TrainingStep(
@@ -131,8 +126,8 @@ def train(
     diag_x = features[: min(n, DIAGNOSTIC_SAMPLES)]
 
     records = []
+    checkpoints = []
     lr = config.learning_rate
-    checkpoint_every = config.checkpoint_every if out_dir is not None else 0
     # entered once per run, as decide_batch does: overflow inside the network is
     # not an error, non-finite log-probs and a non-finite loss raise NumericError
     with np.errstate(all="ignore"):
@@ -181,11 +176,10 @@ def train(
             records.append(EpochRecord(
                 epoch=epoch, loss=LossBreakdown(*means), anneal=anneal, **diag._asdict()
             ))
-            if checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-                os.makedirs(out_dir, exist_ok=True)  # so a run that fails first makes none
-                save_checkpoint(ens, f"{out_dir}/checkpoint_epoch{epoch:04d}.ckpt")
+            if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
+                checkpoints.append((epoch, ParticleEnsemble(shape, ens.particles.copy())))
 
-    return ens, records
+    return ens, records, checkpoints
 
 
 def write_train_log(records: list[EpochRecord], path) -> None:
@@ -248,6 +242,6 @@ def repeat_runs(
     reports = []
     for r, (train_data, test_data) in enumerate(data):
         run_config = replace(config, seed=config.seed + r)
-        ens, _ = train(run_config, train_data, utility)
+        ens = train(run_config, train_data, utility)[0]
         reports.append(evaluate(ens, test_data, utility, tail_ratios, ece_bins)[0])
     return reports

@@ -22,6 +22,7 @@ from tailens.ensemble import (
     ParticleEnsemble,
     predictive_logprobs_batch,
     regularizer,
+    save_checkpoint,
 )
 from tailens.metrics import (
     auc_misclassification,
@@ -90,10 +91,10 @@ class _RunCache:
         elif arm == "off":
             overrides["repulsion"] = False
         elif arm == "m1":
-            overrides["n_particles"] = 1
+            overrides["particles"] = 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ens, recs = train(TrainConfig(**overrides), train_data, utility)
+            ens, recs, _ = train(TrainConfig(**overrides), train_data, utility)
             report, _ = evaluate(ens, test_data, utility)
         return report, recs, time.perf_counter() - start
 
@@ -388,7 +389,9 @@ def test_criterion_09_byte_identical_reruns(capsys, tmp_path):
     for tag in ("first", "second"):
         out = tmp_path / tag
         out.mkdir()
-        ens, _ = train(config, train_data, utility, out_dir=out)
+        ens, _, checkpoints = train(config, train_data, utility)
+        for epoch, snapshot in checkpoints:
+            save_checkpoint(snapshot, out / f"checkpoint_epoch{epoch:04d}.ckpt")
         report, _ = evaluate(ens, test_data, utility)
         (out / "metrics.json").write_text(report_to_json(report))
         blobs.append(

@@ -45,13 +45,13 @@ def test_training_calls_batch_loss_once_per_batch(monkeypatch):
     sizes = []
 
     def counted(step, x, y, anneal):
-        assert step.n_particles == config.n_particles
+        assert step.n_particles == config.particles
         sizes.append(len(y))
         return objective.batch_loss(step, x, y, anneal)
 
     monkeypatch.setattr(trainer, "batch_loss", counted)
     data, _ = generate_synthetic(3, 2, 20, 2.0, 2.0, seed=0, test_per_class=1)
-    config = trainer.TrainConfig(epochs=3, batch_size=8, hidden_dims=(4,), n_particles=2)
+    config = trainer.TrainConfig(epochs=3, batch_size=8, hidden=(4,), particles=2)
     trainer.train(config, data, one_hot(3))
     batches = -(-len(data) // config.batch_size)
     assert len(sizes) == config.epochs * batches

@@ -37,9 +37,9 @@ def callers(name: str) -> list[str]:
         ("backward_batch", ["objective.batch_loss"]),
         # preds hold one row per particle: the trainer's forward, evaluate's decisions
         ("diversity_diagnostics", ["trainer.train", "trainer.evaluate"]),
-        # a command computes all it writes before one step makes --out and writes;
-        # a run makes its directory at its first periodic checkpoint
-        ("makedirs", ["cli._publish", "trainer.train"]),
+        # a command computes all it writes, periodic checkpoints too, before one
+        # step makes --out and writes
+        ("makedirs", ["cli._publish"]),
         # a training run's one forward is its diagnostics: a failed step's log-probs
         # tell whether any row is finite, with no second forward
         ("forward_logprobs_batch", ["ensemble.predictive_logprobs_batch", "trainer.train"]),

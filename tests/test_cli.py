@@ -9,6 +9,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -526,12 +527,12 @@ class TestSweep:
             + self.sweep_flags(tmp_path)
         )
         assert main(args) == 1
-        assert "error: unknown ratio form 'bogus', pick one of (" in capsys.readouterr().err
+        assert "error: ratio: unknown form 'bogus', pick one of (" in capsys.readouterr().err
 
     @pytest.mark.parametrize("axis,value,code,start", [
-        ("ratio", "bogus", 1, "error: unknown ratio form 'bogus'"),
+        ("ratio", "bogus", 1, "error: ratio: unknown form 'bogus'"),
         ("repulsion", "maybe", 1, "error: repulsion: must be 'on' or 'off', got 'maybe'"),
-        ("particles", "0", 1, "error: n_particles: must be >= 1, got 0"),
+        ("particles", "0", 1, "error: particles: must be >= 1, got 0"),
         ("utility", "missing.csv", 2, "runtime error: "),
     ])
     def test_bad_grid_value_fails_as_its_flag(
@@ -566,8 +567,8 @@ class TestSweep:
         assert main(args + self.sweep_flags(tmp_path / "s")) == 0
         with open(tmp_path / "s" / "sweep_utility.csv", newline="") as fh:
             from_csv, built = csv.DictReader(fh)
-        assert from_csv.pop("utility") == from_csv.pop("utility_kind") == str(utility)
-        assert built.pop("utility") == built.pop("utility_kind") == "one-hot"
+        assert from_csv.pop("utility") == str(utility)
+        assert built.pop("utility") == "one-hot"
         assert from_csv == built
 
     @pytest.mark.parametrize("grid", ["0", "x", "1.5", "2,-1"])
@@ -856,6 +857,13 @@ NUMERIC = {
         ["--particles", "1", "--learning-rate", "1e308", "--weight-decay", "1"],
         "numeric error: epoch 0, batch 1: non-finite log-probabilities at dataset row 38",
     ),
+    # the run fails after its first checkpoints were taken: they are not written either
+    "train-failing-after-checkpoints": (
+        "train", None, None,
+        ["--epochs", "100", "--checkpoint-every", "1", "--learning-rate", "3",
+         "--weight-decay", "100", "--momentum", "0"],
+        "numeric error: epoch 11, batch 1: non-finite loss",
+    ),
 }
 
 # inputs beside every family's file, for the families that need two files: a
@@ -1140,7 +1148,7 @@ def default_echo(tmp_path_factory):
 def test_key_boundary(tmp_path, monkeypatch, capsys, default_echo, key, accepted, rejected):
     monkeypatch.chdir(tmp_path)
     assert generate_with(key, rejected) == 1
-    assert key in capsys.readouterr().err
+    assert re.match(rf"error: {re.escape(key)}\b", capsys.readouterr().err)
     assert not Path("out").exists()
 
     assert generate_with(key, accepted) == 0

@@ -10,7 +10,6 @@ import pytest
 from tailens import trainer
 from tailens.dataset import CsvRows, LongTailDataset, generate_synthetic, load_csv, save_csv
 from tailens.decision import BatchDecisions
-from tailens.ensemble import ParticleEnsemble, load_checkpoint
 from tailens.errors import InputError, NumericError
 from tailens.numcore import NetShape, backward_batch, init_params
 from tailens.rebalance import DiscrepancySpec
@@ -38,8 +37,8 @@ def quick_config(**overrides):
         epochs=3,
         batch_size=32,
         learning_rate=0.05,
-        hidden_dims=(8,),
-        n_particles=2,
+        hidden=(8,),
+        particles=2,
         seed=0,
     )
     base.update(overrides)
@@ -75,15 +74,15 @@ class TestConfigValidation:
             {"weight_decay": -1e-3},
             {"anneal_stride": 0.0},
             {"utility_scale": 0.0},
-            {"n_particles": 0},
+            {"particles": 0},
             {"var_floor": 0.0},
             {"seed": -1},
             {"checkpoint_every": -1},
             {"lr_decay_epochs": (0,)},
             {"lr_decay_factor": 0.0},
             {"lr_decay_factor": 1.5},
-            {"hidden_dims": (8, 0)},
-            {"hidden_dims": ()},
+            {"hidden": (8, 0)},
+            {"hidden": ()},
             {"learning_rate": float("nan")},
             {"var_floor": float("nan")},
         ],
@@ -106,8 +105,8 @@ class TestDeterminism:
     def test_bit_identical_rerun(self):
         train_data, _ = small_task()
         config = quick_config()
-        ens_a, recs_a = train(config, train_data, one_hot(3))
-        ens_b, recs_b = train(config, train_data, one_hot(3))
+        ens_a, recs_a, _ = train(config, train_data, one_hot(3))
+        ens_b, recs_b, _ = train(config, train_data, one_hot(3))
         assert np.array_equal(ens_a.particles, ens_b.particles)
         assert [r.loss.total for r in recs_a] == [r.loss.total for r in recs_b]
 
@@ -115,7 +114,7 @@ class TestDeterminism:
         train_data, _ = small_task()
         use_particle_seeds(monkeypatch, 7, 8)
         config = quick_config(learning_rate=0.0)
-        ens, _ = train(config, train_data, one_hot(3))
+        ens, _, _ = train(config, train_data, one_hot(3))
         shape = NetShape(4, (8,), 3)
         expected = np.stack(
             [
@@ -134,7 +133,7 @@ class TestReductionToCrossEntropySgd:
         train_data, _ = small_task()
         use_particle_seeds(monkeypatch, 4242)
         config = quick_config(
-            n_particles=1,
+            particles=1,
             ratio=DiscrepancySpec(form="plain"),
             repulsion=False,
             weight_decay=0.0,
@@ -143,7 +142,7 @@ class TestReductionToCrossEntropySgd:
             epochs=3,
         )
         zero_u = UtilityMatrix(3, np.zeros((3, 3)))
-        ens, _ = train(config, train_data, zero_u)
+        ens, _, _ = train(config, train_data, zero_u)
 
         shape = NetShape(4, (8,), 3)
         theta = init_params(
@@ -170,12 +169,12 @@ class TestParticleIndependence:
     def solo(self, monkeypatch, train_data, particle_seed, **overrides):
         use_particle_seeds(monkeypatch, particle_seed)
         config = quick_config(
-            n_particles=1,
+            particles=1,
             repulsion=False,
             weight_decay=0.0,
             **overrides,
         )
-        ens, _ = train(config, train_data, one_hot(3))
+        ens, _, _ = train(config, train_data, one_hot(3))
         return ens.particles[0]
 
     def test_uncoupled_pair_matches_solo_runs_exactly(self, monkeypatch):
@@ -185,11 +184,11 @@ class TestParticleIndependence:
         train_data, _ = small_task()
         use_particle_seeds(monkeypatch, 101, 202)
         config = quick_config(
-            n_particles=2,
+            particles=2,
             repulsion=False,
             weight_decay=0.0,
         )
-        ens, _ = train(config, train_data, one_hot(3))
+        ens, _, _ = train(config, train_data, one_hot(3))
         assert np.array_equal(ens.particles[0], self.solo(monkeypatch, train_data, 101))
         assert np.array_equal(ens.particles[1], self.solo(monkeypatch, train_data, 202))
 
@@ -197,11 +196,11 @@ class TestParticleIndependence:
         train_data, _ = small_task()
         use_particle_seeds(monkeypatch, 101, 202, 303)
         config = quick_config(
-            n_particles=3,
+            particles=3,
             repulsion=False,
             weight_decay=0.0,
         )
-        ens, _ = train(config, train_data, one_hot(3))
+        ens, _, _ = train(config, train_data, one_hot(3))
         for row, seed in enumerate((101, 202, 303)):
             assert np.allclose(
                 ens.particles[row], self.solo(monkeypatch, train_data, seed),
@@ -212,11 +211,11 @@ class TestParticleIndependence:
         train_data, _ = small_task()
         use_particle_seeds(monkeypatch, 101, 202)
         config = quick_config(
-            n_particles=2,
+            particles=2,
             repulsion=True,
             weight_decay=0.0,
         )
-        ens, _ = train(config, train_data, one_hot(3))
+        ens, _, _ = train(config, train_data, one_hot(3))
         solo = self.solo(monkeypatch, train_data, 101)
         assert not np.allclose(ens.particles[0], solo, rtol=1e-5)
 
@@ -227,8 +226,8 @@ class TestSchedules:
         # exactly where the last full-rate epoch put them, which pins the
         # decay to the start of the named epoch
         train_data, _ = small_task()
-        one_epoch, _ = train(quick_config(epochs=1), train_data, one_hot(3))
-        frozen, _ = train(
+        one_epoch, _, _ = train(quick_config(epochs=1), train_data, one_hot(3))
+        frozen, _, _ = train(
             quick_config(epochs=4, lr_decay_epochs=(1,), lr_decay_factor=1e-300),
             train_data,
             one_hot(3),
@@ -237,8 +236,8 @@ class TestSchedules:
 
     def test_unit_decay_factor_is_inert(self):
         train_data, _ = small_task()
-        base, _ = train(quick_config(), train_data, one_hot(3))
-        decayed, _ = train(
+        base, _, _ = train(quick_config(), train_data, one_hot(3))
+        decayed, _, _ = train(
             quick_config(lr_decay_epochs=(1, 2), lr_decay_factor=1.0),
             train_data,
             one_hot(3),
@@ -247,37 +246,40 @@ class TestSchedules:
 
     def test_records_follow_anneal_schedule(self):
         train_data, _ = small_task()
-        _, records = train(
+        _, records, _ = train(
             quick_config(anneal_stride=10.0), train_data, one_hot(3)
         )
         assert [r.anneal for r in records] == [
             anneal_weight(e, 10.0) for e in range(3)
         ]
-        _, off_records = train(
+        _, off_records, _ = train(
             quick_config(repulsion=False), train_data, one_hot(3)
         )
         assert all(r.anneal == 0.0 for r in off_records)
 
 
 class TestArtifacts:
-    def test_checkpoints_written_on_stride(self, tmp_path):
-        # train makes the directory at its first checkpoint
+    def test_checkpoints_written_on_stride(self):
         train_data, _ = small_task()
         config = quick_config(epochs=4, checkpoint_every=2)
-        ens, _ = train(config, train_data, one_hot(3), out_dir=tmp_path / "run")
-        files = sorted(p.name for p in (tmp_path / "run").iterdir())
-        assert files == ["checkpoint_epoch0001.ckpt", "checkpoint_epoch0003.ckpt"]
-        final = load_checkpoint(tmp_path / "run" / "checkpoint_epoch0003.ckpt")
-        assert np.array_equal(final.particles, ens.particles)
+        ens, _, checkpoints = train(config, train_data, one_hot(3))
+        assert [epoch for epoch, _ in checkpoints] == [1, 3]
+        (_, first), (_, last) = checkpoints
+        assert np.array_equal(last.particles, ens.particles)
+        # a snapshot is a copy: the steps after it leave it where it was
+        assert not np.shares_memory(first.particles, ens.particles)
+        assert not np.array_equal(first.particles, ens.particles)
 
-    def test_no_out_dir_no_checkpoints(self, tmp_path):
+    def test_training_writes_no_file(self, tmp_path, monkeypatch):
+        # the CLI writes the snapshots; train leaves the working directory as it was
+        monkeypatch.chdir(tmp_path)
         train_data, _ = small_task()
-        train(quick_config(checkpoint_every=2), train_data, one_hot(3))
+        assert len(train(quick_config(checkpoint_every=1), train_data, one_hot(3))[2]) == 3
         assert list(tmp_path.iterdir()) == []
 
     def test_train_log_round_trip(self, tmp_path):
         train_data, _ = small_task()
-        _, records = train(quick_config(), train_data, one_hot(3))
+        _, records, _ = train(quick_config(), train_data, one_hot(3))
         path = tmp_path / "trainlog.jsonl"
         write_train_log(records, path)
         lines = path.read_text().splitlines()
@@ -300,30 +302,29 @@ class TestArtifacts:
 
 class TestTrainValidation:
     """train checks nothing itself: the types it builds reject bad inputs before
-    the first epoch, which would write a checkpoint."""
+    the first epoch."""
 
-    def rejects_before_training(self, tmp_path, data, utility, message):
+    def rejects_before_training(self, data, utility, message):
         with pytest.raises(InputError, match=message):
-            train(quick_config(checkpoint_every=1), data, utility, out_dir=tmp_path)
-        assert not any(tmp_path.iterdir())
+            train(quick_config(), data, utility)
 
-    def test_utility_class_mismatch(self, tmp_path):
+    def test_utility_class_mismatch(self):
         train_data, _ = small_task()
         self.rejects_before_training(
-            tmp_path, train_data, one_hot(4), "utility matrix is over 4 classes, model has 3"
+            train_data, one_hot(4), "utility matrix is over 4 classes, model has 3"
         )
 
-    def test_rejects_empty_classes(self, tmp_path, rng):
+    def test_rejects_empty_classes(self, rng):
         features = rng.normal(size=(3, 2))
         labels = np.array([0, 0, 1])
         data = LongTailDataset(features, labels, 3)
         self.rejects_before_training(
-            tmp_path, data, one_hot(3), r"classes without training samples: \[2\]"
+            data, one_hot(3), r"classes without training samples: \[2\]"
         )
 
-    def test_rejects_one_class(self, tmp_path, rng):
+    def test_rejects_one_class(self, rng):
         data = LongTailDataset(rng.normal(size=(3, 2)), np.zeros(3, dtype=np.int64), 1)
-        self.rejects_before_training(tmp_path, data, one_hot(1), "need at least 2 classes")
+        self.rejects_before_training(data, one_hot(1), "need at least 2 classes")
 
     def test_numeric_error_names_the_dataset_row(self):
         train_data, _ = small_task()
@@ -337,23 +338,22 @@ class TestTrainValidation:
         assert str(info.value).endswith("non-finite log-probabilities at dataset row 5")
         assert str(info.value).startswith("epoch 0, batch ")
 
-    def test_non_finite_parameters_after_the_last_step_raise(self, tmp_path):
+    def test_non_finite_parameters_after_the_last_step_raise(self):
         # one step, so no later batch reads what the overflowing update left
         train_data, _ = small_task()
         config = quick_config(
-            epochs=1, batch_size=len(train_data), n_particles=1, learning_rate=1.79e308,
-            weight_decay=1.0, checkpoint_every=1,
+            epochs=1, batch_size=len(train_data), particles=1, learning_rate=1.79e308,
+            weight_decay=1.0,
         )
         with pytest.raises(NumericError, match="^epoch 0: the steps left non-finite"):
-            train(config, train_data, one_hot(3), out_dir=tmp_path)
-        assert not any(tmp_path.iterdir())
+            train(config, train_data, one_hot(3))
 
     def test_non_finite_parameters_are_named_not_the_next_row(self):
         # the first step overflows the particles; the second batch's forward then
         # fails on parameters, not on any row of that batch
         train_data, _ = small_task()
         config = quick_config(
-            epochs=1, batch_size=len(train_data) // 2, n_particles=1,
+            epochs=1, batch_size=len(train_data) // 2, particles=1,
             learning_rate=1.79e308, weight_decay=1.0,
         )
         with pytest.raises(NumericError) as info:
@@ -365,7 +365,7 @@ class TestTrainValidation:
         # log-probs are then non-finite at all 16 rows, so no row is to blame
         train_data, _ = small_task()
         config = quick_config(
-            epochs=1, batch_size=16, hidden_dims=(32,), n_particles=1, learning_rate=1e308,
+            epochs=1, batch_size=16, hidden=(32,), particles=1, learning_rate=1e308,
             weight_decay=1.0,
         )
         with pytest.raises(NumericError) as info:
@@ -380,7 +380,7 @@ class TestTrainValidation:
 class TestEvaluate:
     def test_report_fields(self):
         train_data, test_data = small_task()
-        ens, _ = train(quick_config(), train_data, one_hot(3))
+        ens, _, _ = train(quick_config(), train_data, one_hot(3))
         report, batch = evaluate(ens, test_data, one_hot(3), tail_ratios=(0.5,), ece_bins=10)
         assert len(batch) == len(test_data)
         assert report.acc_overall == np.mean(batch.decisions == test_data.labels)
@@ -393,7 +393,7 @@ class TestEvaluate:
     def test_csv_rows_match_the_loaded_dataset(self, tmp_path):
         # 2,100 test rows: two row blocks
         train_data, test_data = generate_synthetic(3, 4, 60, 4.0, 2.0, seed=5, test_per_class=700)
-        ens, _ = train(quick_config(), train_data, one_hot(3))
+        ens, _, _ = train(quick_config(), train_data, one_hot(3))
         save_csv(test_data, tmp_path / "test.csv")
         streamed, streamed_batch = evaluate(ens, CsvRows(tmp_path / "test.csv", 3), one_hot(3))
         loaded, loaded_batch = evaluate(ens, load_csv(tmp_path / "test.csv", 3), one_hot(3))
@@ -404,7 +404,7 @@ class TestEvaluate:
 
     def test_test_classes_must_be_the_models(self, tmp_path):
         train_data, test_data = small_task()
-        ens, _ = train(quick_config(), train_data, one_hot(3))
+        ens, _, _ = train(quick_config(), train_data, one_hot(3))
         save_csv(test_data, tmp_path / "test.csv")
         wider = LongTailDataset(test_data.features, test_data.labels, 4)
         for test in (wider, CsvRows(tmp_path / "test.csv", 4), CsvRows(tmp_path / "test.csv")):
@@ -413,7 +413,7 @@ class TestEvaluate:
 
     def test_needs_a_tail_ratio(self):
         train_data, test_data = small_task()
-        ens, _ = train(quick_config(), train_data, one_hot(3))
+        ens, _, _ = train(quick_config(), train_data, one_hot(3))
         with pytest.raises(InputError):
             evaluate(ens, test_data, one_hot(3), tail_ratios=())
 
@@ -427,7 +427,7 @@ class TestRepeatRuns:
         # run r is a plain train + evaluate at seed config.seed + r
         for seed, report in enumerate(reports):
             train_data, test_data = small_task(seed)
-            ens, _ = train(replace(config, seed=seed), train_data, one_hot(3))
+            ens, _, _ = train(replace(config, seed=seed), train_data, one_hot(3))
             assert report == evaluate(ens, test_data, one_hot(3))[0]
 
     def test_requires_a_run(self):
