@@ -9,6 +9,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,13 +48,14 @@ class LongTailDataset:
 
 
 def tail_mask(num_classes: int, ratio: float) -> np.ndarray:
-    """(K,) bool head/tail split: True on the last ceil(ratio*K) class ids."""
+    """(K,) bool head/tail split: True on the last ceil(ratio*K) class ids, ratio taken
+    as the decimal it is written as: 0.07 of 100 is 7, though 0.07 * 100 rounds up."""
     if not 0.0 < ratio < 1.0:
         raise InputError(f"tail ratio must be in (0, 1), got {ratio}")
     if num_classes < 1:
         raise InputError("need at least one class")
     mask = np.zeros(num_classes, dtype=bool)
-    mask[num_classes - math.ceil(ratio * num_classes) :] = True
+    mask[num_classes - math.ceil(Fraction(repr(float(ratio))) * num_classes) :] = True
     return mask
 
 

@@ -1,7 +1,7 @@
 """Ensembles of parameter particles sharing one network shape.
 
-The ensemble approximates a distribution over parameters with M weighted
-point masses. Prediction mixes the per-particle class distributions; the
+The ensemble approximates a distribution over parameters with M equally
+weighted point masses. Prediction mixes the per-particle class distributions; the
 repulsive regularizer trades an L2 pull toward zero against a spread bonus,
 half the summed log of the per-coordinate particle variance.
 """
@@ -23,7 +23,6 @@ CHECKPOINT_VERSION = 1
 class ParticleEnsemble:
     shape: NetShape
     particles: np.ndarray  # (M, P) float64
-    mixture_weights: np.ndarray = None  # (M,) nonnegative, sums to 1
 
     def __post_init__(self):
         self.particles = np.asarray(self.particles, dtype=np.float64)
@@ -38,18 +37,15 @@ class ParticleEnsemble:
             )
         if not np.all(np.isfinite(self.particles)):
             raise InputError("particles must be finite")
-        if self.mixture_weights is None:
-            self.mixture_weights = np.full(m, 1.0 / m)
-        w = self.mixture_weights = np.asarray(self.mixture_weights, dtype=np.float64)
-        if w.shape != (m,):
-            raise InputError("mixture weights must align with particles")
-        # stated as what must hold, so NaN and inf weights fail it
-        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
-            raise InputError("mixture weights must be finite, nonnegative and sum to 1")
 
     @property
     def n_particles(self) -> int:
         return int(self.particles.shape[0])
+
+    @property
+    def mixture_weights(self) -> np.ndarray:
+        """(M,) equal weights 1/M, as a deep ensemble averages its members."""
+        return np.full(self.n_particles, 1.0 / self.n_particles)
 
 
 def predictive_logprobs_batch(ens: ParticleEnsemble, x: np.ndarray):
@@ -182,11 +178,12 @@ def load_checkpoint(path) -> ParticleEnsemble:
             raise ParseError(
                 f"checkpoint payload has {len(payload)} bytes, expected {expected}"
             )
-        weights = np.frombuffer(payload[: 8 * m], dtype="<f8").astype(np.float64)
+        if payload[: 8 * m] != np.full(m, 1.0 / m).astype("<f8").tobytes():
+            raise ParseError("checkpoint mixture weights must each be 1/M")
         particles = (
             np.frombuffer(payload[8 * m :], dtype="<f8").astype(np.float64).reshape(m, p)
         )
         try:
-            return ParticleEnsemble(shape=shape, particles=particles, mixture_weights=weights)
+            return ParticleEnsemble(shape=shape, particles=particles)
         except InputError as err:
             raise ParseError(f"checkpoint payload: {err}") from None

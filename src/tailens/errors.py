@@ -25,9 +25,9 @@ class ParseError(ValueError):
 
 
 def open_text(path):
-    """The file at path as UTF-8 text. Its lines end at LF, CRLF or a lone CR, and
-    a byte that is not UTF-8 reads as a lone surrogate, which `utf8` rejects."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    """The file at path as UTF-8 text, a leading BOM skipped. Lines end at LF, CRLF or
+    a lone CR; a byte that is not UTF-8 reads as a lone surrogate, which `utf8` rejects."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
 
 def utf8(line: str, lineno: int) -> str:

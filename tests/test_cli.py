@@ -366,6 +366,12 @@ class TestConfigLayering:
         assert main(["train", "--config", str(cfg)] + flags(tmp_path)[:-4]
                     + ["--out", str(tmp_path)]) == 0
 
+    def test_config_file_with_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xef\xbb\xbf{"seed": 7}')
+        assert main(["train", "--config", str(cfg)] + flags(tmp_path)) == 0
+        assert json.loads((tmp_path / "config.json").read_text())["seed"] == 7
+
     def test_flag_beats_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 1}))
@@ -657,9 +663,27 @@ MALFORMED = {
         "evaluate",
         "x.ckpt",
         CHECKPOINT_MAGIC + b"\n" + GOOD_HEADER + b"\n"
-        + np.array([np.nan] + [0.0] * 17, dtype="<f8").tobytes(),
+        + np.array([1.0, np.nan] + [0.0] * 16, dtype="<f8").tobytes(),
         ["--checkpoint"],
         "finite",
+    ),
+    # an ensemble weighs each of its M particles 1/M; the weight block holds nothing else
+    "checkpoint-weights-nan": (
+        "evaluate",
+        "x.ckpt",
+        CHECKPOINT_MAGIC + b"\n" + GOOD_HEADER + b"\n"
+        + np.array([np.nan] + [0.0] * 17, dtype="<f8").tobytes(),
+        ["--checkpoint"],
+        "1/M",
+    ),
+    "checkpoint-weights-uneven": (
+        "evaluate",
+        "x.ckpt",
+        CHECKPOINT_MAGIC + b"\n"
+        + THREE_CLASS_HEADER.replace(b'"n_particles": 1', b'"n_particles": 2') + b"\n"
+        + np.array([0.75, 0.25] + [0.0] * 42, dtype="<f8").tobytes(),
+        ["--test-csv", "c.csv", "--checkpoint"],
+        "1/M",
     ),
     "csv-non-numeric": (
         "train", "data.csv", b"f0,label\n1.0,0\nabc,1\n", ["--train-csv"], "line 3"

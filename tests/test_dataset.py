@@ -187,6 +187,13 @@ class TestTailSplit:
         assert mask.dtype == bool and mask.shape == (7,)
         assert tuple(np.flatnonzero(mask)) == (4, 5, 6)
 
+    def test_two_digit_ratio_counts_as_its_decimal(self):
+        # 0.07 * 100 is 7.000000000000001 in float64: the tail is still 7 classes
+        for k in range(1, 101):
+            for hundredths in range(1, 100):
+                count = -(-hundredths * k // 100)
+                assert tail_mask(k, hundredths / 100).sum() == count, (k, hundredths)
+
     @given(
         st.integers(min_value=1, max_value=100),
         st.floats(min_value=0.01, max_value=0.99),
@@ -330,6 +337,15 @@ class TestCsv:
             load_csv(path)
         path.write_text('"f\n0",label\n1.5,0\n\n2,-1\n')
         with pytest.raises(ParseError, match="bad.csv: line 5: label -1 is negative"):
+            load_csv(path)
+
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        # as Excel's "CSV UTF-8" writes it; a quoted header field may then start the file
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b'\xef\xbb\xbf"f\n0",label\n1.5,0\n')
+        assert load_csv(path).features.tolist() == [[1.5]]
+        path.write_bytes(b'\xef\xbb\xbf"f\n0",label\n1.5,0\nabc,1\n')
+        with pytest.raises(ParseError, match=r"bom.csv: line 4: non-numeric feature in \['abc'\]"):
             load_csv(path)
 
     def test_a_byte_that_is_not_utf8_in_the_header(self, tmp_path):

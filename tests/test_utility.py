@@ -87,6 +87,14 @@ class TestLoadMatrix:
         assert matrix.num_classes == 2
         assert np.array_equal(matrix.values, [[1.0, 0.0], [-2.5, 1.0]])
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "util.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,0\n-2.5,1\n")
+        assert np.array_equal(load_matrix(path).values, [[1.0, 0.0], [-2.5, 1.0]])
+        path.write_bytes(b"\xef\xbb\xbf1,0\nx,1\n")
+        with pytest.raises(ParseError, match="util.csv: line 2: non-numeric"):
+            load_matrix(path)
+
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "util.csv"
         path.write_text("1.0,0.0\n0.0,1.0\n0.0,0.0\n")
