@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import CsvRows, generate_synthetic, load_csv, save_csv
 from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
-from .errors import InputError, NumericError, ParseError, open_text, utf8
+from .errors import InputError, NumericError, ParseError, naming, open_text, utf8
 from .metrics import report_to_json, write_summary_csv
 from .rebalance import DiscrepancySpec, class_weights, growth_rate
 from .trainer import TrainConfig, evaluate, repeat_runs, train, write_train_log
@@ -128,9 +128,17 @@ def _numbers(config: dict, key: str, kind=int) -> tuple:
         ) from None
 
 
-def _check(config: dict) -> None:
-    """Reject out-of-range values; the dataclasses own the training keys."""
-    _train_config(config)
+def _check(config: dict) -> TrainConfig:
+    """The TrainConfig that runs config, once no value is out of range. The dataclasses
+    own the training keys: every key that names a field, then the keys that differ."""
+    settings = {f.name: config[f.name] for f in fields(TrainConfig) if f.name in config}
+    settings.update(
+        ratio=DiscrepancySpec(form=config["ratio"], gamma=config["gamma"], beta=config["beta"]),
+        repulsion=config["repulsion"] == "on",
+        hidden=_numbers(config, "hidden"),
+        lr_decay_epochs=_numbers(config, "lr_decay_epochs"),
+    )
+    train_config = TrainConfig(**settings)
     ratios = _numbers(config, "tail_ratios", float)
     rules = {
         "classes": (config["classes"] >= 2, ">= 2"),
@@ -151,18 +159,17 @@ def _check(config: dict) -> None:
     for key, (ok, rule) in rules.items():
         if not ok:
             raise InputError(f"{key}: must be {rule}, got {config[key]!r}")
+    return train_config
 
 
-def _effective_config(args) -> dict:
+def _effective_config(args) -> tuple:
     config = {key: default for key, (default, _) in SCHEMA.items()}
     if args.config is not None:
         try:
-            with open_text(args.config) as fh:
+            with naming(args.config), open_text(args.config) as fh:
                 loaded = json.loads("".join(utf8(line, n) for n, line in enumerate(fh, start=1)))
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             raise InputError(f"{args.config}: not valid JSON: {err}") from None
-        except ParseError as err:
-            raise InputError(f"{args.config}: {err}") from None
         if not isinstance(loaded, dict):
             raise InputError(f"{args.config}: config file must hold a JSON object")
         for key, value in loaded.items():
@@ -174,8 +181,7 @@ def _effective_config(args) -> dict:
         if raw is not None:
             config[key] = raw
     config = {key: _coerce(key, value) for key, value in config.items()}
-    _check(config)
-    return config
+    return config, _check(config)
 
 
 def _write_text(text: str, path) -> None:
@@ -192,18 +198,6 @@ def _publish(config: dict, files: dict) -> None:
         write(os.path.join(out, name))
     echo = json.dumps(config, sort_keys=True, indent=2) + "\n"
     _write_text(echo, os.path.join(out, "config.json"))
-
-
-def _train_config(config: dict) -> TrainConfig:
-    """Every key that names a TrainConfig field, then the keys that differ from one."""
-    settings = {f.name: config[f.name] for f in fields(TrainConfig) if f.name in config}
-    settings.update(
-        ratio=DiscrepancySpec(form=config["ratio"], gamma=config["gamma"], beta=config["beta"]),
-        repulsion=config["repulsion"] == "on",
-        hidden=_numbers(config, "hidden"),
-        lr_decay_epochs=_numbers(config, "lr_decay_epochs"),
-    )
-    return TrainConfig(**settings)
 
 
 def _build_utility(config: dict, num_classes: int):
@@ -281,12 +275,12 @@ def _summary(report) -> str:
     )
 
 
-def cmd_train(config: dict) -> int:
+def cmd_train(config: dict, train_config: TrainConfig) -> int:
     train_data, test_data = _load_data(config, config["seed"])
     if test_data is not None:
         _check_regions(train_data.num_classes, config["train_csv"] or "classes")
     utility = _build_utility(config, train_data.num_classes)
-    ens, records, checkpoints = train(_train_config(config), train_data, utility)
+    ens, records, checkpoints = train(train_config, train_data, utility)
     files = {"ensemble.ckpt": partial(save_checkpoint, ens),
              "trainlog.jsonl": partial(write_train_log, records)}
     for epoch, snapshot in checkpoints:
@@ -326,15 +320,9 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
 
 
 def _run_cell(payload):
-    cell, axis, value, data, utility = payload
-    config = _train_config(cell)
-    reports = repeat_runs(config, data, utility, *_scoring(cell))
-    row = {axis: value}
-    if axis == "ratio":
-        weights = class_weights(config.ratio, data[0][0].class_counts)
-        row["weight_first"] = round(float(weights.raw[0]), 6)
-        row["weight_last"] = round(float(weights.raw[-1]), 6)
-        row["growth_pct"] = round(growth_rate(weights), 2)
+    """A sweep row: its leading columns, then the statistics of the cell's runs."""
+    config, utility, row, data, scoring = payload
+    reports = repeat_runs(config, data, utility, *scoring)
 
     def stat(name, reduce=np.mean):
         """Mean (or std) of a report field over the runs that have it, to 6 places."""
@@ -371,12 +359,19 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
     if test_data is None:
         raise InputError("sweep evaluates every run: --train-csv needs --test-csv")
     _check_regions(train_data.num_classes, config["train_csv"] or "classes")
+    # every cell is built and checked, its row's leading columns too, before any trains
     payloads = []
     for value in values:
         cell = {**config, axis: _coerce(axis, value)}
-        _check(cell)
+        train_config = _check(cell)
         utility = _build_utility(cell, train_data.num_classes)
-        payloads.append((cell, axis, value, data, utility))
+        row = {axis: value}
+        if axis == "ratio":
+            weights = class_weights(train_config.ratio, train_data.class_counts)
+            row["weight_first"] = round(float(weights.raw[0]), 6)
+            row["weight_last"] = round(float(weights.raw[-1]), 6)
+            row["growth_pct"] = round(growth_rate(weights), 2)
+        payloads.append((train_config, utility, row, data, _scoring(config)))
 
     workers = min(config["jobs"], len(payloads))
     if workers > 1:
@@ -401,11 +396,11 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        config = _effective_config(args)
+        config, train_config = _effective_config(args)
         if args.command == "generate-data":
             return cmd_generate_data(config)
         if args.command == "train":
-            return cmd_train(config)
+            return cmd_train(config, train_config)
         if args.command == "evaluate":
             return cmd_evaluate(config, args.checkpoint)
         return cmd_sweep(config, args.axis, args.grid)
@@ -415,7 +410,7 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
+    except (OSError, MemoryError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 2
 

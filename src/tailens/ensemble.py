@@ -144,7 +144,7 @@ def _header_layout(header):
     """(n_particles, param_count, shape) from a checkpoint header, each field checked."""
     if not isinstance(header, dict):
         raise ParseError("checkpoint header is not a JSON object", line=2)
-    if header.get("version") != CHECKPOINT_VERSION:
+    if type(header.get("version")) is not int or header["version"] != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {header.get('version')!r}", line=2)
     hidden = header.get("hidden")
     counts = ("input_dim", "num_classes", "n_particles", "param_count")
@@ -169,7 +169,7 @@ def load_checkpoint(path) -> ParticleEnsemble:
             raise ParseError(f"not an ensemble checkpoint (magic {magic!r})", line=1)
         try:
             header = json.loads(fh.readline())
-        except ValueError:
+        except (ValueError, RecursionError):
             raise ParseError("corrupt checkpoint header", line=2) from None
         m, p, shape = _header_layout(header)
         payload = fh.read()

@@ -43,6 +43,8 @@ def callers(name: str) -> list[str]:
         # a training run's one forward is its diagnostics: a failed step's log-probs
         # tell whether any row is finite, with no second forward
         ("forward_logprobs_batch", ["ensemble.predictive_logprobs_batch", "trainer.train"]),
+        # a config is checked once, into the TrainConfig that runs it
+        ("TrainConfig", ["cli._check"]),
     ],
 )
 def test_unchecked_function_has_only_its_callers(name, expected):

@@ -77,6 +77,17 @@ class TestGenerateData:
         assert code == 1
         assert "synthetic" in capsys.readouterr().err
 
+    def test_out_of_memory_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
+        # raised in-process: a machine that overcommits memory might try to supply
+        # a real request that large
+        def refuse(**settings):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli, "generate_synthetic", refuse)
+        assert main(["generate-data"] + flags(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "runtime error: Unable to allocate 1.00 TiB\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_writes_artifacts(self, tmp_path, capsys):
@@ -417,7 +428,7 @@ class TestConfigLayering:
     def test_defaults_are_the_library_defaults(self):
         # training keys reach TrainConfig by name, so their defaults must agree
         defaults = {key: default for key, (default, _) in SCHEMA.items()}
-        assert cli._train_config(defaults) == TrainConfig()
+        assert cli._check(defaults) == TrainConfig()
         evaluate_params = inspect.signature(evaluate).parameters
         ratios = cli._numbers(defaults, "tail_ratios", float)
         assert ratios == evaluate_params["tail_ratios"].default
@@ -433,7 +444,7 @@ class TestConfigLayering:
                 super().__init__(**settings)
 
         monkeypatch.setattr(cli, "TrainConfig", Recording)
-        cli._train_config({key: default for key, (default, _) in SCHEMA.items()})
+        cli._check({key: default for key, (default, _) in SCHEMA.items()})
         fields = {f.name for f in dataclasses.fields(TrainConfig)}
         assert sorted(fields - names) == []
 
@@ -618,6 +629,15 @@ class TestSweep:
         assert main(args + flags(tmp_path / "s", utility=str(utility))) == 0
         assert calls == {"generate_synthetic": 2, "load_matrix": 2}
 
+    def test_every_cell_is_built_before_any_trains(self, tmp_path, monkeypatch, capsys):
+        # the power cell's class weights overflow: the linear cell before it never trains
+        calls = self.count_calls(monkeypatch, "repeat_runs")
+        args = ["sweep", "--axis", "ratio", "--grid", "linear,power", "--gamma", "300"]
+        assert main(args + self.sweep_flags(tmp_path / "s")) == 1
+        assert "gamma 300.0 overflows the power form" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+        assert calls == {"repeat_runs": 0}
+
 
 GOOD_HEADER = (
     b'{"hidden": [3], "input_dim": 2, "n_particles": 1,'
@@ -644,6 +664,10 @@ def three_features(*labels):
 MALFORMED = {
     "config-json": ("train", "cfg.json", b"{not json", ["--config"], "JSON"),
     "config-key": ("train", "cfg.json", b'{"bogus": 1}', ["--config"], "bogus"),
+    # past the JSON decoder's recursion limit
+    "config-deeply-nested": (
+        "train", "cfg.json", b"[" * 200_000 + b"]" * 200_000, ["--config"], "JSON"
+    ),
     "flag-value": ("train", None, None, ["--momentum", "1.5"], "momentum"),
     "checkpoint-magic": (
         "evaluate", "x.ckpt", b"NOT-A-CHECKPOINT\n{}\n", ["--checkpoint"], "line 1"
@@ -654,6 +678,10 @@ MALFORMED = {
         CHECKPOINT_MAGIC + b'\n{"version": 1, "n_particles": "x", "hidden": [3]}\n',
         ["--checkpoint"],
         "line 2",
+    ),
+    "checkpoint-header-deeply-nested": (
+        "evaluate", "x.ckpt", CHECKPOINT_MAGIC + b"\n" + b"[" * 200_000 + b"]" * 200_000 + b"\n",
+        ["--checkpoint"], "line 2",
     ),
     "checkpoint-payload": (
         "evaluate", "x.ckpt", CHECKPOINT_MAGIC + b"\n" + GOOD_HEADER + b"\n\0\0\0",

@@ -297,14 +297,17 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             load_checkpoint(path)
 
-    def test_unsupported_version(self, tmp_path):
+    # true and 1.0 equal the version 1 in Python, but are not the integer 1
+    @pytest.mark.parametrize("version", [b"99", b"true", b"1.0"])
+    def test_unsupported_version(self, tmp_path, version):
         path = tmp_path / "vers.ckpt"
         header = (
             b'{"hidden": [3], "input_dim": 2, "n_particles": 1,'
-            b' "num_classes": 2, "param_count": 17, "version": 99}'
+            b' "num_classes": 2, "param_count": 17, "version": %s}' % version
         )
-        path.write_bytes(CHECKPOINT_MAGIC + b"\n" + header + b"\n" + b"\x00" * 8 * 18)
-        with pytest.raises(ParseError):
+        weights = np.array([1.0], dtype="<f8").tobytes()
+        path.write_bytes(CHECKPOINT_MAGIC + b"\n" + header + b"\n" + weights + b"\x00" * 8 * 17)
+        with pytest.raises(ParseError, match="line 2: unsupported checkpoint version"):
             load_checkpoint(path)
 
     def test_non_finite_payload_names_the_file(self, tmp_path):
