@@ -22,7 +22,7 @@ from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
 from .errors import InputError, NumericError, ParseError, naming, open_text, utf8
 from .metrics import report_to_json, write_summary_csv
-from .rebalance import DiscrepancySpec, class_weights, growth_rate
+from .rebalance import DiscrepancySpec, class_weights, growth_rate, without_samples
 from .trainer import TrainConfig, evaluate, repeat_runs, train, write_train_log
 from .utility import load_matrix, one_hot, tail_sensitive
 
@@ -128,9 +128,9 @@ def _numbers(config: dict, key: str, kind=int) -> tuple:
         ) from None
 
 
-def _check(config: dict) -> TrainConfig:
-    """The TrainConfig that runs config, once no value is out of range. The dataclasses
-    own the training keys: every key that names a field, then the keys that differ."""
+def _check(config: dict) -> tuple:
+    """The (TrainConfig, (tail_ratios, ece_bins)) that run config, once no value is out of
+    range. The dataclasses own the training keys: every key naming a field, then the rest."""
     settings = {f.name: config[f.name] for f in fields(TrainConfig) if f.name in config}
     settings.update(
         ratio=DiscrepancySpec(form=config["ratio"], gamma=config["gamma"], beta=config["beta"]),
@@ -139,7 +139,7 @@ def _check(config: dict) -> TrainConfig:
         lr_decay_epochs=_numbers(config, "lr_decay_epochs"),
     )
     train_config = TrainConfig(**settings)
-    ratios = _numbers(config, "tail_ratios", float)
+    ratios, out = _numbers(config, "tail_ratios", float), config["out"]
     rules = {
         "classes": (config["classes"] >= 2, ">= 2"),
         "dim": (config["dim"] >= 1, ">= 1"),
@@ -153,13 +153,14 @@ def _check(config: dict) -> TrainConfig:
         "ece_bins": (config["ece_bins"] >= 1, ">= 1"),
         "runs": (config["runs"] >= 1, ">= 1"),
         "jobs": (config["jobs"] >= 1, ">= 1"),
-        "out": (config["out"] != "", "non-empty"),
+        "out": (out != "" and (os.path.isdir(out) or not os.path.exists(out)),
+                "non-empty and not an existing file"),
         "repulsion": (config["repulsion"] in ("on", "off"), "'on' or 'off'"),
     }
     for key, (ok, rule) in rules.items():
         if not ok:
             raise InputError(f"{key}: must be {rule}, got {config[key]!r}")
-    return train_config
+    return train_config, (ratios, config["ece_bins"])
 
 
 def _effective_config(args) -> tuple:
@@ -181,7 +182,7 @@ def _effective_config(args) -> tuple:
         if raw is not None:
             config[key] = raw
     config = {key: _coerce(key, value) for key, value in config.items()}
-    return config, _check(config)
+    return (config, *_check(config))
 
 
 def _write_text(text: str, path) -> None:
@@ -217,9 +218,9 @@ def _load_data(config: dict, seed: int):
     if config["train_csv"] is not None:
         train_data = load_csv(config["train_csv"])
         # what training would reject too, said here with the file's name
-        missing = np.flatnonzero(train_data.class_counts == 0).tolist()
-        if missing:
-            raise InputError(f"{config['train_csv']}: classes without training samples: {missing}")
+        empty = without_samples(np.unique(train_data.labels), train_data.num_classes)
+        if empty:
+            raise InputError(f"{config['train_csv']}: {empty}")
         if train_data.num_classes < 2:
             raise InputError(f"{config['train_csv']}: training needs at least 2 classes")
         test_data = None
@@ -261,11 +262,6 @@ def _check_regions(num_classes: int, source: str) -> None:
         raise InputError(f"{source}: evaluation needs K >= 3 classes, got {num_classes}")
 
 
-def _scoring(config: dict) -> tuple:
-    """The (tail_ratios, ece_bins) that evaluation scores with."""
-    return _numbers(config, "tail_ratios", float), config["ece_bins"]
-
-
 def _summary(report) -> str:
     """The stdout line of a metrics report."""
     tail = "n/a" if report.acc_tail is None else f"{report.acc_tail:.4f}"
@@ -275,7 +271,7 @@ def _summary(report) -> str:
     )
 
 
-def cmd_train(config: dict, train_config: TrainConfig) -> int:
+def cmd_train(config: dict, train_config: TrainConfig, scoring: tuple) -> int:
     train_data, test_data = _load_data(config, config["seed"])
     if test_data is not None:
         _check_regions(train_data.num_classes, config["train_csv"] or "classes")
@@ -286,7 +282,7 @@ def cmd_train(config: dict, train_config: TrainConfig) -> int:
     for epoch, snapshot in checkpoints:
         files[f"checkpoint_epoch{epoch:04d}.ckpt"] = partial(save_checkpoint, snapshot)
     if test_data is not None:
-        report = evaluate(ens, test_data, utility, *_scoring(config))[0]
+        report = evaluate(ens, test_data, utility, *scoring)[0]
         files["metrics.json"] = partial(_write_text, report_to_json(report))
     _publish(config, files)
     if test_data is not None:
@@ -295,7 +291,7 @@ def cmd_train(config: dict, train_config: TrainConfig) -> int:
     return 0
 
 
-def cmd_evaluate(config: dict, checkpoint: str) -> int:
+def cmd_evaluate(config: dict, scoring: tuple, checkpoint: str) -> int:
     ens = load_checkpoint(checkpoint)
     k = ens.shape.num_classes
     _check_regions(k, checkpoint)
@@ -312,7 +308,7 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
             f" {checkpoint} has {ens.shape.input_dim}"
         )
     utility = _build_utility(config, k)
-    report, batch = evaluate(ens, test_data, utility, *_scoring(config))
+    report, batch = evaluate(ens, test_data, utility, *scoring)
     _publish(config, {"metrics.json": partial(_write_text, report_to_json(report)),
                       "predictions.csv": partial(write_predictions_csv, batch)})
     print(_summary(report))
@@ -343,7 +339,7 @@ def _run_cell(payload):
     return row
 
 
-def cmd_sweep(config: dict, axis: str, grid) -> int:
+def cmd_sweep(config: dict, scoring: tuple, axis: str, grid) -> int:
     if grid is None:
         values = SWEEP_GRIDS[axis]
     else:
@@ -363,7 +359,7 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
     payloads = []
     for value in values:
         cell = {**config, axis: _coerce(axis, value)}
-        train_config = _check(cell)
+        train_config = _check(cell)[0]
         utility = _build_utility(cell, train_data.num_classes)
         row = {axis: value}
         if axis == "ratio":
@@ -371,7 +367,7 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
             row["weight_first"] = round(float(weights.raw[0]), 6)
             row["weight_last"] = round(float(weights.raw[-1]), 6)
             row["growth_pct"] = round(growth_rate(weights), 2)
-        payloads.append((train_config, utility, row, data, _scoring(config)))
+        payloads.append((train_config, utility, row, data, scoring))
 
     workers = min(config["jobs"], len(payloads))
     if workers > 1:
@@ -396,14 +392,14 @@ def cmd_sweep(config: dict, axis: str, grid) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        config, train_config = _effective_config(args)
+        config, train_config, scoring = _effective_config(args)
         if args.command == "generate-data":
             return cmd_generate_data(config)
         if args.command == "train":
-            return cmd_train(config, train_config)
+            return cmd_train(config, train_config, scoring)
         if args.command == "evaluate":
-            return cmd_evaluate(config, args.checkpoint)
-        return cmd_sweep(config, args.axis, args.grid)
+            return cmd_evaluate(config, scoring, args.checkpoint)
+        return cmd_sweep(config, scoring, args.axis, args.grid)
     except (InputError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

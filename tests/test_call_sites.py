@@ -45,6 +45,8 @@ def callers(name: str) -> list[str]:
         ("forward_logprobs_batch", ["ensemble.predictive_logprobs_batch", "trainer.train"]),
         # a config is checked once, into the TrainConfig that runs it
         ("TrainConfig", ["cli._check"]),
+        # the scoring settings are parsed once too, beside the lists the TrainConfig takes
+        ("_numbers", ["cli._check", "cli._check", "cli._check"]),
     ],
 )
 def test_unchecked_function_has_only_its_callers(name, expected):

@@ -428,11 +428,11 @@ class TestConfigLayering:
     def test_defaults_are_the_library_defaults(self):
         # training keys reach TrainConfig by name, so their defaults must agree
         defaults = {key: default for key, (default, _) in SCHEMA.items()}
-        assert cli._check(defaults) == TrainConfig()
+        train_config, (ratios, bins) = cli._check(defaults)
+        assert train_config == TrainConfig()
         evaluate_params = inspect.signature(evaluate).parameters
-        ratios = cli._numbers(defaults, "tail_ratios", float)
         assert ratios == evaluate_params["tail_ratios"].default
-        assert defaults["ece_bins"] == evaluate_params["ece_bins"].default
+        assert bins == evaluate_params["ece_bins"].default
 
     def test_every_train_config_field_is_a_setting(self, monkeypatch):
         # a field that no key sets is a knob that only tests can reach
@@ -808,6 +808,11 @@ MALFORMED = {
         "train", "gap.csv", three_features(0, 0, 2), ["--train-csv"],
         "classes without training samples: [1]",
     ),
+    # K is the largest label + 1: the message names 10 of the missing ids, then counts
+    "train-csv-stray-label": (
+        "train", "stray.csv", three_features(0, 1, 2, 3_000_000), ["--train-csv"],
+        "classes without training samples: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 2999987 more",
+    ),
     "train-csv-one-class": (
         "train", "one.csv", three_features(0, 0, 0), ["--train-csv"],
         "training needs at least 2 classes",
@@ -969,6 +974,14 @@ def test_malformed_inputs_exit_1_without_traceback(tmp_path, family):
         assert name in result.stderr
     # rejected before any work: nothing trained, no output directory
     assert not (tmp_path / "out").exists()
+
+
+def test_a_stray_label_is_one_short_line(tmp_path):
+    command, name, blob, extra, needle = MALFORMED["train-csv-stray-label"]
+    result = run_family(tmp_path, command, name, blob, extra)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {tmp_path / name}: {needle}\n"
+    assert len(result.stderr.encode()) < 1024
 
 
 # sha256 of the artifacts of `tailens train --epochs 30 --seed 0` and of
@@ -1208,6 +1221,19 @@ def test_key_boundary(tmp_path, monkeypatch, capsys, default_echo, key, accepted
     expected = accepted if default is None or isinstance(default, str) else type(default)(accepted)
     echoed = json.loads(Path("out/config.json").read_text())[key]
     assert echoed == expected and type(echoed) is type(expected)
+
+
+@pytest.mark.parametrize("command", ["generate-data", "train", "sweep"])
+def test_out_naming_a_file_is_rejected_before_any_work(tmp_path, monkeypatch, capsys, command):
+    calls = TestSweep.count_calls(monkeypatch, "generate_synthetic", "train", "repeat_runs")
+    path = tmp_path / "afile"
+    path.write_bytes(b"not a directory\n")
+    extra = ["--axis", "particles"] if command == "sweep" else []
+    assert main([command, *flags(path), *extra]) == 1
+    rule = "must be non-empty and not an existing file"
+    assert capsys.readouterr().err == f"error: out: {rule}, got {str(path)!r}\n"
+    assert path.read_bytes() == b"not a directory\n"
+    assert calls == {"generate_synthetic": 0, "train": 0, "repeat_runs": 0}
 
 
 @pytest.mark.parametrize("key,value", NON_FINITE)

@@ -14,6 +14,7 @@ from tailens.rebalance import (
     f_value,
     growth_rate,
     normalize_raw,
+    without_samples,
 )
 
 # Frozen oracle: (1 - 0.9999^500) / (1 - 0.9999) at 60-digit precision.
@@ -132,6 +133,23 @@ class TestClassWeights:
     def test_empty_counts_rejected(self):
         with pytest.raises(InputError):
             class_weights(DiscrepancySpec("linear"), [])
+
+    def test_many_empty_classes_name_ten(self):
+        counts = np.zeros(3_000_002, dtype=np.int64)
+        counts[:2] = 5
+        with pytest.raises(InputError) as err:
+            class_weights(DiscrepancySpec("linear"), counts)
+        ids = list(range(2, 12))
+        assert str(err.value) == f"classes without training samples: {ids} and 2999990 more"
+
+    @settings(max_examples=200)
+    @given(st.lists(st.booleans(), min_size=1, max_size=40))
+    def test_without_samples_names_the_first_ten(self, has):
+        # brute-force oracle: every missing id, then the first 10 of them and a count
+        ids = [k for k, there in enumerate(has) if not there]
+        more = f" and {len(ids) - 10} more" if len(ids) > 10 else ""
+        expected = f"classes without training samples: {ids[:10]}{more}" if ids else None
+        assert without_samples(np.flatnonzero(has), len(has)) == expected
 
 
 class TestGrowthRate:
