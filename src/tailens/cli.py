@@ -22,6 +22,7 @@ from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
 from .errors import InputError, NumericError, ParseError, naming, open_text, utf8
 from .metrics import report_to_json, write_summary_csv
+from .objective import utility_term
 from .rebalance import DiscrepancySpec, class_weights, growth_rate, without_samples
 from .trainer import TrainConfig, evaluate, repeat_runs, train, write_train_log
 from .utility import load_matrix, one_hot, tail_sensitive
@@ -128,6 +129,15 @@ def _numbers(config: dict, key: str, kind=int) -> tuple:
         ) from None
 
 
+def _can_hold(out: str) -> bool:
+    """Whether out is, or can be made as, a directory to write in: the nearest of it
+    and its parents that exists is a directory this process may write in."""
+    while out and not os.path.lexists(out):
+        out = os.path.dirname(out)
+    out = out or "."
+    return os.path.isdir(out) and os.access(out, os.W_OK | os.X_OK)
+
+
 def _check(config: dict) -> tuple:
     """The (TrainConfig, (tail_ratios, ece_bins)) that run config, once no value is out of
     range. The dataclasses own the training keys: every key naming a field, then the rest."""
@@ -153,8 +163,8 @@ def _check(config: dict) -> tuple:
         "ece_bins": (config["ece_bins"] >= 1, ">= 1"),
         "runs": (config["runs"] >= 1, ">= 1"),
         "jobs": (config["jobs"] >= 1, ">= 1"),
-        "out": (out != "" and (os.path.isdir(out) or not os.path.exists(out)),
-                "non-empty and not an existing file"),
+        "out": (out != "" and _can_hold(out),
+                "non-empty and a writable directory or a new path under one"),
         "repulsion": (config["repulsion"] in ("on", "off"), "'on' or 'off'"),
     }
     for key, (ok, rule) in rules.items():
@@ -361,6 +371,7 @@ def cmd_sweep(config: dict, scoring: tuple, axis: str, grid) -> int:
         cell = {**config, axis: _coerce(axis, value)}
         train_config = _check(cell)[0]
         utility = _build_utility(cell, train_data.num_classes)
+        utility_term(utility, train_config.utility_scale)
         row = {axis: value}
         if axis == "ratio":
             weights = class_weights(train_config.ratio, train_data.class_counts)

@@ -28,6 +28,16 @@ class LossBreakdown(NamedTuple):
     total: float
 
 
+def utility_term(utility: UtilityMatrix, utility_scale: float) -> np.ndarray:
+    """I + U / utility_scale, the rows that weigh each class's log-prob in the loss,
+    once it is finite: an overflow is an InputError before any training work."""
+    with np.errstate(over="ignore"):
+        unscaled = np.eye(utility.num_classes) + utility.values / utility_scale
+    if not np.isfinite(unscaled).all():
+        raise InputError(f"utility_scale {utility_scale} overflows the utility term")
+    return unscaled
+
+
 class TrainingStep:
     """The per-run state of the training loss: checks and tables done once.
 
@@ -55,10 +65,7 @@ class TrainingStep:
         # d total / d logp_j(class k | x_i) is row y_i of I + U / s times
         # -w[y_i] / (B * M): the utility row of the truth weighs every class,
         # the model's predictive mass acting as the decision policy
-        with np.errstate(over="ignore"):
-            self._unscaled = np.eye(k) + utility.values / utility_scale
-        if not np.isfinite(self._unscaled).all():
-            raise InputError(f"utility_scale {utility_scale} overflows the utility term")
+        self._unscaled = utility_term(utility, utility_scale)
         self._tables = {}  # batch size B -> (1 / (B * M), cotangent of each label, arange(B))
 
     def _table(self, batch: int):

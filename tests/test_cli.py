@@ -4,7 +4,6 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import inspect
 import io
 import json
@@ -20,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 import tailens
 from conftest import random_ensemble
-from tailens import cli
+from tailens import cli, trainer
 from tailens.cli import SCHEMA, main
 from tailens.dataset import load_csv
 from tailens.decision import write_predictions_csv
@@ -870,6 +870,13 @@ MALFORMED = {
         "train", None, None, ["--utility-scale", "5e-324"],
         "error: utility_scale 5e-324 overflows the utility term\n",
     ),
+    # only the tail-sensitive cell's term overflows: the one-hot cell before it never trains
+    "sweep-overflowing-utility-scale": (
+        "sweep", None, None,
+        ["--axis", "utility", "--grid", "one-hot,tail-sensitive", "--rho", "1e306",
+         "--utility-scale", "1e-3", "--runs", "1", "--epochs", "3"],
+        "error: utility_scale 0.001 overflows the utility term\n",
+    ),
 }
 
 # a checkpoint of two identical particles (param_distance 0) of the 2-3-3 network:
@@ -935,17 +942,22 @@ HELPERS = {
 }
 
 
-def run_family(tmp_path, command, name, blob, extra):
-    """The CLI run of one family in a fresh interpreter, in tmp_path beside the
-    helpers, with the path of the family's file (if any) as the last flag value."""
+def family_argv(tmp_path, command, name, blob, extra):
+    """The CLI arguments of one family, run in tmp_path beside the helpers, with the
+    path of the family's file (if any) as the last flag value."""
     for helper, content in HELPERS.items():
         (tmp_path / helper).write_bytes(content)
     if name is not None:
         (tmp_path / name).write_bytes(blob)
         extra = extra + [str(tmp_path / name)]
+    return [command, *flags(tmp_path / "out"), *extra]
+
+
+def run_family(tmp_path, command, name, blob, extra):
+    """The CLI run of one family in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(tailens.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "tailens.cli", command, *flags(tmp_path / "out"), *extra],
+        [sys.executable, "-m", "tailens.cli", *family_argv(tmp_path, command, name, blob, extra)],
         capture_output=True,
         text=True,
         env=env,
@@ -976,6 +988,23 @@ def test_malformed_inputs_exit_1_without_traceback(tmp_path, family):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("family", [*sorted(MALFORMED), "out-under-a-file"])
+def test_a_rejected_input_trains_nothing(tmp_path, monkeypatch, capsys, family):
+    # in this process, so batch_loss is counted through the trainer's own binding
+    if family in MALFORMED:
+        argv = family_argv(tmp_path, *MALFORMED[family][:4])
+    else:
+        (tmp_path / "afile").write_bytes(b"not a directory\n")
+        argv = ["train", *flags(tmp_path / "afile" / "sub")]
+    calls = []
+    real = trainer.batch_loss
+    monkeypatch.setattr(trainer, "batch_loss", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
 def test_a_stray_label_is_one_short_line(tmp_path):
     command, name, blob, extra, needle = MALFORMED["train-csv-stray-label"]
     result = run_family(tmp_path, command, name, blob, extra)
@@ -984,113 +1013,26 @@ def test_a_stray_label_is_one_short_line(tmp_path):
     assert len(result.stderr.encode()) < 1024
 
 
-# sha256 of the artifacts of `tailens train --epochs 30 --seed 0` and of
-# `tailens evaluate` on its checkpoint (numpy 2.4, x86-64 OpenBLAS). A change
-# that alters them changes the byte-identity contract and must say so.
-GOLDEN = {
-    "train/ensemble.ckpt": "f47762de522c6980c0e321538168e81de3d7fa68e98e7399e516f94a5cf8e999",
-    "train/trainlog.jsonl": "4855be30dc9b5b0bc9645c08fb31334d7929a9b03b2a66457ab9b2489c4cfb7c",
-    "train/metrics.json": "05edd6164bb73916240df6375b98da7e6dc7fec5e7debd0b5aea014ad0cd67fd",
-    "eval/predictions.csv": "f68341be1bb37d1bf58add763e753fb87347be7f433d9af293f3d89f38c3dd11",
-    "train/config.json": "457dd65a458cea04437b9ec5d7937c46089248b978f24a516f727f2d918a1875",
-    "eval/config.json": "85fbc78fd243eac7d54c3d8adf4248810227724fdc3a3be8f96b5f3984268390",
-}
+def test_csv_run_matches_golden_hashes(tmp_path):
+    # training and evaluating on generate-data's CSVs writes the default run's
+    # pinned checkpoint, metrics and predictions
+    default = golden.load()["default"]["files"]
+    got = golden.run(golden.load()["csv"]["argv"], tmp_path)
+    for name in ("train/ensemble.ckpt", "train/metrics.json", "eval/predictions.csv"):
+        assert got[name]["sha256"] == default[name]["sha256"], name
+    assert got["eval/metrics.json"]["sha256"] == default["train/metrics.json"]["sha256"]
 
 
-def test_default_run_matches_golden_hashes(tmp_path, monkeypatch):
-    # relative --out, so the echoed config.json holds no machine path
-    monkeypatch.chdir(tmp_path)
-    assert main(["train", "--epochs", "30", "--seed", "0", "--out", "train"]) == 0
-    checkpoint = "train/ensemble.ckpt"
-    assert main(["evaluate", "--checkpoint", checkpoint, "--out", "eval"]) == 0
-    for name, digest in GOLDEN.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
-
-
-# --out -> (command, sha256 of every file it writes): the training paths the
-# default goldens leave out. A utility that is not one-hot, lr decay, periodic
-# checkpoints and two hidden layers; the effective, sqrt, log and power forms.
-FEATURE_GOLDEN = {
-    "features": (
-        ["train", "--epochs", "12", "--utility", "tail-sensitive", "--utility-scale", "32",
-         "--ratio", "effective", "--lr-decay-epochs", "6", "--checkpoint-every", "4",
-         "--hidden", "16,8", "--particles", "2"],
-        {
-            "checkpoint_epoch0003.ckpt":
-                "bd4468f608dbfa74fa70bad07f1f530ba7c15daa9ff7ba540fc8fd01df59954e",
-            "checkpoint_epoch0007.ckpt":
-                "d89b4ed7b2b6ab0499124a424c9c0f938f43d7b9151d02b22494cd499d360ec8",
-            "checkpoint_epoch0011.ckpt":
-                "0796a6d57ba74a811bb1569b65702db8bb8d015804f2ff6d7e97f188f884722a",
-            "config.json": "e5b31b1041236a4d8bd76434b0d000eb60ff6ca9693b8b31e01c2ef76a36f0a8",
-            "ensemble.ckpt": "0796a6d57ba74a811bb1569b65702db8bb8d015804f2ff6d7e97f188f884722a",
-            "metrics.json": "82da8e46a071dacf8a52e965005aefe4ea2407d161825d7ea7b94db88209785a",
-            "trainlog.jsonl": "86f484f03fa2378dd49d37dc7b67466e22f1bb3968d7792904df2e03149c06e0",
-        },
-    ),
-    "ratios": (
-        ["sweep", "--axis", "ratio", "--grid", "effective,sqrt,log", "--epochs", "2"],
-        {
-            "config.json": "547fba84f2d2cf5692aa4dfee3b37ea09b7eced8f7f21bf46e9d08b17b651f1b",
-            "sweep_ratio.csv": "c6016280f0a3faa81722227ac4f35a948e349bf73e34dc715828bf8d090de782",
-        },
-    ),
-    "power": (
-        ["train", "--ratio", "power", "--gamma", "0.5", "--epochs", "4"],
-        {
-            "config.json": "849fe5b1d8f988c08089f8cfadbe2bf55e43f7b0a596686705ff0a671efcfe5a",
-            "ensemble.ckpt": "f6898d79abe6a454adb7645d6417f08148288adc07e57e3879e92835f032f1c6",
-            "metrics.json": "2229453ac6314c52fca7ed02f1fd86a53b83b8ee9e5dca212ab619f5fe17feb6",
-            "trainlog.jsonl": "1e893b8ae7fabc35a7d6bda7cc564a97ece965159632ab87e752e932d0da8269",
-        },
-    ),
-}
-
-
-@pytest.mark.parametrize("out", sorted(FEATURE_GOLDEN))
-def test_training_features_match_golden_hashes(tmp_path, monkeypatch, out):
-    monkeypatch.chdir(tmp_path)
-    argv, digests = FEATURE_GOLDEN[out]
-    assert main(argv + ["--out", out]) == 0
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path(out).iterdir()}
-    assert written == digests
-
-
-# sha256 of the artifacts of `tailens generate-data --seed 0`, then `train
-# --epochs 30` and `evaluate` on its CSVs. The CSVs round-trip the data bit for
-# bit, so these are the in-memory run's hashes above.
-CSV_GOLDEN = {
-    "train/ensemble.ckpt": "f47762de522c6980c0e321538168e81de3d7fa68e98e7399e516f94a5cf8e999",
-    "train/metrics.json": "05edd6164bb73916240df6375b98da7e6dc7fec5e7debd0b5aea014ad0cd67fd",
-    "eval/metrics.json": "05edd6164bb73916240df6375b98da7e6dc7fec5e7debd0b5aea014ad0cd67fd",
-    "eval/predictions.csv": "f68341be1bb37d1bf58add763e753fb87347be7f433d9af293f3d89f38c3dd11",
-}
-
-
-def test_csv_run_matches_golden_hashes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["generate-data", "--seed", "0", "--out", "data"]) == 0
-    csvs = ["--train-csv", "data/train.csv", "--test-csv", "data/test.csv"]
-    assert main(["train", "--epochs", "30", *csvs, "--out", "train"]) == 0
-    checkpoint = "train/ensemble.ckpt"
-    assert main(["evaluate", "--checkpoint", checkpoint, *csvs[2:], "--out", "eval"]) == 0
-    for name, digest in CSV_GOLDEN.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
-
-
-# sha256 of the CSVs `tailens generate-data --seed 0` writes, recorded when
-# save_csv still wrote its rows through csv.writer.
-DATA_GOLDEN = {
-    "data/train.csv": "eefdafcdfeec407ffca309c3c81f71c82b25bb4a4bb9094a018dbe5165b1750e",
-    "data/test.csv": "9ca8f2c4883fbbe931924cf78719a7ba0e98cd0379bf5db0b36ff10f87fd1d2e",
-}
-
-
-def test_generated_csvs_match_golden_hashes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["generate-data", "--seed", "0", "--out", "data"]) == 0
-    for name, digest in DATA_GOLDEN.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+def test_generated_csvs_match_golden_hashes(tmp_path):
+    # generate-data alone writes the csv golden's data files
+    argv = golden.load()["csv"]["argv"]
+    assert argv[0][0] == "generate-data"
+    want = {name: pinned for name, pinned in golden.load()["csv"]["files"].items()
+            if name.startswith("data/")}
+    got = golden.run(argv[:1], tmp_path)
+    assert {name: entry["sha256"] for name, entry in got.items()} == {
+        name: pinned["sha256"] for name, pinned in want.items()
+    }, golden.moved(want, got)
 
 
 def test_import_leaves_the_process_pool_out():
@@ -1101,33 +1043,6 @@ def test_import_leaves_the_process_pool_out():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "False"
-
-
-# sha256 of sweep_particles.csv from `tailens sweep --axis particles --grid 1,8
-# --epochs 5 --runs 1 --jobs 1`: both ends of the particle stack, M=1 and M=8.
-SWEEP_GOLDEN = "4a176523cfcb0da08d44f8d7994c877f4f8646405398313b345cdd1ffc6959b4"
-
-
-def test_particle_sweep_matches_golden_hash(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    args = ["sweep", "--axis", "particles", "--grid", "1,8", "--epochs", "5"]
-    assert main(args + ["--runs", "1", "--jobs", "1", "--out", "sweep"]) == 0
-    digest = hashlib.sha256(Path("sweep/sweep_particles.csv").read_bytes()).hexdigest()
-    assert digest == SWEEP_GOLDEN
-
-
-# sha256 of sweep_ratio.csv from `tailens sweep --axis ratio --grid linear,plain
-# --epochs 5 --runs 2 --jobs 1`: two runs per cell, so the means and standard
-# deviations aggregate more than one value.
-SWEEP_RUNS_GOLDEN = "9f9becef30c5603e572293bbb9c83bf7c2ef16f1ac1ca20e00124237e946c3d6"
-
-
-def test_multi_run_sweep_matches_golden_hash(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    args = ["sweep", "--axis", "ratio", "--grid", "linear,plain", "--epochs", "5"]
-    assert main(args + ["--runs", "2", "--jobs", "1", "--out", "sweep"]) == 0
-    digest = hashlib.sha256(Path("sweep/sweep_ratio.csv").read_bytes()).hexdigest()
-    assert digest == SWEEP_RUNS_GOLDEN
 
 
 # (key, accepted, rejected): a boundary value and the first value past it.
@@ -1229,9 +1144,10 @@ def test_out_naming_a_file_is_rejected_before_any_work(tmp_path, monkeypatch, ca
     path = tmp_path / "afile"
     path.write_bytes(b"not a directory\n")
     extra = ["--axis", "particles"] if command == "sweep" else []
-    assert main([command, *flags(path), *extra]) == 1
-    rule = "must be non-empty and not an existing file"
-    assert capsys.readouterr().err == f"error: out: {rule}, got {str(path)!r}\n"
+    rule = "must be non-empty and a writable directory or a new path under one"
+    for out in (path, path / "sub"):  # a file, and a path under one
+        assert main([command, *flags(out), *extra]) == 1
+        assert capsys.readouterr().err == f"error: out: {rule}, got {str(out)!r}\n"
     assert path.read_bytes() == b"not a directory\n"
     assert calls == {"generate_synthetic": 0, "train": 0, "repeat_runs": 0}
 
