@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import CsvRows, generate_synthetic, load_csv, save_csv
+from .dataset import CsvRows, generate_synthetic, load_csv, save_csv, train_class_counts
 from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
 from .errors import InputError, NumericError, ParseError, naming, open_text, utf8
@@ -281,11 +281,26 @@ def _summary(report) -> str:
     )
 
 
+def _trainable(config: dict, train_config: TrainConfig, counts, evaluated=True) -> tuple:
+    """(utility, class weights) of a run on data with these training class counts, once
+    every rule they decide holds: K >= 3 if the run is evaluated, the utility's K, its
+    loss term and the weights. Synthetic counts are the config's, so no draw comes first."""
+    if evaluated:
+        _check_regions(len(counts), config["train_csv"] or "classes")
+    utility = _build_utility(config, len(counts))
+    utility_term(utility, train_config.utility_scale)
+    return utility, class_weights(train_config.ratio, counts)
+
+
 def cmd_train(config: dict, train_config: TrainConfig, scoring: tuple) -> int:
-    train_data, test_data = _load_data(config, config["seed"])
-    if test_data is not None:
-        _check_regions(train_data.num_classes, config["train_csv"] or "classes")
-    utility = _build_utility(config, train_data.num_classes)
+    if config["train_csv"] is None:  # the class counts are the config's
+        counts = train_class_counts(config["classes"], config["n_max"], config["imbalance"])
+        utility = _trainable(config, train_config, counts)[0]
+        train_data, test_data = _load_data(config, config["seed"])
+    else:
+        train_data, test_data = _load_data(config, config["seed"])
+        counts = train_data.class_counts
+        utility = _trainable(config, train_config, counts, test_data is not None)[0]
     ens, records, checkpoints = train(train_config, train_data, utility)
     files = {"ensemble.ckpt": partial(save_checkpoint, ens),
              "trainlog.jsonl": partial(write_train_log, records)}
@@ -307,6 +322,7 @@ def cmd_evaluate(config: dict, scoring: tuple, checkpoint: str) -> int:
     _check_regions(k, checkpoint)
     if config["train_csv"] is not None:
         raise InputError("evaluate reads --test-csv, not --train-csv")
+    utility = _build_utility(config, k)
     if config["test_csv"] is not None:
         # the header and the row count now; the rows are parsed as they are decided
         test_data = CsvRows(config["test_csv"], num_classes=k)
@@ -317,7 +333,6 @@ def cmd_evaluate(config: dict, scoring: tuple, checkpoint: str) -> int:
             f"{config['test_csv'] or 'synthetic test data'} has {test_data.dim} features,"
             f" {checkpoint} has {ens.shape.input_dim}"
         )
-    utility = _build_utility(config, k)
     report, batch = evaluate(ens, test_data, utility, *scoring)
     _publish(config, {"metrics.json": partial(_write_text, report_to_json(report)),
                       "predictions.csv": partial(write_predictions_csv, batch)})
@@ -356,29 +371,30 @@ def cmd_sweep(config: dict, scoring: tuple, axis: str, grid) -> int:
         values = [v.strip() for v in grid.split(",") if v.strip()]
     if not values:
         raise InputError(f"sweep axis {axis!r} has an empty grid")
-    # no axis changes the data, so run r of every cell trains on data[r]
     if config["train_csv"] is None:
-        data = [_load_data(config, config["seed"] + r) for r in range(config["runs"])]
+        counts = train_class_counts(config["classes"], config["n_max"], config["imbalance"])
     else:  # CSV data ignores the seed: every run shares one parse
         data = [_load_data(config, config["seed"])] * config["runs"]
-    train_data, test_data = data[0]
-    if test_data is None:
-        raise InputError("sweep evaluates every run: --train-csv needs --test-csv")
-    _check_regions(train_data.num_classes, config["train_csv"] or "classes")
+        if data[0][1] is None:
+            raise InputError("sweep evaluates every run: --train-csv needs --test-csv")
+        counts = data[0][0].class_counts
     # every cell is built and checked, its row's leading columns too, before any trains
-    payloads = []
+    # and, on synthetic data, before any is drawn
+    cells = []
     for value in values:
         cell = {**config, axis: _coerce(axis, value)}
         train_config = _check(cell)[0]
-        utility = _build_utility(cell, train_data.num_classes)
-        utility_term(utility, train_config.utility_scale)
+        utility, weights = _trainable(cell, train_config, counts)
         row = {axis: value}
         if axis == "ratio":
-            weights = class_weights(train_config.ratio, train_data.class_counts)
             row["weight_first"] = round(float(weights.raw[0]), 6)
             row["weight_last"] = round(float(weights.raw[-1]), 6)
             row["growth_pct"] = round(growth_rate(weights), 2)
-        payloads.append((train_config, utility, row, data, scoring))
+        cells.append((train_config, utility, row))
+    # no axis changes the data, so run r of every cell trains on data[r]
+    if config["train_csv"] is None:
+        data = [_load_data(config, config["seed"] + r) for r in range(config["runs"])]
+    payloads = [(*cell, data, scoring) for cell in cells]
 
     workers = min(config["jobs"], len(payloads))
     if workers > 1:

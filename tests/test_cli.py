@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -953,64 +954,117 @@ def family_argv(tmp_path, command, name, blob, extra):
     return [command, *flags(tmp_path / "out"), *extra]
 
 
-def run_family(tmp_path, command, name, blob, extra):
-    """The CLI run of one family in a fresh interpreter."""
+class Run(NamedTuple):
+    code: int
+    stderr: str
+    batch_losses: int  # objective.batch_loss calls, counted through the trainer's binding
+    draws: int  # generate_synthetic calls that returned data
+
+
+def run_in_process(where, argv) -> Run:
+    """One CLI run in this process, with where as the working directory."""
+    calls = {"batch_loss": 0, "generate_synthetic": 0}
+    real_loss, real_draw = trainer.batch_loss, cli.generate_synthetic
+
+    def loss(*args):
+        calls["batch_loss"] += 1
+        return real_loss(*args)
+
+    def draw(*args, **kwargs):
+        data = real_draw(*args, **kwargs)
+        calls["generate_synthetic"] += 1
+        return data
+
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(trainer, "batch_loss", loss)
+        patch.setattr(cli, "generate_synthetic", draw)
+        patch.chdir(where)
+        code = main(argv)
+    return Run(code, stderr.getvalue(), calls["batch_loss"], calls["generate_synthetic"])
+
+
+@pytest.fixture(scope="module")
+def family_run(tmp_path_factory):
+    """family -> (its directory, its one in-process run): the first test of a family
+    runs it, the others read that run."""
+    runs = {}
+
+    def get(family):
+        if family not in runs:
+            where = tmp_path_factory.mktemp(family)
+            argv = family_argv(where, *{**MALFORMED, **NUMERIC}[family][:4])
+            runs[family] = where, run_in_process(where, argv)
+        return runs[family]
+
+    return get
+
+
+def python(*args, cwd=None):
+    """A fresh interpreter that imports this checkout's tailens."""
     env = dict(os.environ, PYTHONPATH=str(Path(tailens.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "tailens.cli", *family_argv(tmp_path, command, name, blob, extra)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
     )
 
 
 @pytest.mark.parametrize("family", sorted(NUMERIC))
-def test_numeric_failures_exit_2_with_one_line(tmp_path, family):
+def test_numeric_failures_exit_2_with_one_line(family_run, family):
     command, name, blob, extra, line = NUMERIC[family]
-    result = run_family(tmp_path, command, name, blob, extra)
-    assert result.returncode == 2, result.stderr
-    # no traceback and no RuntimeWarning: the one line alone
-    assert result.stderr == (line if name is None else line.format(path=tmp_path / name)) + "\n"
-    assert not (tmp_path / "out").exists()
+    where, run = family_run(family)
+    assert run.code == 2, run.stderr
+    # no warning (an error under pytest's filterwarnings) and no second line
+    assert run.stderr == (line if name is None else line.format(path=where / name)) + "\n"
+    assert not (where / "out").exists()
 
 
 @pytest.mark.parametrize("family", sorted(MALFORMED))
-def test_malformed_inputs_exit_1_without_traceback(tmp_path, family):
+def test_malformed_inputs_exit_1_without_traceback(family_run, family):
     command, name, blob, extra, needle = MALFORMED[family]
-    result = run_family(tmp_path, command, name, blob, extra)
-    assert result.returncode == 1, result.stderr
-    assert "Traceback" not in result.stderr
-    assert needle in result.stderr
+    where, run = family_run(family)
+    assert run.code == 1, run.stderr
+    # one line, no warning (an error under pytest's filterwarnings)
+    assert run.stderr.startswith("error: ") and run.stderr.endswith("\n"), run.stderr
+    assert run.stderr.count("\n") == 1 and needle in run.stderr
     if name is not None:
-        assert name in result.stderr
-    # rejected before any work: nothing trained, no output directory
-    assert not (tmp_path / "out").exists()
+        assert name in run.stderr
+    # rejected before any work: no output directory
+    assert not (where / "out").exists()
 
 
 @pytest.mark.parametrize("family", [*sorted(MALFORMED), "out-under-a-file"])
-def test_a_rejected_input_trains_nothing(tmp_path, monkeypatch, capsys, family):
-    # in this process, so batch_loss is counted through the trainer's own binding
+def test_a_rejected_input_trains_nothing(tmp_path, family_run, family):
     if family in MALFORMED:
-        argv = family_argv(tmp_path, *MALFORMED[family][:4])
+        run = family_run(family)[1]
     else:
         (tmp_path / "afile").write_bytes(b"not a directory\n")
-        argv = ["train", *flags(tmp_path / "afile" / "sub")]
-    calls = []
-    real = trainer.batch_loss
-    monkeypatch.setattr(trainer, "batch_loss", lambda *args: calls.append(1) or real(*args))
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert calls == []
+        run = run_in_process(tmp_path, ["train", *flags(tmp_path / "afile" / "sub")])
+    assert run.code == 1 and run.stderr.startswith("error: ")
+    # every rule the config alone decides runs before synthetic data is drawn
+    assert (run.batch_losses, run.draws) == (0, 0)
 
 
-def test_a_stray_label_is_one_short_line(tmp_path):
+def test_a_stray_label_is_one_short_line(family_run):
     command, name, blob, extra, needle = MALFORMED["train-csv-stray-label"]
-    result = run_family(tmp_path, command, name, blob, extra)
-    assert result.returncode == 1
-    assert result.stderr == f"error: {tmp_path / name}: {needle}\n"
-    assert len(result.stderr.encode()) < 1024
+    where, run = family_run("train-csv-stray-label")
+    assert run.code == 1
+    assert run.stderr == f"error: {where / name}: {needle}\n"
+    assert len(run.stderr.encode()) < 1024
+
+
+def test_the_module_entry_point_prints_the_in_process_line(tmp_path):
+    # the one run of `python -m tailens.cli`: every other family runs in this process
+    for family, code in (("csv-non-numeric", 1), ("evaluate-overflowing-logits", 2)):
+        where = tmp_path / family
+        where.mkdir()
+        argv = family_argv(where, *{**MALFORMED, **NUMERIC}[family][:4])
+        result = python("-m", "tailens.cli", *argv, cwd=where)
+        run = run_in_process(where, argv)
+        assert "Traceback" not in result.stderr
+        assert (result.returncode, result.stderr) == (run.code, run.stderr)
+        assert run.code == code
+        assert not (where / "out").exists()
 
 
 def test_csv_run_matches_golden_hashes(tmp_path):
@@ -1037,12 +1091,9 @@ def test_generated_csvs_match_golden_hashes(tmp_path):
 
 def test_import_leaves_the_process_pool_out():
     # only sweep --jobs > 1 starts processes, so only it pays for the pool's import
-    env = dict(os.environ, PYTHONPATH=str(Path(tailens.__file__).parents[1]))
     code = "import sys, tailens.cli; print('concurrent.futures.process' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout.strip() == "False"
+    result = python("-c", code)
+    assert (result.returncode, result.stdout) == (0, "False\n")
 
 
 # (key, accepted, rejected): a boundary value and the first value past it.
@@ -1100,7 +1151,8 @@ NON_FINITE.append(("tail_ratios", "0.5,nan"))
 
 
 def generate_with(key, value):
-    """generate-data into ./out (the default) with one key set, as a flag or in ./cfg.json."""
+    """The argv of generate-data into ./out (the default) with one key set, as a flag or
+    in ./cfg.json, which this writes."""
     flag = key.replace("_", "-")
     # without a FAST flag for the key, since flags beat the config file
     args = ["generate-data"] + [f"--{k}={v}" for k, v in FAST.items() if k != flag]
@@ -1109,7 +1161,7 @@ def generate_with(key, value):
     else:
         Path("cfg.json").write_text(json.dumps({key: value}))
         args += ["--config", "cfg.json"]
-    return main(args)
+    return args
 
 
 def test_every_key_has_a_boundary_row():
@@ -1125,13 +1177,14 @@ def default_echo(tmp_path_factory):
 
 
 @pytest.mark.parametrize("key,accepted,rejected", BOUNDARIES)
-def test_key_boundary(tmp_path, monkeypatch, capsys, default_echo, key, accepted, rejected):
+def test_key_boundary(tmp_path, monkeypatch, default_echo, key, accepted, rejected):
     monkeypatch.chdir(tmp_path)
-    assert generate_with(key, rejected) == 1
-    assert re.match(rf"error: {re.escape(key)}\b", capsys.readouterr().err)
+    run = run_in_process(tmp_path, generate_with(key, rejected))
+    assert run.code == 1 and re.match(rf"error: {re.escape(key)}\b", run.stderr)
+    assert run.draws == 0  # rejected before any data is drawn
     assert not Path("out").exists()
 
-    assert generate_with(key, accepted) == 0
+    assert main(generate_with(key, accepted)) == 0
     default = default_echo[key]
     expected = accepted if default is None or isinstance(default, str) else type(default)(accepted)
     echoed = json.loads(Path("out/config.json").read_text())[key]
@@ -1155,6 +1208,6 @@ def test_out_naming_a_file_is_rejected_before_any_work(tmp_path, monkeypatch, ca
 @pytest.mark.parametrize("key,value", NON_FINITE)
 def test_non_finite_values_rejected(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.chdir(tmp_path)
-    assert generate_with(key, value) == 1
+    assert main(generate_with(key, value)) == 1
     assert key in capsys.readouterr().err
     assert not Path("out").exists()
