@@ -223,27 +223,8 @@ def _build_utility(config: dict, num_classes: int):
     return matrix
 
 
-def _load_data(config: dict, seed: int):
-    """(train, test) from CSVs when configured, else synthetic at this seed."""
-    if config["train_csv"] is not None:
-        train_data = load_csv(config["train_csv"])
-        # what training would reject too, said here with the file's name
-        empty = without_samples(np.unique(train_data.labels), train_data.num_classes)
-        if empty:
-            raise InputError(f"{config['train_csv']}: {empty}")
-        if train_data.num_classes < 2:
-            raise InputError(f"{config['train_csv']}: training needs at least 2 classes")
-        test_data = None
-        if config["test_csv"] is not None:
-            test_data = load_csv(config["test_csv"], train_data.num_classes)
-            if test_data.dim != train_data.dim:
-                raise InputError(
-                    f"{config['test_csv']} has {test_data.dim} features,"
-                    f" {config['train_csv']} has {train_data.dim}"
-                )
-        return train_data, test_data
-    if config["test_csv"] is not None:
-        raise InputError("--test-csv needs --train-csv")
+def _synthetic(config: dict, seed: int) -> tuple:
+    """The config's synthetic (train, test) pair at this seed."""
     return generate_synthetic(
         num_classes=config["classes"],
         dim=config["dim"],
@@ -255,10 +236,37 @@ def _load_data(config: dict, seed: int):
     )
 
 
+def _training_data(config: dict, runs: int) -> tuple:
+    """(training class counts, each run's (train, test) pair). CSVs are parsed here,
+    once, and every run shares them; synthetic counts are the config's, and run r is
+    drawn at seed + r only as the pairs are iterated, after the checks on the counts."""
+    if config["train_csv"] is None:
+        if config["test_csv"] is not None:
+            raise InputError("--test-csv needs --train-csv")
+        counts = train_class_counts(config["classes"], config["n_max"], config["imbalance"])
+        return counts, (_synthetic(config, config["seed"] + r) for r in range(runs))
+    train_data = load_csv(config["train_csv"])
+    # what training would reject too, said here with the file's name
+    empty = without_samples(np.unique(train_data.labels), train_data.num_classes)
+    if empty:
+        raise InputError(f"{config['train_csv']}: {empty}")
+    if train_data.num_classes < 2:
+        raise InputError(f"{config['train_csv']}: training needs at least 2 classes")
+    test_data = None
+    if config["test_csv"] is not None:
+        test_data = load_csv(config["test_csv"], train_data.num_classes)
+        if test_data.dim != train_data.dim:
+            raise InputError(
+                f"{config['test_csv']} has {test_data.dim} features,"
+                f" {config['train_csv']} has {train_data.dim}"
+            )
+    return train_data.class_counts, [(train_data, test_data)] * runs
+
+
 def cmd_generate_data(config: dict) -> int:
     if config["train_csv"] is not None or config["test_csv"] is not None:
         raise InputError("generate-data needs synthetic settings, not CSVs")
-    train_data, test_data = _load_data(config, config["seed"])
+    train_data, test_data = _synthetic(config, config["seed"])
     _publish(config, {"train.csv": partial(save_csv, train_data),
                       "test.csv": partial(save_csv, test_data)})
     print(f"wrote {len(train_data)} train / {len(test_data)} test samples to {config['out']}")
@@ -281,11 +289,11 @@ def _summary(report) -> str:
     )
 
 
-def _trainable(config: dict, train_config: TrainConfig, counts, evaluated=True) -> tuple:
+def _trainable(config: dict, train_config: TrainConfig, counts) -> tuple:
     """(utility, class weights) of a run on data with these training class counts, once
-    every rule they decide holds: K >= 3 if the run is evaluated, the utility's K, its
-    loss term and the weights. Synthetic counts are the config's, so no draw comes first."""
-    if evaluated:
+    every rule they decide holds: K >= 3 if the run is evaluated (it is unless a training
+    CSV comes without a test CSV), the utility's K, its loss term and the weights."""
+    if config["train_csv"] is None or config["test_csv"] is not None:
         _check_regions(len(counts), config["train_csv"] or "classes")
     utility = _build_utility(config, len(counts))
     utility_term(utility, train_config.utility_scale)
@@ -293,14 +301,9 @@ def _trainable(config: dict, train_config: TrainConfig, counts, evaluated=True) 
 
 
 def cmd_train(config: dict, train_config: TrainConfig, scoring: tuple) -> int:
-    if config["train_csv"] is None:  # the class counts are the config's
-        counts = train_class_counts(config["classes"], config["n_max"], config["imbalance"])
-        utility = _trainable(config, train_config, counts)[0]
-        train_data, test_data = _load_data(config, config["seed"])
-    else:
-        train_data, test_data = _load_data(config, config["seed"])
-        counts = train_data.class_counts
-        utility = _trainable(config, train_config, counts, test_data is not None)[0]
+    counts, runs = _training_data(config, 1)
+    utility = _trainable(config, train_config, counts)[0]
+    [(train_data, test_data)] = runs
     ens, records, checkpoints = train(train_config, train_data, utility)
     files = {"ensemble.ckpt": partial(save_checkpoint, ens),
              "trainlog.jsonl": partial(write_train_log, records)}
@@ -317,22 +320,26 @@ def cmd_train(config: dict, train_config: TrainConfig, scoring: tuple) -> int:
 
 
 def cmd_evaluate(config: dict, scoring: tuple, checkpoint: str) -> int:
-    ens = load_checkpoint(checkpoint)
-    k = ens.shape.num_classes
-    _check_regions(k, checkpoint)
     if config["train_csv"] is not None:
         raise InputError("evaluate reads --test-csv, not --train-csv")
+    ens = load_checkpoint(checkpoint)
+    k, dim = ens.shape.num_classes, ens.shape.input_dim
+    _check_regions(k, checkpoint)
     utility = _build_utility(config, k)
-    if config["test_csv"] is not None:
+    if config["test_csv"] is None:  # the config's K and D must be the checkpoint's before a draw
+        for key, noun, want in (("classes", "classes", k), ("dim", "features", dim)):
+            if config[key] != want:
+                raise InputError(
+                    f"{key}: synthetic test data has {config[key]} {noun}, {checkpoint} has {want}"
+                )
+        test_data = _synthetic(config, config["seed"])[1]
+    else:
         # the header and the row count now; the rows are parsed as they are decided
         test_data = CsvRows(config["test_csv"], num_classes=k)
-    else:
-        test_data = _load_data(config, config["seed"])[1]
-    if test_data.dim != ens.shape.input_dim:
-        raise InputError(
-            f"{config['test_csv'] or 'synthetic test data'} has {test_data.dim} features,"
-            f" {checkpoint} has {ens.shape.input_dim}"
-        )
+        if test_data.dim != dim:
+            raise InputError(
+                f"{config['test_csv']} has {test_data.dim} features, {checkpoint} has {dim}"
+            )
     report, batch = evaluate(ens, test_data, utility, *scoring)
     _publish(config, {"metrics.json": partial(_write_text, report_to_json(report)),
                       "predictions.csv": partial(write_predictions_csv, batch)})
@@ -371,13 +378,9 @@ def cmd_sweep(config: dict, scoring: tuple, axis: str, grid) -> int:
         values = [v.strip() for v in grid.split(",") if v.strip()]
     if not values:
         raise InputError(f"sweep axis {axis!r} has an empty grid")
-    if config["train_csv"] is None:
-        counts = train_class_counts(config["classes"], config["n_max"], config["imbalance"])
-    else:  # CSV data ignores the seed: every run shares one parse
-        data = [_load_data(config, config["seed"])] * config["runs"]
-        if data[0][1] is None:
-            raise InputError("sweep evaluates every run: --train-csv needs --test-csv")
-        counts = data[0][0].class_counts
+    if config["train_csv"] is not None and config["test_csv"] is None:
+        raise InputError("sweep evaluates every run: --train-csv needs --test-csv")
+    counts, runs = _training_data(config, config["runs"])
     # every cell is built and checked, its row's leading columns too, before any trains
     # and, on synthetic data, before any is drawn
     cells = []
@@ -392,8 +395,7 @@ def cmd_sweep(config: dict, scoring: tuple, axis: str, grid) -> int:
             row["growth_pct"] = round(growth_rate(weights), 2)
         cells.append((train_config, utility, row))
     # no axis changes the data, so run r of every cell trains on data[r]
-    if config["train_csv"] is None:
-        data = [_load_data(config, config["seed"] + r) for r in range(config["runs"])]
+    data = list(runs)
     payloads = [(*cell, data, scoring) for cell in cells]
 
     workers = min(config["jobs"], len(payloads))

@@ -600,44 +600,33 @@ class TestSweep:
         args = ["sweep", "--axis", "bogus"] + self.sweep_flags(tmp_path)
         assert main(args) == 1
 
-    @staticmethod
-    def count_calls(monkeypatch, *names):
-        """Wrap each named cli function; name -> the number of calls so far."""
-        calls = dict.fromkeys(names, 0)
-        for name in names:
-            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(cli, name, counted)
-        return calls
-
-    def test_csv_data_is_parsed_once_per_sweep(self, tmp_path, monkeypatch):
+    def test_csv_data_is_parsed_once_per_sweep(self, tmp_path):
         # CSV data ignores the seed: every run of every cell shares one parse
         assert main(["generate-data"] + flags(tmp_path / "data")) == 0
-        calls = self.count_calls(monkeypatch, "load_csv")
         csvs = ["--train-csv", str(tmp_path / "data" / "train.csv"),
                 "--test-csv", str(tmp_path / "data" / "test.csv")]
         args = ["sweep", "--axis", "ratio", "--grid", "linear,plain", "--runs", "3"]
-        assert main(args + flags(tmp_path / "s") + csvs) == 0
-        assert calls == {"load_csv": 2}
+        run = run_in_process(tmp_path, args + flags(tmp_path / "s") + csvs)
+        assert run.code == 0
+        assert run.calls["load_csv"] == 2
 
-    def test_synthetic_data_and_utility_are_built_once(self, tmp_path, monkeypatch):
+    def test_synthetic_data_and_utility_are_built_once(self, tmp_path):
         # one data pair per run's seed, shared by the cells; one utility per cell
         utility = tmp_path / "u4.csv"
         utility.write_text("1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n")
-        calls = self.count_calls(monkeypatch, "generate_synthetic", "load_matrix")
         args = ["sweep", "--axis", "ratio", "--grid", "linear,plain", "--runs", "2"]
-        assert main(args + flags(tmp_path / "s", utility=str(utility))) == 0
-        assert calls == {"generate_synthetic": 2, "load_matrix": 2}
+        run = run_in_process(tmp_path, args + flags(tmp_path / "s", utility=str(utility)))
+        assert run.code == 0
+        assert (run.calls["generate_synthetic"], run.calls["load_matrix"]) == (2, 2)
 
-    def test_every_cell_is_built_before_any_trains(self, tmp_path, monkeypatch, capsys):
+    def test_every_cell_is_built_before_any_trains(self, tmp_path):
         # the power cell's class weights overflow: the linear cell before it never trains
-        calls = self.count_calls(monkeypatch, "repeat_runs")
         args = ["sweep", "--axis", "ratio", "--grid", "linear,power", "--gamma", "300"]
-        assert main(args + self.sweep_flags(tmp_path / "s")) == 1
-        assert "gamma 300.0 overflows the power form" in capsys.readouterr().err
+        run = run_in_process(tmp_path, args + self.sweep_flags(tmp_path / "s"))
+        assert run.code == 1
+        assert "gamma 300.0 overflows the power form" in run.stderr
         assert not (tmp_path / "s").exists()
-        assert calls == {"repeat_runs": 0}
+        assert run.calls["repeat_runs"] == 0
 
 
 GOOD_HEADER = (
@@ -789,6 +778,15 @@ MALFORMED = {
     "sweep-test-csv-alone": (
         "sweep", None, None, ["--test-csv", "a.csv", "--axis", "ratio"],
         "--test-csv needs --train-csv",
+    ),
+    # synthetic test data must fit the checkpoint (3 classes, 2 features): checked before a draw
+    "evaluate-synthetic-classes": (
+        "evaluate", None, None, ["--checkpoint", "model.ckpt"],
+        "error: classes: synthetic test data has 4 classes, model.ckpt has 3\n",
+    ),
+    "evaluate-synthetic-features": (
+        "evaluate", None, None, ["--checkpoint", "model.ckpt", "--classes", "3"],
+        "error: dim: synthetic test data has 3 features, model.ckpt has 2\n",
     ),
     "evaluate-both-csvs": (
         "evaluate", None, None,
@@ -954,21 +952,27 @@ def family_argv(tmp_path, command, name, blob, extra):
     return [command, *flags(tmp_path / "out"), *extra]
 
 
+# the cli bindings a run counts the calls of; a draw counts once it returns data
+COUNTED = ("load_checkpoint", "load_csv", "CsvRows", "load_matrix", "train", "repeat_runs")
+
+
 class Run(NamedTuple):
     code: int
     stderr: str
-    batch_losses: int  # objective.batch_loss calls, counted through the trainer's binding
-    draws: int  # generate_synthetic calls that returned data
+    # name -> calls: trainer.batch_loss, generate_synthetic (completed) and COUNTED
+    calls: dict
 
 
 def run_in_process(where, argv) -> Run:
     """One CLI run in this process, with where as the working directory."""
-    calls = {"batch_loss": 0, "generate_synthetic": 0}
-    real_loss, real_draw = trainer.batch_loss, cli.generate_synthetic
+    calls = dict.fromkeys(("batch_loss", "generate_synthetic", *COUNTED), 0)
+    real_draw = cli.generate_synthetic
 
-    def loss(*args):
-        calls["batch_loss"] += 1
-        return real_loss(*args)
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
 
     def draw(*args, **kwargs):
         data = real_draw(*args, **kwargs)
@@ -978,11 +982,13 @@ def run_in_process(where, argv) -> Run:
     stderr = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(stderr), \
             contextlib.redirect_stdout(io.StringIO()):
-        patch.setattr(trainer, "batch_loss", loss)
+        patch.setattr(trainer, "batch_loss", counted("batch_loss", trainer.batch_loss))
         patch.setattr(cli, "generate_synthetic", draw)
+        for name in COUNTED:
+            patch.setattr(cli, name, counted(name, getattr(cli, name)))
         patch.chdir(where)
         code = main(argv)
-    return Run(code, stderr.getvalue(), calls["batch_loss"], calls["generate_synthetic"])
+    return Run(code, stderr.getvalue(), calls)
 
 
 @pytest.fixture(scope="module")
@@ -1042,7 +1048,21 @@ def test_a_rejected_input_trains_nothing(tmp_path, family_run, family):
         run = run_in_process(tmp_path, ["train", *flags(tmp_path / "afile" / "sub")])
     assert run.code == 1 and run.stderr.startswith("error: ")
     # every rule the config alone decides runs before synthetic data is drawn
-    assert (run.batch_losses, run.draws) == (0, 0)
+    assert (run.calls["batch_loss"], run.calls["generate_synthetic"]) == (0, 0)
+
+
+DATA_FLAG_ROWS = [
+    "sweep-without-test-csv", "evaluate-both-csvs", "train-test-csv-alone",
+    "sweep-test-csv-alone", "generate-data-test-csv", "generate-data-both-csvs",
+]
+
+
+@pytest.mark.parametrize("family", DATA_FLAG_ROWS)
+def test_a_data_flag_rule_reads_no_file(family_run, family):
+    # which CSV flags a command takes is known from the config alone
+    run = family_run(family)[1]
+    assert run.code == 1
+    assert [run.calls[name] for name in ("load_csv", "CsvRows", "load_checkpoint")] == [0] * 3
 
 
 def test_a_stray_label_is_one_short_line(family_run):
@@ -1181,7 +1201,7 @@ def test_key_boundary(tmp_path, monkeypatch, default_echo, key, accepted, reject
     monkeypatch.chdir(tmp_path)
     run = run_in_process(tmp_path, generate_with(key, rejected))
     assert run.code == 1 and re.match(rf"error: {re.escape(key)}\b", run.stderr)
-    assert run.draws == 0  # rejected before any data is drawn
+    assert run.calls["generate_synthetic"] == 0  # rejected before any data is drawn
     assert not Path("out").exists()
 
     assert main(generate_with(key, accepted)) == 0
@@ -1192,17 +1212,18 @@ def test_key_boundary(tmp_path, monkeypatch, default_echo, key, accepted, reject
 
 
 @pytest.mark.parametrize("command", ["generate-data", "train", "sweep"])
-def test_out_naming_a_file_is_rejected_before_any_work(tmp_path, monkeypatch, capsys, command):
-    calls = TestSweep.count_calls(monkeypatch, "generate_synthetic", "train", "repeat_runs")
+def test_out_naming_a_file_is_rejected_before_any_work(tmp_path, command):
     path = tmp_path / "afile"
     path.write_bytes(b"not a directory\n")
     extra = ["--axis", "particles"] if command == "sweep" else []
     rule = "must be non-empty and a writable directory or a new path under one"
     for out in (path, path / "sub"):  # a file, and a path under one
-        assert main([command, *flags(out), *extra]) == 1
-        assert capsys.readouterr().err == f"error: out: {rule}, got {str(out)!r}\n"
+        run = run_in_process(tmp_path, [command, *flags(out), *extra])
+        assert run.code == 1
+        assert run.stderr == f"error: out: {rule}, got {str(out)!r}\n"
+        work = ("generate_synthetic", "train", "repeat_runs")
+        assert [run.calls[name] for name in work] == [0] * 3
     assert path.read_bytes() == b"not a directory\n"
-    assert calls == {"generate_synthetic": 0, "train": 0, "repeat_runs": 0}
 
 
 @pytest.mark.parametrize("key,value", NON_FINITE)
