@@ -173,12 +173,23 @@ def _check(config: dict) -> tuple:
     return train_config, (ratios, config["ece_bins"])
 
 
+def _named_once(path, pairs) -> dict:
+    """A JSON object of the config file at path, whose keys must each appear once."""
+    loaded = {}
+    for key, value in pairs:
+        if key in loaded:
+            raise InputError(f"{path}: config key {key!r} is named twice")
+        loaded[key] = value
+    return loaded
+
+
 def _effective_config(args) -> tuple:
     config = {key: default for key, (default, _) in SCHEMA.items()}
     if args.config is not None:
         try:
             with naming(args.config), open_text(args.config) as fh:
-                loaded = json.loads("".join(utf8(line, n) for n, line in enumerate(fh, start=1)))
+                text = "".join(utf8(line, n) for n, line in enumerate(fh, start=1))
+                loaded = json.loads(text, object_pairs_hook=partial(_named_once, args.config))
         except (json.JSONDecodeError, RecursionError) as err:
             raise InputError(f"{args.config}: not valid JSON: {err}") from None
         if not isinstance(loaded, dict):

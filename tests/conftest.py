@@ -1,10 +1,17 @@
 """Shared builders and checks for the test suite."""
 
+import functools
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import golden
+import tailens
 from tailens.decision import BatchDecisions
 from tailens.ensemble import ParticleEnsemble
 from tailens.numcore import NetShape, class_id_dtype, init_params
@@ -69,6 +76,23 @@ def assert_same_decisions(got: BatchDecisions, want: BatchDecisions, num_classes
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
 
 
+def python(*args, cwd=None):
+    """A fresh interpreter that imports this checkout's tailens."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tailens.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(np.random.SeedSequence(1234))
+
+
+@pytest.fixture(scope="session")
+def golden_run(tmp_path_factory):
+    """name -> the files that golden.json's run of that name writes (golden.run), made
+    once a session in a fresh directory and read by every test of that run."""
+    return functools.cache(
+        lambda name: golden.run(golden.load()[name]["argv"], tmp_path_factory.mktemp(name))
+    )

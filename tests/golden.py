@@ -18,6 +18,8 @@ does. The hashes were recorded with numpy 2.4 on x86-64 OpenBLAS.
 Re-record every run from this checkout's sources, refusing if two runs differ, with
 
     python tests/golden.py --record
+
+which prints each moved file's shadow before and after, by golden.
 """
 
 import argparse
@@ -106,8 +108,10 @@ def moved(want: dict, got: dict) -> str:
 
 def record(path=GOLDEN, run=run) -> None:
     """Run every golden twice, each time in a fresh directory, and rewrite path
-    only if both runs of every golden wrote the same files."""
+    only if both runs of every golden wrote the same files; then print what moved,
+    one `<golden>: ` line per moved(old, new) line."""
     table = load(path)
+    changes = []
     for name, golden in table.items():
         runs = []
         for _ in range(2):
@@ -115,8 +119,11 @@ def record(path=GOLDEN, run=run) -> None:
                 runs.append(run(golden["argv"], where))
         if runs[0] != runs[1]:
             raise SystemExit(f"error: {name}: two runs differ\n{moved(*runs)}")
+        changes += [f"{name}: {line}" for line in moved(golden["files"], runs[0]).splitlines()]
         golden["files"] = runs[0]
     Path(path).write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    for line in changes:
+        print(line)
 
 
 if __name__ == "__main__":

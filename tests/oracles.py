@@ -1,8 +1,13 @@
-"""Frozen oracles: earlier versions of package code, kept as the reference that
-the current code must match bit for bit or byte for byte.
+"""Oracles: every gate's reference, written once and called by each test that
+checks against it. Brute-force definitions (central differences, the false head
+rate, the pairwise AUC, the binned ECE, the mean cross-entropy) take none of the
+package's shortcuts, so the acceptance criteria and the module tests hold the
+code to one arithmetic. Frozen oracles are earlier versions of package code that
+the current code must match bit for bit or byte for byte; each docstring names the
+commit whose code it freezes.
 
-Each docstring names the commit whose code it freezes. Change an oracle only
-when the behaviour it pins is changed on purpose, and say so where it changes.
+Change an oracle only when the behaviour it pins is changed on purpose, and say
+so where it changes.
 """
 
 import contextlib
@@ -17,6 +22,61 @@ from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import ParseError
 from tailens.numcore import backward_batch, unpack
 from tailens.objective import LossBreakdown
+
+
+def central_differences(f, theta, at=None, step=1e-5):
+    """(f(theta + step e_i) - f(theta - step e_i)) / (2 step) of a scalar f for each
+    coordinate i of theta[at] (every coordinate by default), in theta[at]'s shape.
+    f gets a fresh copy of theta each time; theta is never written."""
+    index = np.arange(theta.size).reshape(theta.shape)
+    coords = index if at is None else index[at]
+    fd = np.empty(coords.shape)
+    for pos, i in np.ndenumerate(coords):
+        up, down = theta.copy(), theta.copy()
+        up.flat[i] += step
+        down.flat[i] -= step
+        fd[pos] = (f(up) - f(down)) / (2 * step)
+    return fd
+
+
+def brute_false_head_rate(labels, decisions, tail) -> float:
+    """Of the samples labelled with a tail class of the mask, the share decided as a
+    head class, counted one by one. Needs a tail-labelled sample."""
+    tail_ids = set(np.flatnonzero(tail).tolist())
+    hits = [float(int(d) not in tail_ids) for l, d in zip(labels, decisions)
+            if int(l) in tail_ids]
+    return sum(hits) / len(hits)
+
+
+def pairwise_auc(uncertainty, correct) -> float:
+    """The share of (wrong, right) pairs whose wrong sample is the more uncertain,
+    a tie counting one half. Needs one sample of each."""
+    wrong, right = uncertainty[~correct], uncertainty[correct]
+    pairs = (wrong[:, None] > right[None, :]).sum() + 0.5 * (
+        wrong[:, None] == right[None, :]
+    ).sum()
+    return float(pairs) / (len(wrong) * len(right))
+
+
+def binned_ece(confidence, correct, bins) -> float:
+    """The sample-weighted |accuracy - mean confidence| of each of `bins` equal,
+    right-closed bins of [0, 1], the first one closed at 0 too; one mask per bin."""
+    n = len(confidence)
+    ece = 0.0
+    for b in range(bins):
+        mask = (confidence > b / bins) & (confidence <= (b + 1) / bins)
+        if b == 0:
+            mask |= confidence == 0.0
+        if mask.any():
+            gap = abs(correct[mask].mean() - confidence[mask].mean())
+            ece += mask.sum() / n * gap
+    return ece
+
+
+def mean_cross_entropy(ens, x, y) -> float:
+    """The mean over particles and rows of -log p_m(y | x), unweighted."""
+    per_particle, _ = predictive_logprobs_batch(ens, x)
+    return -float(per_particle[:, np.arange(len(y)), y].mean())
 
 
 def _utf8_error(path) -> ParseError:

@@ -16,6 +16,13 @@ import numpy as np
 import pytest
 
 from conftest import one_batch_loss, random_ensemble, random_utility
+from oracles import (
+    binned_ece,
+    brute_false_head_rate,
+    central_differences,
+    mean_cross_entropy,
+    pairwise_auc,
+)
 from tailens.dataset import generate_synthetic, tail_mask
 from tailens.decision import decide_batch
 from tailens.ensemble import (
@@ -108,7 +115,6 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
     rng = np.random.default_rng(np.random.SeedSequence(2024))
     shape = NetShape(2, (8,), 3)
     p = param_count(shape)
-    step = 1e-5
     n_configs = 100
     worst_rel = 0.0
     worst_abs = 0.0
@@ -147,19 +153,12 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
             )
             return loss.total
 
-        for j in range(2):
-            for k in range(p):
-                up = particles.copy()
-                up[j, k] += step
-                down = particles.copy()
-                down[j, k] -= step
-                fd = (total_at(up) - total_at(down)) / (2 * step)
-                err = abs(grads[j, k] - fd)
-                denom = max(abs(grads[j, k]), abs(fd))
-                if denom > 1e-6:
-                    worst_rel = max(worst_rel, err / denom)
-                else:
-                    worst_abs = max(worst_abs, err)
+        fd = central_differences(total_at, particles)
+        err = np.abs(grads - fd)
+        denom = np.maximum(np.abs(grads), np.abs(fd))
+        rel = denom > 1e-6
+        worst_rel = max(worst_rel, float(np.max(err[rel] / denom[rel], initial=0.0)))
+        worst_abs = max(worst_abs, float(np.max(err[~rel], initial=0.0)))
     elapsed = time.perf_counter() - start
     ok = worst_rel < 1e-4 and worst_abs < 1e-8 and elapsed < 60.0
     _verdict(
@@ -182,8 +181,7 @@ def test_criterion_02_analytic_reductions(capsys):
         batch = int(rng.integers(2, 12))
         x = rng.normal(size=(batch, 3))
         y = rng.integers(0, 4, size=batch)
-        per_particle, _ = predictive_logprobs_batch(ens, x)
-        ce = -float(per_particle[:, np.arange(batch), y].mean())
+        ce = mean_cross_entropy(ens, x, y)
         loss_zero, _ = one_batch_loss(
             ens, x, y, plain, zero_u, utility_scale=1.0, weight_decay=0.0, anneal=0.0
         )
@@ -216,13 +214,7 @@ def test_criterion_03_metric_brute_force_oracles(capsys):
         labels[0] = k - 1  # guarantee a tail-labeled sample
         decisions = rng.integers(0, k, size=n)
         tail = tail_mask(k, ratio)
-        tail_ids = set(np.flatnonzero(tail).tolist())
-        hits = [
-            float(int(d) not in tail_ids)
-            for l, d in zip(labels, decisions)
-            if int(l) in tail_ids
-        ]
-        expected = sum(hits) / len(hits)
+        expected = brute_false_head_rate(labels, decisions, tail)
         if false_head_rate(labels, decisions, tail) == expected:
             fhr_exact += 1
 
@@ -232,12 +224,7 @@ def test_criterion_03_metric_brute_force_oracles(capsys):
         unc = rng.integers(0, 7, size=n).astype(np.float64)
         correct = rng.random(n) < 0.6
         correct[0], correct[1] = True, False
-        wrong = unc[~correct]
-        right = unc[correct]
-        pairs = (wrong[:, None] > right[None, :]).sum() + 0.5 * (
-            wrong[:, None] == right[None, :]
-        ).sum()
-        expected = float(pairs) / (len(wrong) * len(right))
+        expected = pairwise_auc(unc, correct)
         auc_worst = max(auc_worst, abs(auc_misclassification(unc, correct) - expected))
 
     ece_worst = 0.0
@@ -247,14 +234,7 @@ def test_criterion_03_metric_brute_force_oracles(capsys):
         conf[0] = float(rng.choice([0.0, 1.0]))
         correct = rng.random(n) < conf
         bins = int(rng.integers(1, 21))
-        expected = 0.0
-        for b in range(bins):
-            mask = (conf > b / bins) & (conf <= (b + 1) / bins)
-            if b == 0:
-                mask |= conf == 0.0
-            if mask.any():
-                gap = abs(correct[mask].mean() - conf[mask].mean())
-                expected += mask.sum() / n * gap
+        expected = binned_ece(conf, correct, bins)
         ece_worst = max(
             ece_worst, abs(expected_calibration_error(conf, correct, bins) - expected)
         )

@@ -7,9 +7,7 @@ import dataclasses
 import inspect
 import io
 import json
-import os
 import re
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -22,7 +20,7 @@ from hypothesis import strategies as st
 
 import golden
 import tailens
-from conftest import random_ensemble
+from conftest import python, random_ensemble
 from tailens import cli, trainer
 from tailens.cli import SCHEMA, main
 from tailens.dataset import load_csv
@@ -58,6 +56,22 @@ def flags(out, **overrides):
     return result
 
 
+@pytest.fixture(scope="module")
+def fast_data(tmp_path_factory):
+    """The directory of one FAST generate-data run, shared by the tests that read it."""
+    data = tmp_path_factory.mktemp("data")
+    assert main(["generate-data"] + flags(data)) == 0
+    return data
+
+
+@pytest.fixture(scope="module")
+def fast_run(tmp_path_factory):
+    """The directory of one FAST train run, shared by the tests that evaluate it."""
+    run = tmp_path_factory.mktemp("run")
+    assert main(["train"] + flags(run)) == 0
+    return run
+
+
 class TestGenerateData:
     def test_writes_csvs_and_config(self, tmp_path, capsys):
         assert main(["generate-data"] + flags(tmp_path)) == 0
@@ -68,15 +82,10 @@ class TestGenerateData:
         assert (tmp_path / "config.json").exists()
         assert "class counts" in capsys.readouterr().out
 
-    def test_rejects_csv_inputs(self, tmp_path, capsys):
-        data_dir = tmp_path / "data"
-        assert main(["generate-data"] + flags(data_dir)) == 0
-        code = main(
-            ["generate-data"]
-            + flags(tmp_path, train_csv=str(data_dir / "train.csv"))
-        )
-        assert code == 1
-        assert "synthetic" in capsys.readouterr().err
+    def test_rejects_csv_inputs(self, family_run):
+        run = family_run("generate-data-train-csv")[1]
+        assert run.code == 1
+        assert "synthetic" in run.stderr
 
     def test_out_of_memory_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
         # raised in-process: a machine that overcommits memory might try to supply
@@ -114,22 +123,12 @@ class TestTrain:
         assert echoed["epochs"] == 2
         assert echoed["classes"] == 4
 
-    def test_trains_from_csv_files(self, tmp_path):
-        data_dir = tmp_path / "data"
-        assert main(["generate-data"] + flags(data_dir)) == 0
-        out = tmp_path / "run"
-        code = main(
-            ["train"]
-            + flags(
-                out,
-                train_csv=str(data_dir / "train.csv"),
-                test_csv=str(data_dir / "test.csv"),
-            )
-        )
-        assert code == 0
-        assert (out / "metrics.json").exists()
-        echoed = json.loads((out / "config.json").read_text())
-        assert echoed["test_csv"] == str(data_dir / "test.csv")
+    def test_trains_from_csv_files(self, tmp_path, fast_data):
+        csvs = {"train_csv": str(fast_data / "train.csv"), "test_csv": str(fast_data / "test.csv")}
+        assert main(["train"] + flags(tmp_path, **csvs)) == 0
+        assert (tmp_path / "metrics.json").exists()
+        echoed = json.loads((tmp_path / "config.json").read_text())
+        assert echoed["test_csv"] == str(fast_data / "test.csv")
 
     def test_checkpoint_stride_writes_epoch_files(self, tmp_path):
         assert main(["train"] + flags(tmp_path, checkpoint_every="1")) == 0
@@ -171,33 +170,28 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("numeric error: non-finite log-probabilities")
         assert not (tmp_path / "out").exists()
 
-    def test_utility_csv_class_mismatch(self, tmp_path, capsys):
-        path = tmp_path / "utility.csv"
-        path.write_text("1,0\n0,1\n")
-        assert main(["train"] + flags(tmp_path / "out", utility=str(path))) == 1
-        assert "error" in capsys.readouterr().err
+    def test_utility_csv_class_mismatch(self, family_run):
+        run = family_run("train-utility-classes")[1]
+        assert run.code == 1
+        assert "error" in run.stderr
 
 
 class TestEvaluate:
-    def test_reproduces_train_metrics(self, tmp_path):
-        run = tmp_path / "run"
-        assert main(["train"] + flags(run)) == 0
+    def test_reproduces_train_metrics(self, tmp_path, fast_run):
         out = tmp_path / "eval"
         code = main(
-            ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")] + flags(out)
+            ["evaluate", "--checkpoint", str(fast_run / "ensemble.ckpt")] + flags(out)
         )
         assert code == 0
-        assert (out / "metrics.json").read_bytes() == (run / "metrics.json").read_bytes()
+        assert (out / "metrics.json").read_bytes() == (fast_run / "metrics.json").read_bytes()
         with open(out / "predictions.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["index", "decision", "argmax_pred", "entropy", "maxprob"]
         assert len(rows) == 41
 
-    def test_entropy_is_computed_once(self, tmp_path, monkeypatch):
+    def test_entropy_is_computed_once(self, tmp_path, monkeypatch, fast_run):
         # decide_batch computes it once per row block (one block here); the AUC
         # and predictions.csv both read that (N,) result
-        run = tmp_path / "run"
-        assert main(["train"] + flags(run)) == 0
         calls = []
         real = tailens.metrics.predictive_entropy
 
@@ -208,58 +202,41 @@ class TestEvaluate:
         for name, module in list(sys.modules.items()):
             if name.startswith("tailens") and hasattr(module, "predictive_entropy"):
                 monkeypatch.setattr(module, "predictive_entropy", counted)
-        args = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
+        args = ["evaluate", "--checkpoint", str(fast_run / "ensemble.ckpt")]
         assert main(args + flags(tmp_path / "eval")) == 0
         assert calls == [(40, 4)]
 
-    def test_class_count_mismatch(self, tmp_path, capsys):
-        run = tmp_path / "run"
-        assert main(["train"] + flags(run)) == 0
-        code = main(
-            ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
-            + flags(tmp_path / "eval", classes="5")
-        )
-        assert code == 1
-        assert "classes" in capsys.readouterr().err
+    def test_class_count_mismatch(self, family_run):
+        run = family_run("evaluate-synthetic-classes")[1]
+        assert run.code == 1
+        assert "classes" in run.stderr
 
     def test_checkpoint_flag_required(self):
         assert main(["evaluate"]) == 1
 
-    def test_k_comes_from_the_checkpoint(self, tmp_path):
-        data, run = tmp_path / "data", tmp_path / "run"
-        assert main(["generate-data"] + flags(data)) == 0
-        assert main(["train"] + flags(run)) == 0
-        lines = (data / "test.csv").read_text().splitlines()
+    def test_k_comes_from_the_checkpoint(self, tmp_path, fast_data, fast_run):
+        lines = (fast_data / "test.csv").read_text().splitlines()
         short = tmp_path / "no_top_class.csv"
         short.write_text("\n".join(line for line in lines if not line.endswith(",3")) + "\n")
-        checkpoint = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
+        checkpoint = ["evaluate", "--checkpoint", str(fast_run / "ensemble.ckpt")]
         assert main(checkpoint + flags(tmp_path / "eval", test_csv=str(short))) == 0
 
-    def test_no_tail_labels_print_no_tail_accuracy(self, tmp_path, capsys):
-        data, run = tmp_path / "data", tmp_path / "run"
-        assert main(["generate-data"] + flags(data)) == 0
-        assert main(["train"] + flags(run)) == 0
-        lines = (data / "test.csv").read_text().splitlines()
+    def test_no_tail_labels_print_no_tail_accuracy(self, tmp_path, capsys, fast_data, fast_run):
+        lines = (fast_data / "test.csv").read_text().splitlines()
         head = tmp_path / "head_only.csv"
         head.write_text("\n".join(line for line in lines if line[-2:] not in (",2", ",3")) + "\n")
         capsys.readouterr()
-        checkpoint = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
+        checkpoint = ["evaluate", "--checkpoint", str(fast_run / "ensemble.ckpt")]
         assert main(checkpoint + flags(tmp_path / "eval", test_csv=str(head))) == 0
         out, err = capsys.readouterr()
         assert "tail acc n/a" in out and err == ""
         assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["acc_tail"] is None
 
-    def test_train_csv_alone_is_rejected(self, tmp_path, capsys):
-        data, run = tmp_path / "data", tmp_path / "run"
-        assert main(["generate-data"] + flags(data)) == 0
-        assert main(["train"] + flags(run)) == 0
-        code = main(
-            ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
-            + flags(tmp_path / "eval", train_csv=str(data / "train.csv"))
-        )
-        assert code == 1
-        assert "--test-csv" in capsys.readouterr().err
-        assert not (tmp_path / "eval").exists()
+    def test_train_csv_alone_is_rejected(self, family_run):
+        where, run = family_run("evaluate-train-csv")
+        assert run.code == 1
+        assert "--test-csv" in run.stderr
+        assert not (where / "out").exists()
 
     def test_overflowing_param_distance_exits_2(self, tmp_path, capsys):
         # the squares of a weight of 3.6e155 overflow float64 in the particles' norm
@@ -274,15 +251,15 @@ class TestEvaluate:
         assert "param_distance" in err
         assert not (tmp_path / "eval").exists()
 
-    def test_a_report_that_does_not_render_leaves_no_metrics_file(self, tmp_path, monkeypatch):
-        run = tmp_path / "run"
-        assert main(["train"] + flags(run)) == 0
+    def test_a_report_that_does_not_render_leaves_no_metrics_file(
+        self, tmp_path, monkeypatch, fast_run
+    ):
         report = MetricsReport(
             acc_overall=float("nan"), acc_head=None, acc_med=None, acc_tail=None,
             fhr={0.5: 0.0}, fhr_avg=0.0, auc=None, ece=0.0, n_test=1,
         )
         monkeypatch.setattr(cli, "evaluate", lambda *args: (report, None))
-        args = ["evaluate", "--checkpoint", str(run / "ensemble.ckpt")]
+        args = ["evaluate", "--checkpoint", str(fast_run / "ensemble.ckpt")]
         with pytest.raises(ValueError, match="JSON"):
             main(args + flags(tmp_path / "eval"))
         assert not (tmp_path / "eval").exists()
@@ -393,17 +370,15 @@ class TestConfigLayering:
         assert len(lines) == 3
         assert json.loads((tmp_path / "config.json").read_text())["epochs"] == 3
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        assert main(["train", "--config", str(cfg)] + flags(tmp_path)) == 1
-        assert "bogus" in capsys.readouterr().err
+    def test_unknown_config_key(self, family_run):
+        run = family_run("config-key")[1]
+        assert run.code == 1
+        assert "bogus" in run.stderr
 
-    def test_malformed_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        assert main(["train", "--config", str(cfg)] + flags(tmp_path)) == 1
-        assert "JSON" in capsys.readouterr().err
+    def test_malformed_config_file(self, family_run):
+        run = family_run("config-json")[1]
+        assert run.code == 1
+        assert "JSON" in run.stderr
 
     @pytest.mark.parametrize(
         "key,value",
@@ -484,13 +459,11 @@ class TestSweep:
         growth = float(rows[1][header.index("growth_pct")])
         assert growth > 0.0  # linear form grows toward the tail
 
-    def test_no_tail_labels_leave_tail_columns_empty(self, tmp_path):
-        data = tmp_path / "data"
-        assert main(["generate-data"] + flags(data)) == 0
-        lines = (data / "test.csv").read_text().splitlines()
+    def test_no_tail_labels_leave_tail_columns_empty(self, tmp_path, fast_data):
+        lines = (fast_data / "test.csv").read_text().splitlines()
         head = tmp_path / "head_only.csv"
         head.write_text("\n".join(line for line in lines if line[-2:] not in (",2", ",3")) + "\n")
-        csvs = {"train_csv": str(data / "train.csv"), "test_csv": str(head)}
+        csvs = {"train_csv": str(fast_data / "train.csv"), "test_csv": str(head)}
         args = ["sweep", "--axis", "ratio", "--grid", "plain"]
         assert main(args + flags(tmp_path / "s", epochs="1", runs="2", **csvs)) == 0
         with open(tmp_path / "s" / "sweep_ratio.csv", newline="") as fh:
@@ -600,11 +573,10 @@ class TestSweep:
         args = ["sweep", "--axis", "bogus"] + self.sweep_flags(tmp_path)
         assert main(args) == 1
 
-    def test_csv_data_is_parsed_once_per_sweep(self, tmp_path):
+    def test_csv_data_is_parsed_once_per_sweep(self, tmp_path, fast_data):
         # CSV data ignores the seed: every run of every cell shares one parse
-        assert main(["generate-data"] + flags(tmp_path / "data")) == 0
-        csvs = ["--train-csv", str(tmp_path / "data" / "train.csv"),
-                "--test-csv", str(tmp_path / "data" / "test.csv")]
+        csvs = ["--train-csv", str(fast_data / "train.csv"),
+                "--test-csv", str(fast_data / "test.csv")]
         args = ["sweep", "--axis", "ratio", "--grid", "linear,plain", "--runs", "3"]
         run = run_in_process(tmp_path, args + flags(tmp_path / "s") + csvs)
         assert run.code == 0
@@ -654,6 +626,9 @@ def three_features(*labels):
 MALFORMED = {
     "config-json": ("train", "cfg.json", b"{not json", ["--config"], "JSON"),
     "config-key": ("train", "cfg.json", b'{"bogus": 1}', ["--config"], "bogus"),
+    # JSON would keep the last of the two values without a word
+    "config-duplicate-key": ("train", "cfg.json", b'{"epochs": 1, "epochs": 2}', ["--config"],
+                             "config key 'epochs' is named twice"),
     # past the JSON decoder's recursion limit
     "config-deeply-nested": (
         "train", "cfg.json", b"[" * 200_000 + b"]" * 200_000, ["--config"], "JSON"
@@ -768,6 +743,8 @@ MALFORMED = {
     "sweep-without-test-csv": (
         "sweep", None, None, ["--train-csv", "a.csv", "--axis", "ratio"], "--test-csv"
     ),
+    "generate-data-train-csv": ("generate-data", None, None, ["--train-csv", "a.csv"],
+                                "generate-data needs synthetic settings, not CSVs"),
     "generate-data-test-csv": (
         "generate-data", None, None, ["--test-csv", "a.csv"],
         "generate-data needs synthetic settings, not CSVs",
@@ -788,10 +765,17 @@ MALFORMED = {
         "evaluate", None, None, ["--checkpoint", "model.ckpt", "--classes", "3"],
         "error: dim: synthetic test data has 3 features, model.ckpt has 2\n",
     ),
+    "evaluate-train-csv": (
+        "evaluate", None, None, ["--checkpoint", "model.ckpt", "--train-csv", "a.csv"],
+        "evaluate reads --test-csv, not --train-csv",
+    ),
     "evaluate-both-csvs": (
         "evaluate", None, None,
         ["--checkpoint", "model.ckpt", "--test-csv", "c.csv", "--train-csv", "a.csv"],
         "evaluate reads --test-csv, not --train-csv",
+    ),
+    "train-utility-classes": (
+        "train", "u2.csv", b"1,0\n0,1\n", ["--utility"], "covers 2 classes, data has 4"
     ),
     # the utility is built before any cell trains or --out exists
     "sweep-utility-classes": (
@@ -1007,14 +991,6 @@ def family_run(tmp_path_factory):
     return get
 
 
-def python(*args, cwd=None):
-    """A fresh interpreter that imports this checkout's tailens."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tailens.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
-    )
-
-
 @pytest.mark.parametrize("family", sorted(NUMERIC))
 def test_numeric_failures_exit_2_with_one_line(family_run, family):
     command, name, blob, extra, line = NUMERIC[family]
@@ -1052,8 +1028,9 @@ def test_a_rejected_input_trains_nothing(tmp_path, family_run, family):
 
 
 DATA_FLAG_ROWS = [
-    "sweep-without-test-csv", "evaluate-both-csvs", "train-test-csv-alone",
-    "sweep-test-csv-alone", "generate-data-test-csv", "generate-data-both-csvs",
+    "sweep-without-test-csv", "evaluate-train-csv", "evaluate-both-csvs",
+    "train-test-csv-alone", "sweep-test-csv-alone", "generate-data-train-csv",
+    "generate-data-test-csv", "generate-data-both-csvs",
 ]
 
 
@@ -1087,23 +1064,22 @@ def test_the_module_entry_point_prints_the_in_process_line(tmp_path):
         assert not (where / "out").exists()
 
 
-def test_csv_run_matches_golden_hashes(tmp_path):
+def test_csv_run_matches_golden_hashes(golden_run):
     # training and evaluating on generate-data's CSVs writes the default run's
     # pinned checkpoint, metrics and predictions
     default = golden.load()["default"]["files"]
-    got = golden.run(golden.load()["csv"]["argv"], tmp_path)
+    got = golden_run("csv")
     for name in ("train/ensemble.ckpt", "train/metrics.json", "eval/predictions.csv"):
         assert got[name]["sha256"] == default[name]["sha256"], name
     assert got["eval/metrics.json"]["sha256"] == default["train/metrics.json"]["sha256"]
 
 
-def test_generated_csvs_match_golden_hashes(tmp_path):
-    # generate-data alone writes the csv golden's data files
-    argv = golden.load()["csv"]["argv"]
-    assert argv[0][0] == "generate-data"
+def test_generated_csvs_match_golden_hashes(golden_run):
+    # generate-data, the csv run's first call, writes the golden's data files
+    assert golden.load()["csv"]["argv"][0][0] == "generate-data"
     want = {name: pinned for name, pinned in golden.load()["csv"]["files"].items()
             if name.startswith("data/")}
-    got = golden.run(argv[:1], tmp_path)
+    got = {name: entry for name, entry in golden_run("csv").items() if name.startswith("data/")}
     assert {name: entry["sha256"] for name, entry in got.items()} == {
         name: pinned["sha256"] for name, pinned in want.items()
     }, golden.moved(want, got)
@@ -1189,15 +1165,8 @@ def test_every_key_has_a_boundary_row():
     assert set(FLOAT_KEYS) == {k for k, (default, _) in SCHEMA.items() if type(default) is float}
 
 
-@pytest.fixture(scope="module")
-def default_echo(tmp_path_factory):
-    out = tmp_path_factory.mktemp("defaults")
-    assert main(["generate-data"] + flags(out)) == 0
-    return json.loads((out / "config.json").read_text())
-
-
 @pytest.mark.parametrize("key,accepted,rejected", BOUNDARIES)
-def test_key_boundary(tmp_path, monkeypatch, default_echo, key, accepted, rejected):
+def test_key_boundary(tmp_path, monkeypatch, fast_data, key, accepted, rejected):
     monkeypatch.chdir(tmp_path)
     run = run_in_process(tmp_path, generate_with(key, rejected))
     assert run.code == 1 and re.match(rf"error: {re.escape(key)}\b", run.stderr)
@@ -1205,7 +1174,7 @@ def test_key_boundary(tmp_path, monkeypatch, default_echo, key, accepted, reject
     assert not Path("out").exists()
 
     assert main(generate_with(key, accepted)) == 0
-    default = default_echo[key]
+    default = json.loads((fast_data / "config.json").read_text())[key]
     expected = accepted if default is None or isinstance(default, str) else type(default)(accepted)
     echoed = json.loads(Path("out/config.json").read_text())[key]
     assert echoed == expected and type(echoed) is type(expected)

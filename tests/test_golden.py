@@ -13,9 +13,9 @@ GOLDENS = golden.load()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
-def test_golden_run(tmp_path, name):
+def test_golden_run(golden_run, name):
     want = GOLDENS[name]["files"]
-    got = golden.run(GOLDENS[name]["argv"], tmp_path)
+    got = golden_run(name)
     digests = {path: entry["sha256"] for path, entry in got.items()}
     assert digests == {path: entry["sha256"] for path, entry in want.items()}, (
         golden.moved(want, got)
@@ -43,7 +43,7 @@ def test_every_golden_is_complete():
             assert isinstance(pinned["shadow"], dict), (name, path)
 
 
-def test_the_recorder_writes_only_what_two_runs_agree_on(tmp_path):
+def test_the_recorder_writes_only_what_two_runs_agree_on(tmp_path, capsys):
     path = tmp_path / "golden.json"
     shutil.copy(golden.GOLDEN, path)
     before = path.read_bytes()
@@ -59,7 +59,23 @@ def test_the_recorder_writes_only_what_two_runs_agree_on(tmp_path):
     def steady(argv, where):
         return {"out/a": {"sha256": "0" * 64, "shadow": {"bytes": 1}}}
 
+    assert capsys.readouterr().out == ""
     golden.record(path, steady)
     recorded = golden.load(path)
     assert recorded.keys() == GOLDENS.keys()
     assert all(entry["files"] == steady(None, None) for entry in recorded.values())
+    # what moved, by golden: each pinned file is gone and out/a is new
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == sum(len(entry["files"]) + 1 for entry in GOLDENS.values())
+    assert "default: out/a: new file, {'bytes': 1}" in lines
+    assert any(line.startswith("default: train/ensemble.ckpt: not written, was {") for line in lines)
+    golden.record(path, steady)  # nothing moves a second time
+    assert capsys.readouterr().out == ""
+
+    def grown(argv, where):
+        return {"out/a": {"sha256": "1" * 64, "shadow": {"bytes": 2}}}
+
+    golden.record(path, grown)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: out/a: bytes 1 -> 2" for name in GOLDENS
+    ]

@@ -1,12 +1,7 @@
 """What each command imports, seen from a fresh interpreter: numpy.random (with
 the hashlib and secrets it pulls in) loads only in the commands that draw."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import tailens
+from conftest import python
 
 # runs argv through the CLI (none: only the import), then prints the exit code
 # and whether numpy.random is loaded
@@ -24,11 +19,8 @@ SMALL = ["--classes", "4", "--dim", "3", "--n-max", "30", "--imbalance", "4.0",
 
 
 def probe(cwd, *argv) -> tuple[int, bool]:
-    env = dict(os.environ, PYTHONPATH=str(Path(tailens.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env, capture_output=True,
-        text=True, check=True,
-    )
+    result = python("-c", PROBE, *argv, cwd=cwd)
+    assert result.returncode == 0, result.stderr
     code, loaded = result.stdout.split()[-2:]
     return int(code), loaded == "True"
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_decisions, random_ensemble
-from oracles import out_of_place_backward, whole_array_decide
+from oracles import central_differences, out_of_place_backward, whole_array_decide
 from tailens import numcore
 from tailens.decision import decide_batch
 from tailens.errors import InputError, NumericError
@@ -224,21 +224,6 @@ class TestCheckFiniteLogprobs:
         assert info.value.sample is None
 
 
-def fd_gradient(shape, particles, x, cotangent, step=1e-5):
-    """Central finite differences of sum_m cotangent . forward_logprobs_batch[m];
-    particle m's parameters reach only its own log-probs."""
-    grad = np.zeros_like(particles)
-    for idx in np.ndindex(particles.shape):
-        up = particles.copy()
-        up[idx] += step
-        down = particles.copy()
-        down[idx] -= step
-        f_up = float(np.sum(cotangent * forward_logprobs_batch(shape, up, x)))
-        f_dn = float(np.sum(cotangent * forward_logprobs_batch(shape, down, x)))
-        grad[idx] = (f_up - f_dn) / (2 * step)
-    return grad
-
-
 class TestBackward:
     def test_zero_cotangent(self, rng):
         shape = NetShape(2, (8,), 3)
@@ -263,7 +248,11 @@ class TestBackward:
             x = rng.normal(size=(3, 2))
             cot = rng.normal(size=(3, 3))
             _, grad = backward_batch(shape, particles, x, cot)
-            fd = fd_gradient(shape, particles, x, cot)
+            # sum_m cot . log-probs[m]: particle m's parameters reach only its own
+            fd = central_differences(
+                lambda theta: float(np.sum(cot * forward_logprobs_batch(shape, theta, x))),
+                particles,
+            )
             denom = np.maximum(np.abs(fd), 1e-8)
             assert np.max(np.abs(grad - fd) / denom) < 1e-4
 
