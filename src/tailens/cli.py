@@ -17,11 +17,16 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import CsvRows, generate_synthetic, load_csv, save_csv, train_class_counts
+from .dataset import (
+    CsvRows, check_synthetic_sizes, generate_synthetic, load_csv, save_csv, train_class_counts,
+)
 from .decision import write_predictions_csv
 from .ensemble import load_checkpoint, save_checkpoint
-from .errors import InputError, NumericError, ParseError, naming, open_text, utf8
+from .errors import (
+    InputError, NumericError, ParseError, naming, open_text, require_fits, require_same, utf8,
+)
 from .metrics import report_to_json, write_summary_csv
+from .numcore import NetShape, param_count
 from .objective import utility_term
 from .rebalance import DiscrepancySpec, class_weights, growth_rate, without_samples
 from .trainer import TrainConfig, evaluate, repeat_runs, train, write_train_log
@@ -229,8 +234,7 @@ def _build_utility(config: dict, num_classes: int):
     if kind == "tail-sensitive":
         return tail_sensitive(num_classes, config["utility_tail_ratio"], config["rho"])
     matrix = load_matrix(kind)
-    if matrix.num_classes != num_classes:
-        raise InputError(f"{kind} covers {matrix.num_classes} classes, data has {num_classes}")
+    require_same(kind, matrix.num_classes, "classes", "data", num_classes)
     return matrix
 
 
@@ -248,14 +252,16 @@ def _synthetic(config: dict, seed: int) -> tuple:
 
 
 def _training_data(config: dict, runs: int) -> tuple:
-    """(training class counts, each run's (train, test) pair). CSVs are parsed here,
+    """(training class counts, D, each run's (train, test) pair). CSVs are parsed here,
     once, and every run shares them; synthetic counts are the config's, and run r is
     drawn at seed + r only as the pairs are iterated, after the checks on the counts."""
     if config["train_csv"] is None:
         if config["test_csv"] is not None:
             raise InputError("--test-csv needs --train-csv")
         counts = train_class_counts(config["classes"], config["n_max"], config["imbalance"])
-        return counts, (_synthetic(config, config["seed"] + r) for r in range(runs))
+        check_synthetic_sizes(counts, config["dim"], config["test_per_class"])
+        pairs = (_synthetic(config, config["seed"] + r) for r in range(runs))
+        return counts, config["dim"], pairs
     train_data = load_csv(config["train_csv"])
     # what training would reject too, said here with the file's name
     empty = without_samples(np.unique(train_data.labels), train_data.num_classes)
@@ -266,12 +272,9 @@ def _training_data(config: dict, runs: int) -> tuple:
     test_data = None
     if config["test_csv"] is not None:
         test_data = load_csv(config["test_csv"], train_data.num_classes)
-        if test_data.dim != train_data.dim:
-            raise InputError(
-                f"{config['test_csv']} has {test_data.dim} features,"
-                f" {config['train_csv']} has {train_data.dim}"
-            )
-    return train_data.class_counts, [(train_data, test_data)] * runs
+        require_same(config["test_csv"], test_data.dim, "features", config["train_csv"],
+                     train_data.dim)
+    return train_data.class_counts, train_data.dim, [(train_data, test_data)] * runs
 
 
 def cmd_generate_data(config: dict) -> int:
@@ -300,20 +303,25 @@ def _summary(report) -> str:
     )
 
 
-def _trainable(config: dict, train_config: TrainConfig, counts) -> tuple:
-    """(utility, class weights) of a run on data with these training class counts, once
-    every rule they decide holds: K >= 3 if the run is evaluated (it is unless a training
-    CSV comes without a test CSV), the utility's K, its loss term and the weights."""
+def _trainable(config: dict, train_config: TrainConfig, counts, dim: int) -> tuple:
+    """(utility, class weights) of a run on D-feature data with these training class
+    counts, once every rule they decide holds: K >= 3 if the run is evaluated (it is
+    unless a training CSV comes without a test CSV), the utility's K, its loss term, the
+    weights, and that numpy can hold the particles."""
     if config["train_csv"] is None or config["test_csv"] is not None:
         _check_regions(len(counts), config["train_csv"] or "classes")
     utility = _build_utility(config, len(counts))
     utility_term(utility, train_config.utility_scale)
-    return utility, class_weights(train_config.ratio, counts)
+    weights = class_weights(train_config.ratio, counts)
+    size = param_count(NetShape(dim, train_config.hidden, len(counts)))
+    require_fits("hidden", "a particle's parameters", size)
+    require_fits("particles", "the particles", train_config.particles, size)
+    return utility, weights
 
 
 def cmd_train(config: dict, train_config: TrainConfig, scoring: tuple) -> int:
-    counts, runs = _training_data(config, 1)
-    utility = _trainable(config, train_config, counts)[0]
+    counts, dim, runs = _training_data(config, 1)
+    utility = _trainable(config, train_config, counts, dim)[0]
     [(train_data, test_data)] = runs
     ens, records, checkpoints = train(train_config, train_data, utility)
     files = {"ensemble.ckpt": partial(save_checkpoint, ens),
@@ -339,18 +347,12 @@ def cmd_evaluate(config: dict, scoring: tuple, checkpoint: str) -> int:
     utility = _build_utility(config, k)
     if config["test_csv"] is None:  # the config's K and D must be the checkpoint's before a draw
         for key, noun, want in (("classes", "classes", k), ("dim", "features", dim)):
-            if config[key] != want:
-                raise InputError(
-                    f"{key}: synthetic test data has {config[key]} {noun}, {checkpoint} has {want}"
-                )
+            require_same(f"{key}: synthetic test data", config[key], noun, checkpoint, want)
         test_data = _synthetic(config, config["seed"])[1]
     else:
         # the header and the row count now; the rows are parsed as they are decided
         test_data = CsvRows(config["test_csv"], num_classes=k)
-        if test_data.dim != dim:
-            raise InputError(
-                f"{config['test_csv']} has {test_data.dim} features, {checkpoint} has {dim}"
-            )
+        require_same(config["test_csv"], test_data.dim, "features", checkpoint, dim)
     report, batch = evaluate(ens, test_data, utility, *scoring)
     _publish(config, {"metrics.json": partial(_write_text, report_to_json(report)),
                       "predictions.csv": partial(write_predictions_csv, batch)})
@@ -391,14 +393,14 @@ def cmd_sweep(config: dict, scoring: tuple, axis: str, grid) -> int:
         raise InputError(f"sweep axis {axis!r} has an empty grid")
     if config["train_csv"] is not None and config["test_csv"] is None:
         raise InputError("sweep evaluates every run: --train-csv needs --test-csv")
-    counts, runs = _training_data(config, config["runs"])
+    counts, dim, runs = _training_data(config, config["runs"])
     # every cell is built and checked, its row's leading columns too, before any trains
     # and, on synthetic data, before any is drawn
     cells = []
     for value in values:
         cell = {**config, axis: _coerce(axis, value)}
         train_config = _check(cell)[0]
-        utility, weights = _trainable(cell, train_config, counts)
+        utility, weights = _trainable(cell, train_config, counts, dim)
         row = {axis: value}
         if axis == "ratio":
             row["weight_first"] = round(float(weights.raw[0]), 6)

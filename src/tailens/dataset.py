@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, ParseError, naming, open_text, utf8
+from .errors import InputError, ParseError, naming, open_text, require_fits, utf8
 from .numcore import class_id_dtype, row_blocks
 
 
@@ -67,6 +67,7 @@ def train_class_counts(num_classes: int, n_max: int, imbalance: float) -> np.nda
         raise InputError(f"n_max must be >= K, got n_max={n_max} K={num_classes}")
     if imbalance < 1.0:
         raise InputError(f"imbalance factor must be >= 1, got {imbalance}")
+    require_fits("n_max", "class 0's labels", n_max)  # so every count fits int64
     ks = np.arange(num_classes)
     counts = np.round(n_max * imbalance ** (-ks / (num_classes - 1))).astype(np.int64)
     if counts[-1] < 1:
@@ -77,7 +78,19 @@ def train_class_counts(num_classes: int, n_max: int, imbalance: float) -> np.nda
     return counts
 
 
-def _class_means(num_classes, dim, separation, rng):
+def check_synthetic_sizes(counts: np.ndarray, dim: int, test_per_class: int) -> None:
+    """That numpy can hold each array of a synthetic draw with these training class
+    counts, before any is made: an InputError names the key of the first it cannot."""
+    k = len(counts)
+    require_fits("dim", "the class means", k, dim)
+    require_fits("n_max", "the training features", sum(counts.tolist()), dim)
+    require_fits("test_per_class", "the test features", k * test_per_class, dim)
+
+
+def class_means(num_classes: int, dim: int, separation: float, rng) -> np.ndarray:
+    """(K, D) class means on the sphere of radius separation, each a standard normal
+    draw from rng (redrawn while its norm is below 1e-12), scaled: the first draws
+    generate_synthetic makes from its seed's generator."""
     means = np.empty((num_classes, dim))
     for k in range(num_classes):
         v = rng.standard_normal(dim)
@@ -108,10 +121,11 @@ def generate_synthetic(
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     counts = train_class_counts(num_classes, n_max, imbalance)
+    check_synthetic_sizes(counts, dim, test_per_class)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     with np.errstate(over="ignore"):
-        means = _class_means(num_classes, dim, separation, rng)
+        means = class_means(num_classes, dim, separation, rng)
     if not np.isfinite(means).all():
         raise InputError(f"separation {separation} overflows the class means")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import CsvRows
 from .ensemble import ParticleEnsemble, predictive_logprobs_batch
-from .errors import InputError, NumericError
+from .errors import NumericError, require_same
 from .metrics import predictive_entropy
 from .numcore import check_finite_logprobs, check_inputs, class_id_dtype, row_blocks
 from .utility import UtilityMatrix
@@ -46,11 +46,7 @@ def decide_batch(
     parsed, so neither are their (N, D) features. A row whose log-probs are not
     finite raises a NumericError naming it, and its file line for CsvRows; the
     overflows that lead there raise no warning."""
-    if utility.num_classes != ens.shape.num_classes:
-        raise InputError(
-            f"utility matrix is over {utility.num_classes} classes,"
-            f" model has {ens.shape.num_classes}"
-        )
+    require_same("utility matrix", utility.num_classes, "classes", "model", ens.shape.num_classes)
     if isinstance(x, CsvRows):
         n, blocks = len(x), x
     else:

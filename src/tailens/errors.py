@@ -5,6 +5,8 @@ bad arguments apart from bad files apart from numerical blowups.
 """
 
 import contextlib
+import math
+import sys
 
 
 class InputError(ValueError):
@@ -14,6 +16,19 @@ class InputError(ValueError):
     def __init__(self, message, row=None):
         super().__init__(message if row is None else f"row {row}: {message}")
         self.reason, self.row = message, row
+
+
+def require_same(what, got: int, noun: str, other, want: int) -> None:
+    """An InputError "<what> has <got> <noun>, <other> has <want>" unless got == want."""
+    if got != want:
+        raise InputError(f"{what} has {got} {noun}, {other} has {want}")
+
+
+def require_fits(key: str, what: str, *shape: int) -> None:
+    """An InputError naming key unless an array of 8-byte values of this shape fits
+    numpy, which counts an array's bytes in a signed machine word."""
+    if math.prod(shape) * 8 > sys.maxsize:
+        raise InputError(f"{key}: {what} need a {shape} array, larger than numpy allows")
 
 
 class ParseError(ValueError):

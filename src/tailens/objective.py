@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ensemble, numcore
 from .ensemble import ParticleEnsemble
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_same
 from .rebalance import ClassWeights
 from .utility import UtilityMatrix
 
@@ -52,10 +52,7 @@ class TrainingStep:
         utility_scale: float, weight_decay: float, var_floor: float = 1e-8,
     ):
         k = ens.shape.num_classes
-        if utility.num_classes != k:
-            raise InputError(
-                f"utility matrix is over {utility.num_classes} classes, model has {k}"
-            )
+        require_same("utility matrix", utility.num_classes, "classes", "model", k)
         if weights.normalized.shape[0] != k:
             raise InputError("class weights must cover every class")
         self.ens, self.weights, self.utility = ens, weights.normalized, utility.values

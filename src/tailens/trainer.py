@@ -14,7 +14,7 @@ import numpy as np
 from .dataset import CsvRows, LongTailDataset, tail_mask
 from .decision import BatchDecisions, decide_batch
 from .ensemble import ParticleEnsemble, diversity_diagnostics
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_same
 from .metrics import (
     MetricsReport,
     auc_misclassification,
@@ -202,8 +202,7 @@ def evaluate(
     test set is a dataset or a data CSV's CsvRows, made with the model's K and
     decided as it is parsed; the regions and tail masks are those of that K."""
     k = ens.shape.num_classes
-    if test_data.num_classes != k:
-        raise InputError(f"test data has {test_data.num_classes} classes, model has {k}")
+    require_same("test data", test_data.num_classes, "classes", "model", k)
     if not tail_ratios:
         raise InputError("need at least one tail ratio")
     x = test_data if isinstance(test_data, CsvRows) else test_data.features

@@ -84,6 +84,58 @@ def python(*args, cwd=None):
     )
 
 
+# the CLI flags of a small, fast task: 4 classes, 3 features, 2 epochs of 2 particles
+FAST = {
+    "classes": "4",
+    "dim": "3",
+    "n-max": "30",
+    "imbalance": "4.0",
+    "test-per-class": "10",
+    "hidden": "4",
+    "epochs": "2",
+    "batch-size": "16",
+    "particles": "2",
+}
+
+
+def flags(out, **overrides):
+    """The FAST flags, each override (a key in _ or - form) added or replacing its
+    flag, then --out out."""
+    merged = dict(FAST)
+    merged.update({k.replace("_", "-"): v for k, v in overrides.items()})
+    merged["out"] = str(out)
+    result = []
+    for key, value in merged.items():
+        result += [f"--{key}", value]
+    return result
+
+
+# runs argv through the CLI (none: only the import), then prints the exit code and
+# whether numpy.random and the process pool are loaded
+PROBE = """
+import sys
+from tailens.cli import main
+argv = sys.argv[1:]
+code = main(argv) if argv else 0
+print(code, "numpy.random" in sys.modules, "concurrent.futures.process" in sys.modules)
+"""
+
+
+def probe(cwd, *argv) -> tuple[int, bool, bool]:
+    """(exit code, numpy.random loaded, process pool loaded) of one CLI run in a
+    fresh interpreter, in cwd."""
+    result = python("-c", PROBE, *argv, cwd=cwd)
+    assert result.returncode == 0, result.stderr
+    code, draws, pool = result.stdout.split()[-3:]
+    return int(code), draws == "True", pool == "True"
+
+
+@pytest.fixture(scope="session")
+def import_probe(tmp_path_factory):
+    """The probe of the import alone, run once a session."""
+    return probe(tmp_path_factory.mktemp("import"))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(np.random.SeedSequence(1234))

@@ -1,10 +1,11 @@
 """Oracles: every gate's reference, written once and called by each test that
 checks against it. Brute-force definitions (central differences, the false head
-rate, the pairwise AUC, the binned ECE, the mean cross-entropy) take none of the
-package's shortcuts, so the acceptance criteria and the module tests hold the
-code to one arithmetic. Frozen oracles are earlier versions of package code that
-the current code must match bit for bit or byte for byte; each docstring names the
-commit whose code it freezes.
+rate, the pairwise AUC, the binned ECE, the mean cross-entropy, and generated
+data's Bayes posterior and decisions) take none of the package's shortcuts, so
+the acceptance criteria and the module tests hold the code to one arithmetic.
+Frozen oracles are earlier versions of package code that the current code must
+match bit for bit or byte for byte; each docstring names the commit whose code it
+freezes.
 
 Change an oracle only when the behaviour it pins is changed on purpose, and say
 so where it changes.
@@ -16,7 +17,7 @@ import functools
 
 import numpy as np
 
-from tailens.dataset import LongTailDataset, _class_means, train_class_counts
+from tailens.dataset import LongTailDataset, class_means, train_class_counts
 from tailens.decision import BatchDecisions
 from tailens.ensemble import predictive_logprobs_batch
 from tailens.errors import ParseError
@@ -77,6 +78,25 @@ def mean_cross_entropy(ens, x, y) -> float:
     """The mean over particles and rows of -log p_m(y | x), unweighted."""
     per_particle, _ = predictive_logprobs_batch(ens, x)
     return -float(per_particle[:, np.arange(len(y)), y].mean())
+
+
+def bayes_posterior(x, means, prior):
+    """(N, K) true posterior of generated data: p(y | x) proportional to
+    prior[y] exp(-|x - means[y]|^2 / 2), the unit-variance isotropic Gaussians
+    generate_synthetic draws around dataset.class_means, one class at a time."""
+    log_joint = np.empty((len(x), len(means)))
+    for k, mean in enumerate(means):
+        log_joint[:, k] = np.log(prior[k]) - 0.5 * ((x - mean) ** 2).sum(axis=1)
+    log_joint -= log_joint.max(axis=1, keepdims=True)
+    joint = np.exp(log_joint)
+    return joint / joint.sum(axis=1, keepdims=True)
+
+
+def bayes_decisions(posterior, utility):
+    """The Bayes decision of each row under a UtilityMatrix: the class d of greatest
+    expected utility, sum over y of posterior[y] * utility.values[y, d]; ties go to
+    the lowest id."""
+    return (posterior @ utility.values).argmax(axis=1)
 
 
 def _utf8_error(path) -> ParseError:
@@ -317,7 +337,7 @@ def per_class_synthetic(num_classes, dim, n_max, imbalance, separation, seed,
     label vector per class, concatenated. Frozen as the reference of the
     one-call draw."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    means = _class_means(num_classes, dim, separation, rng)
+    means = class_means(num_classes, dim, separation, rng)
 
     def draw(per_class):
         xs, ys = [], []

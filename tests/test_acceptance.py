@@ -99,8 +99,9 @@ class _RunCache:
             overrides["repulsion"] = False
         elif arm == "m1":
             overrides["particles"] = 1
+        # the workers do not inherit pytest's filterwarnings: a warning fails here too
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             ens, recs, _ = train(TrainConfig(**overrides), train_data, utility)
             report, _ = evaluate(ens, test_data, utility)
         return report, recs, time.perf_counter() - start

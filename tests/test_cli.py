@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import golden
 import tailens
-from conftest import python, random_ensemble
+from conftest import FAST, flags, python, random_ensemble
 from tailens import cli, trainer
 from tailens.cli import SCHEMA, main
 from tailens.dataset import load_csv
@@ -32,29 +32,6 @@ from tailens.numcore import NetShape
 from tailens.trainer import TrainConfig, evaluate
 from tailens.utility import tail_sensitive
 from test_dataset import K_MAX, MALFORMED_ROWS, csv_rows, write_csv
-
-FAST = {
-    "classes": "4",
-    "dim": "3",
-    "n-max": "30",
-    "imbalance": "4.0",
-    "test-per-class": "10",
-    "hidden": "4",
-    "epochs": "2",
-    "batch-size": "16",
-    "particles": "2",
-}
-
-
-def flags(out, **overrides):
-    merged = dict(FAST)
-    merged.update({k.replace("_", "-"): v for k, v in overrides.items()})
-    merged["out"] = str(out)
-    result = []
-    for key, value in merged.items():
-        result += [f"--{key}", value]
-    return result
-
 
 @pytest.fixture(scope="module")
 def fast_data(tmp_path_factory):
@@ -775,12 +752,12 @@ MALFORMED = {
         "evaluate reads --test-csv, not --train-csv",
     ),
     "train-utility-classes": (
-        "train", "u2.csv", b"1,0\n0,1\n", ["--utility"], "covers 2 classes, data has 4"
+        "train", "u2.csv", b"1,0\n0,1\n", ["--utility"], "has 2 classes, data has 4"
     ),
     # the utility is built before any cell trains or --out exists
     "sweep-utility-classes": (
         "sweep", "u3.csv", b"1,0,0\n0,1,0\n0,0,1\n", ["--axis", "ratio", "--utility"],
-        "covers 3 classes, data has 4",
+        "has 3 classes, data has 4",
     ),
     "generate-data-both-csvs": (
         "generate-data", None, None, ["--train-csv", "a.csv", "--test-csv", "a.csv"],
@@ -859,6 +836,59 @@ MALFORMED = {
         ["--axis", "utility", "--grid", "one-hot,tail-sensitive", "--rho", "1e306",
          "--utility-scale", "1e-3", "--runs", "1", "--epochs", "3"],
         "error: utility_scale 0.001 overflows the utility term\n",
+    ),
+    # a size past numpy's largest array is rejected before that array is requested
+    "generate-data-dim-past-int64": (
+        "generate-data", None, None, ["--dim", "1000000000000000000000"],
+        "error: dim: the class means need a (4, 1000000000000000000000) array,"
+        " larger than numpy allows\n",
+    ),
+    "generate-data-dim-past-numpy": (
+        "generate-data", None, None, ["--dim", "4611686018427387904"],
+        "error: dim: the class means need a (4, 4611686018427387904) array,"
+        " larger than numpy allows\n",
+    ),
+    "generate-data-test-per-class-past-int64": (
+        "generate-data", None, None, ["--test-per-class", "100000000000000000000"],
+        "error: test_per_class: the test features need a (400000000000000000000, 3) array,"
+        " larger than numpy allows\n",
+    ),
+    "generate-data-test-per-class-past-numpy": (
+        "generate-data", None, None, ["--test-per-class", "4611686018427387904"],
+        "error: test_per_class: the test features need a (18446744073709551616, 3) array,"
+        " larger than numpy allows\n",
+    ),
+    # the counts are cast to int64 only once n_max is known to fit
+    "generate-data-n-max-past-int64": (
+        "generate-data", None, None, ["--n-max", "100000000000000000000"],
+        "error: n_max: class 0's labels need a (100000000000000000000,) array,"
+        " larger than numpy allows\n",
+    ),
+    "generate-data-n-max-int64-max": (
+        "generate-data", None, None, ["--n-max", "9223372036854775807", "--imbalance", "1"],
+        "error: n_max: class 0's labels need a (9223372036854775807,) array,"
+        " larger than numpy allows\n",
+    ),
+    "train-dim-past-numpy": (
+        "train", None, None, ["--dim", "4611686018427387904"],
+        "error: dim: the class means need a (4, 4611686018427387904) array,"
+        " larger than numpy allows\n",
+    ),
+    # the network's size is known from K, D and the settings: rejected before a draw
+    "train-hidden-past-numpy": (
+        "train", None, None, ["--hidden", "100000000000000000000", "--epochs", "1"],
+        "error: hidden: a particle's parameters need a (800000000000000000004,) array,"
+        " larger than numpy allows\n",
+    ),
+    "train-particles-past-numpy": (
+        "train", None, None, ["--particles", "4611686018427387904", "--epochs", "1"],
+        "error: particles: the particles need a (4611686018427387904, 36) array,"
+        " larger than numpy allows\n",
+    ),
+    "sweep-particles-past-numpy": (
+        "sweep", None, None, ["--axis", "particles", "--grid", "2,4611686018427387904"],
+        "error: particles: the particles need a (4611686018427387904, 36) array,"
+        " larger than numpy allows\n",
     ),
 }
 
@@ -1085,11 +1115,10 @@ def test_generated_csvs_match_golden_hashes(golden_run):
     }, golden.moved(want, got)
 
 
-def test_import_leaves_the_process_pool_out():
+def test_import_leaves_the_process_pool_out(import_probe):
     # only sweep --jobs > 1 starts processes, so only it pays for the pool's import
-    code = "import sys, tailens.cli; print('concurrent.futures.process' in sys.modules)"
-    result = python("-c", code)
-    assert (result.returncode, result.stdout) == (0, "False\n")
+    code, _, pool = import_probe
+    assert (code, pool) == (0, False)
 
 
 # (key, accepted, rejected): a boundary value and the first value past it.

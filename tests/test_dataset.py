@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import csv_writer_save, per_class_synthetic, row_parser
+from oracles import (
+    bayes_decisions, bayes_posterior, csv_writer_save, per_class_synthetic, row_parser,
+)
 from tailens.dataset import (
     CsvRows,
     LongTailDataset,
+    class_means,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -23,6 +26,7 @@ from tailens.dataset import (
 from tailens.errors import InputError, ParseError
 from tailens.metrics import region_accuracy
 from tailens.numcore import row_blocks
+from tailens.utility import one_hot, tail_sensitive
 
 
 class TestCounts:
@@ -59,6 +63,15 @@ class TestCounts:
         with pytest.raises(InputError):
             train_class_counts(10, 100, 200.0)
         assert train_class_counts(10, 100, 199.0)[-1] == 1
+
+
+    def test_an_n_max_past_numpy_is_an_input_error(self):
+        # past numpy's limit the float counts would wrap in the int64 cast, into a
+        # false error (and, at imbalance 1, a RuntimeWarning): rejected before it
+        for n_max in (10**20, 2**63 - 1):
+            with pytest.raises(InputError, match=r"^n_max: class 0's labels need a"):
+                train_class_counts(10, n_max, 1.0)
+        assert train_class_counts(2, 2**59, 1.0).tolist() == [2**59] * 2
 
 
 class TestGenerate:
@@ -118,6 +131,47 @@ class TestGenerate:
             generate_synthetic(5, 4, 60, 10.0, 2.0, seed=-1)
         with pytest.raises(InputError):
             generate_synthetic(5, 4, 60, 10.0, 2.0, seed=0, test_per_class=0)
+
+
+# the default CLI task: K=10, D=16, n_max=1000, imbalance 100, separation 2.4
+DEFAULT_TASK = (10, 16, 1000, 100.0, 2.4)
+
+
+def default_means(seed):
+    """The default task's class means at seed: the first draws of its generator."""
+    return class_means(10, 16, 2.4, np.random.default_rng(np.random.SeedSequence(seed)))
+
+
+class TestBayesOracle:
+    # (seed, correct of the 1,000 test rows under the uniform test prior, under the
+    # training prior): the Bayes ceiling the trained arms are read against
+    TABLE = [(0, 755, 609), (1, 783, 667), (2, 761, 645), (3, 777, 654), (4, 761, 646)]
+
+    @pytest.mark.parametrize("seed, uniform, training", TABLE)
+    def test_bayes_accuracy_on_the_default_test_sets(self, seed, uniform, training):
+        train, test = generate_synthetic(*DEFAULT_TASK, seed=seed)
+        priors = (np.full(10, 0.1), train.class_counts / len(train))
+        for prior, correct in zip(priors, (uniform, training), strict=True):
+            posterior = bayes_posterior(test.features, default_means(seed), prior)
+            assert (bayes_decisions(posterior, one_hot(10)) == test.labels).sum() == correct
+
+    def test_no_rule_beats_the_bayes_rule_on_a_large_draw(self):
+        # the Bayes rule is optimal in expectation, not on every sample: on 100k fresh
+        # rows a rival may beat it only within 3 standard errors of the paired gain
+        means = default_means(0)
+        labels = np.repeat(np.arange(10), 10_000)
+        x = means[labels] + np.random.default_rng(2024).standard_normal((len(labels), 16))
+        posterior = bayes_posterior(x, means, np.full(10, 0.1))
+        counts = train_class_counts(10, 1000, 100.0)
+        training = bayes_posterior(x, means, counts / counts.sum())
+        rivals = (
+            (one_hot(10), bayes_decisions(training, one_hot(10))),
+            (tail_sensitive(10, 0.5), posterior.argmax(axis=1)),
+        )
+        for utility, rival in rivals:
+            best = bayes_decisions(posterior, utility)
+            gain = utility.values[labels, rival] - utility.values[labels, best]
+            assert gain.mean() <= 3 * gain.std(ddof=1) / np.sqrt(len(gain))
 
 
 class TestDatasetType:

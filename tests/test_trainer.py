@@ -311,7 +311,7 @@ class TestTrainValidation:
     def test_utility_class_mismatch(self):
         train_data, _ = small_task()
         self.rejects_before_training(
-            train_data, one_hot(4), "utility matrix is over 4 classes, model has 3"
+            train_data, one_hot(4), "utility matrix has 4 classes, model has 3"
         )
 
     def test_rejects_empty_classes(self, rng):
